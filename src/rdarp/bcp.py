@@ -7,7 +7,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cuts as cuts_mod
 from . import oracle
@@ -25,11 +25,12 @@ from .master import (
     column_generation,
     seed_pool,
 )
-from .pricing import COST, RISK, PricingRestrictions
+from .pricing import COST, PricingRestrictions
 
 INF = math.inf
 INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-6
+MAX_CUT_ROUNDS = 20
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,6 @@ class SolveReport:
     nodes_explored: int
     columns: int
     cuts: int
-    t_master: float
-    t_pricing: float
     used_fallback_branching: bool = False
     infeasible_at_root: bool = False
 
@@ -70,8 +69,6 @@ class SolveOptions:
     time_limit: float | None = None
     cut_families: tuple[str, ...] = ("ipec", "2pc", "rc")
     use_heuristic_pricing: bool = True
-    column_limit: int = 200
-    max_cut_rounds: int = 20
     engine: str | None = None
 
 
@@ -171,30 +168,11 @@ def _extract_routes(pool: ColumnPool, msol: MasterSolution) -> list[oracle.Route
 def incumbent_value(inst: Instance, routes: list[oracle.Route], mode: str) -> float:
     if mode == COST:
         return sum(r.cost for r in routes)
-    edarp = inst.mode == EDARP
     peak = 0.0
     for r in routes:
         for i, h in r.exposure.items():
-            peak = max(peak, h / inst.detour_weight[i - 1] if edarp else h)
+            peak = max(peak, inst.exposure_measure(i, h))
     return peak
-
-
-def _check_incumbent(inst: Instance, routes: list[oracle.Route], opts: SolveOptions) -> None:
-    covered: list[int] = []
-    for r in routes:
-        oracle.validate_route(inst, r)
-        covered.extend(r.requests)
-    if sorted(covered) != list(inst.pickups()):
-        raise RdarpError("incumbent does not partition the requests")
-    if len(routes) > inst.fleet_size:
-        raise RdarpError("incumbent exceeds the fleet size")
-    edarp = inst.mode == EDARP
-    for r in routes:
-        for i, h in r.exposure.items():
-            measure = h / inst.detour_weight[i - 1] if edarp else h
-            cap = opts.eps_dt if edarp else opts.eps_risk
-            if measure > cap + 1e-6:
-                raise RdarpError(f"incumbent violates the exposure cap on request {i}")
 
 
 def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
@@ -206,6 +184,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     separated at the root until none are violated, then frozen.
     """
     opts = options or SolveOptions()
+    cap = opts.eps_dt if inst.mode == EDARP else opts.eps_risk
     t_start = time.perf_counter()
     deadline = None if opts.time_limit is None else t_start + opts.time_limit
 
@@ -215,16 +194,14 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         bad = seed_pool(pool, inst)
         if bad:
             return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
-                               0.0, 0.0, infeasible_at_root=True)
+                               infeasible_at_root=True)
 
-    t_master = t_pricing = 0.0
     counter = itertools.count()
     cut_rows: list[ExtraRow] = []
     active_cuts: list[cuts_mod.Cut] = []
 
     def run_cg(node: BranchNode) -> CGResult:
-        nonlocal t_master, t_pricing
-        res = column_generation(
+        return column_generation(
             inst, pool, mode,
             eps_risk=opts.eps_risk, eps_cost=opts.eps_cost, eps_dt=opts.eps_dt,
             extra_rows=tuple(cut_rows) + node.rows,
@@ -232,24 +209,20 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                 banned_arcs=node.banned_arcs, crossing_caps=node.crossing_caps),
             fixed_zero=_fixed_zero(pool, node),
             use_heuristic_pricing=opts.use_heuristic_pricing,
-            column_limit=opts.column_limit,
             deadline=deadline,
             engine=opts.engine,
         )
-        t_master += res.t_master
-        t_pricing += res.t_pricing
-        return res
 
     root = BranchNode(0, next(counter), -INF, (), frozenset(), ())
     res = run_cg(root)
     nodes_explored = 1
     if res.status == INFEASIBLE_STATUS:
         return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
-                           len(pool), 0, t_master, t_pricing, infeasible_at_root=True)
+                           len(pool), 0, infeasible_at_root=True)
 
     # root cut loop: separate after each converged CG until nothing is violated
     rounds = 0
-    while res.status == OPTIMAL_STATUS and rounds < opts.max_cut_rounds:
+    while res.status == OPTIMAL_STATUS and rounds < MAX_CUT_ROUNDS:
         rounds += 1
         flows = res.solution.arc_flows()
         violated = [c for c in cuts_mod.separate_all(flows, inst, opts.cut_families)
@@ -262,12 +235,10 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         res = run_cg(root)
         if res.status == INFEASIBLE_STATUS:
             return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
-                               len(pool), len(active_cuts), t_master, t_pricing,
-                               infeasible_at_root=True)
+                               len(pool), len(active_cuts), infeasible_at_root=True)
 
     incumbent: list[oracle.Route] | None = None
     best_value = INF
-    incumbent_value_fn = incumbent_value
     used_fallback = False
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
@@ -280,9 +251,9 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                           node.banned_arcs, node.crossing_caps, node.used_fallback)
         if msol.integral and msol.artificial_total <= 1e-6:
             routes = _extract_routes(pool, msol)
-            value = incumbent_value_fn(inst, routes, mode)
+            value = incumbent_value(inst, routes, mode)
             if value < best_value - PRUNE_TOL:
-                _check_incumbent(inst, routes, opts)
+                oracle.validate_solution(inst, routes, cap)
                 incumbent = routes
                 best_value = value
             return
@@ -322,8 +293,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     if incumbent is None:
         status = TIME_LIMIT_STATUS if timed_out else INFEASIBLE_STATUS
         return SolveReport(status, INF, best_bound, INF, [], nodes_explored,
-                           len(pool), len(active_cuts), t_master, t_pricing,
-                           used_fallback)
+                           len(pool), len(active_cuts), used_fallback)
     gap = max(0.0, (best_value - best_bound) / max(abs(best_value), 1e-9))
     if timed_out and gap > 1e-6:
         status = TIME_LIMIT_STATUS
@@ -333,5 +303,4 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     else:
         status = "Feasible"
     return SolveReport(status, best_value, best_bound, gap, incumbent,
-                       nodes_explored, len(pool), len(active_cuts),
-                       t_master, t_pricing, used_fallback)
+                       nodes_explored, len(pool), len(active_cuts), used_fallback)

@@ -60,7 +60,7 @@ class PathState:
 
     __slots__ = (
         "nodes", "times", "a_cur", "b_cur", "load", "onboard", "assoc",
-        "served", "risk_sum", "q_cum", "h", "d", "bo", "do_a", "do_b",
+        "served", "q_cum", "h", "d", "bo", "do_a", "do_b",
         "pick_pos", "drop_pos",
     )
 
@@ -84,7 +84,7 @@ def initial_state(inst: Instance) -> PathState:
         nodes=(0,), times=(inst.early[0],),
         a_cur=inst.early[0], b_cur=inst.late[0],
         load=0.0, onboard=onboard, assoc=(),
-        served=frozenset(), risk_sum=(1.0 if edarp else 0.0), q_cum=0.0,
+        served=frozenset(), q_cum=0.0,
         h=({DUMMY: 0.0} if edarp else {}),
         d=({DUMMY: 0.0} if edarp else {}),
         bo={}, do_a={}, do_b={},
@@ -241,8 +241,7 @@ def extend(inst: Instance, st: PathState, j: int):
         nodes=st.nodes + (j,), times=times,
         a_cur=a_new, b_cur=b_new, load=load_new,
         onboard=tuple(onboard_new), assoc=tuple(assoc_new),
-        served=served_new,
-        risk_sum=st.risk_sum + inst.risk[j], q_cum=q_new,
+        served=served_new, q_cum=q_new,
         h=h_new, d=d_new, bo=bo_new, do_a=do_a_new, do_b=do_b_new,
         pick_pos=pick_pos_new, drop_pos=drop_pos_new,
     )
@@ -397,7 +396,7 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
     return PathState(
         nodes=st.nodes, times=times1, a_cur=st.a_cur, b_cur=st.b_cur,
         load=st.load, onboard=st.onboard, assoc=st.assoc, served=st.served,
-        risk_sum=st.risk_sum, q_cum=q1, h=h1, d=d1,
+        q_cum=q1, h=h1, d=d1,
         bo=st.bo, do_a=st.do_a, do_b=st.do_b,
         pick_pos=st.pick_pos, drop_pos=st.drop_pos,
     )

@@ -37,30 +37,14 @@ class Cut:
     rhs: float
 
     def to_row(self) -> ExtraRow:
-        return ExtraRow(name=f"{self.kind}{hash(self.key) & 0xFFFF:04x}",
+        # named by the key's nodes, so the name is the same in every process
+        nodes = ",".join(str(v) for v in self.key[-1])
+        return ExtraRow(name=f"{self.kind}({nodes})",
                         sense=self.sense, rhs=self.rhs, arc_coefs=self.arc_coefs)
 
     def violation(self, flows: dict[tuple[int, int], float]) -> float:
         lhs = sum(flows.get(a, 0.0) * c for a, c in self.arc_coefs)
         return lhs - self.rhs if self.sense == LE else self.rhs - lhs
-
-
-def fold_cut_duals(active: list[tuple[Cut, float]]) -> dict[tuple[int, int], float]:
-    """Per-arc reduced-cost adjustments for a set of cuts with duals.
-
-    <= cuts must carry nonpositive duals, >= cuts nonnegative; anything else
-    is a contract violation from the LP layer."""
-    table: dict[tuple[int, int], float] = {}
-    for cut, dual in active:
-        if cut.sense == LE and dual > 1e-7:
-            raise ValueError(f"{cut.kind} dual {dual} must be nonpositive")
-        if cut.sense == GE and dual < -1e-7:
-            raise ValueError(f"{cut.kind} dual {dual} must be nonnegative")
-        if dual == 0.0:
-            continue
-        for arc, coef in cut.arc_coefs:
-            table[arc] = table.get(arc, 0.0) + dual * coef
-    return table
 
 
 # ---------------------------------------------------------------------------

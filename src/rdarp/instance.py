@@ -128,10 +128,13 @@ class Instance:
             raise ValidationError("EDARP instance missing detour weights")
         _check_triangle(self.travel, self.service)
 
-    def detour_cap_per_request(self, eps_dt: float) -> tuple[float, ...]:
-        """Per-request exposure bound implied by a detour-rate cap."""
-        assert self.detour_weight is not None
-        return tuple(eps_dt * w for w in self.detour_weight)
+    def exposure_measure(self, i: int, h: float) -> float:
+        """The measure caps and the risk objective bound for request ``i``
+        with exposure ``h``: the detour rate ``h / detour_weight`` in equity
+        mode (EDARP), the raw exposure otherwise."""
+        if self.mode == EDARP:
+            return h / self.detour_weight[i - 1]
+        return h
 
 
 def _check_triangle(travel, service, tol: float = 1e-9) -> None:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import oracle
 from .errors import RdarpError
 from .instance import EDARP, Instance
-from .lp import EQ, GE, LE, OPTIMAL, LinearModel, solve_lp
+from .lp import EQ, GE, LE, OPTIMAL, LinearModel
 from .pricing import (
     COST,
     RISK,
@@ -32,9 +32,8 @@ class ColumnPool:
     """Deduplicated columns keyed by node sequence; every insert re-validates
     the route against the oracle."""
 
-    def __init__(self, inst: Instance, validate: bool = True):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.validate = validate
         self.columns: list[Column] = []
         self._index: dict[tuple[int, ...], int] = {}
 
@@ -44,17 +43,13 @@ class ColumnPool:
     def add(self, col: Column) -> bool:
         if col.sequence in self._index:
             return False
-        if self.validate:
-            oracle.validate_route(
-                self.inst,
-                oracle.Route(col.sequence, col.schedule, col.cost, col.exposure, col.q_terminal),
-            )
+        oracle.validate_route(
+            self.inst,
+            oracle.Route(col.sequence, col.schedule, col.cost, col.exposure, col.q_terminal),
+        )
         self._index[col.sequence] = len(self.columns)
         self.columns.append(col)
         return True
-
-    def index_of(self, sequence: tuple[int, ...]) -> int | None:
-        return self._index.get(tuple(sequence))
 
 
 @dataclass(frozen=True)
@@ -117,6 +112,37 @@ class MasterSolution:
         return flows
 
 
+def _add_lambda(model: LinearModel, meta: dict, col: Column, fixed_zero: frozenset[int]) -> int:
+    """Add the variable of the pool's next column (index ``len(meta["lam"])``)."""
+    k = len(meta["lam"])
+    j = model.add_var(f"l{k}", lb=0.0, ub=0.0 if k in fixed_zero else INF,
+                      obj=col.cost if meta["mode"] == COST else 0.0)
+    meta["lam"].append(j)
+    return j
+
+
+def _column_coefs(inst: Instance, meta: dict, col: Column):
+    """Every nonzero ``(row key, coefficient)`` of a column in the master.
+
+    Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("risk", i)`` the
+    per-request exposure measure (detour rate in equity mode), ``"cost"`` the
+    cost cap, ``("x", r)`` extra row ``r``.
+    """
+    rows = meta["row"]
+    for i in col.requests:
+        yield ("part", i), 1.0
+    yield "fleet", 1.0
+    for i, h in col.exposure.items():
+        if h and ("risk", i) in rows:
+            yield ("risk", i), inst.exposure_measure(i, h)
+    if col.cost and "cost" in rows:
+        yield "cost", col.cost
+    for r, row in enumerate(meta["extra"]):
+        v = row.coefficient(col)
+        if v != 0.0:
+            yield ("x", r), v
+
+
 def build_rlmp(
     pool: ColumnPool,
     inst: Instance,
@@ -131,124 +157,74 @@ def build_rlmp(
 
     Partitioning rows carry artificial variables so the model is always
     feasible; >= extra rows get artificials as well. In equity mode the
-    per-request rows bound detour rates instead of raw exposures.
+    per-request rows bound detour rates instead of raw exposures. Column
+    coefficients come only from ``_column_coefs``; ``meta["row"]`` maps each
+    row key to its row index.
     """
     model = LinearModel(f"rlmp-{mode}")
     big = big_cost(inst)
-    edarp = inst.mode == EDARP
-    lam = []
-    for k, col in enumerate(pool.columns):
-        ub = 0.0 if k in fixed_zero else INF
-        obj = col.cost if mode == COST else 0.0
-        lam.append(model.add_var(f"l{k}", lb=0.0, ub=ub, obj=obj))
+    meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big}
+    for col in pool.columns:
+        _add_lambda(model, meta, col, fixed_zero)
     peak = model.add_var("peak", lb=0.0, obj=1.0) if mode == RISK else None
-    art = {}
-    meta: dict = {"lam": lam, "peak": peak}
+    meta["peak"] = peak
+    meta["art"] = {i: model.add_var(f"art{i}", lb=0.0, obj=big) for i in inst.pickups()}
+    meta["xart"] = {r: model.add_var(f"xart{r}", lb=0.0, obj=big)
+                    for r, row in enumerate(extra_rows) if row.sense == GE}
 
-    for i in inst.pickups():
-        coefs = {}
-        for k, col in enumerate(pool.columns):
-            if i in col.exposure:
-                coefs[lam[k]] = 1.0
-        art[i] = model.add_var(f"art{i}", lb=0.0, obj=big)
-        coefs[art[i]] = 1.0
-        model.add_row(f"part{i}", coefs, EQ, 1.0)
-    meta["art"] = art
-
-    model.add_row("fleet", {lam[k]: 1.0 for k in range(len(lam))}, LE, float(inst.fleet_size))
-
-    def exposure_coef(col: Column, i: int) -> float:
-        h = col.exposure.get(i)
-        if h is None:
-            return 0.0
-        if edarp:
-            return h / inst.detour_weight[i - 1]
-        return h
-
-    risk_cap = eps_dt if edarp else eps_risk
-    meta["risk_rows"] = []
+    # (row key, name, sense, rhs, coefficients of non-column variables)
+    specs = [(("part", i), f"part{i}", EQ, 1.0, {meta["art"][i]: 1.0}) for i in inst.pickups()]
+    specs.append(("fleet", "fleet", LE, float(inst.fleet_size), {}))
+    risk_cap = eps_dt if inst.mode == EDARP else eps_risk
     if mode == RISK:
-        for i in inst.pickups():
-            coefs = {lam[k]: exposure_coef(col, i) for k, col in enumerate(pool.columns)
-                     if exposure_coef(col, i) != 0.0}
-            coefs[peak] = -1.0
-            model.add_row(f"risk{i}", coefs, LE, 0.0)
-            meta["risk_rows"].append(i)
+        specs += [(("risk", i), f"risk{i}", LE, 0.0, {peak: -1.0}) for i in inst.pickups()]
         if eps_cost < INF:
-            model.add_row("costcap", {lam[k]: col.cost for k, col in enumerate(pool.columns)}, LE, eps_cost)
-            meta["cost_row"] = True
+            specs.append(("cost", "costcap", LE, eps_cost, {}))
     elif risk_cap < INF:
-        for i in inst.pickups():
-            coefs = {lam[k]: exposure_coef(col, i) for k, col in enumerate(pool.columns)
-                     if exposure_coef(col, i) != 0.0}
-            model.add_row(f"risk{i}", coefs, LE, risk_cap)
-            meta["risk_rows"].append(i)
-
-    meta["big"] = big
-    meta["extra"] = []
+        specs += [(("risk", i), f"risk{i}", LE, risk_cap, {}) for i in inst.pickups()]
     for r, row in enumerate(extra_rows):
-        coefs = {}
-        for k, col in enumerate(pool.columns):
-            v = row.coefficient(col)
-            if v != 0.0:
-                coefs[lam[k]] = v
-        if row.sense == GE:
-            a = model.add_var(f"xart{r}", lb=0.0, obj=big)
-            coefs[a] = 1.0
-        model.add_row(f"x{r}:{row.name}", coefs, row.sense, row.rhs)
-        meta["extra"].append(row)
+        own = {meta["xart"][r]: 1.0} if row.sense == GE else {}
+        specs.append((("x", r), f"x{r}:{row.name}", row.sense, row.rhs, own))
+    meta["row"] = {spec[0]: r for r, spec in enumerate(specs)}
+
+    coefs: dict = {key: {} for key in meta["row"]}
+    for j, col in zip(meta["lam"], pool.columns):
+        for key, v in _column_coefs(inst, meta, col):
+            coefs[key][j] = v
+    for key, name, sense, rhs, own in specs:
+        model.add_row(name, {**coefs[key], **own}, sense, rhs)
     return model, meta
 
 
-def add_edarp_constraints(
-    model: LinearModel,
-    pool: ColumnPool,
-    inst: Instance,
-    lam: list[int],
-    eps_dt: float | None = None,
-    peak_var: int | None = None,
-) -> list[int]:
-    """Append detour-rate rows to an existing model: one row per request with
-    coefficients exposure/weight, bounded by eps_dt or an existing variable."""
-    if inst.detour_weight is None:
-        raise RdarpError("instance has no detour weights; run edarp_transform first")
-    rows = []
-    for i in inst.pickups():
-        coefs = {}
-        for k, col in enumerate(pool.columns):
-            h = col.exposure.get(i)
-            if h:
-                coefs[lam[k]] = h / inst.detour_weight[i - 1]
-        if peak_var is not None:
-            coefs[peak_var] = -1.0
-            rows.append(model.add_row(f"dt{i}", coefs, LE, 0.0))
-        elif coefs:
-            rows.append(model.add_row(f"dt{i}", coefs, LE, eps_dt))
-    return rows
+def extract_duals(inst: Instance, sol, meta: dict) -> DualValues:
+    """Pricing duals of a solved master, with sign-violating row duals
+    clamped to zero and extra-row duals folded into ``mu`` and arc terms."""
+    row = meta["row"]
 
+    def dual(key) -> float:
+        return float(sol.duals[row[key]])
 
-def extract_duals(inst: Instance, sol, meta, mode: str) -> DualValues:
     duals = DualValues()
     for i in inst.pickups():
-        duals.pi[i] = sol.dual(f"part{i}")
-    duals.mu = min(sol.dual("fleet"), 0.0)
-    edarp = inst.mode == EDARP
-    for i in meta["risk_rows"]:
-        y = min(sol.dual(f"risk{i}"), 0.0)
-        if y != 0.0:
-            duals.rho[i] = y / inst.detour_weight[i - 1] if edarp else y
-    if meta.get("cost_row"):
-        duals.xi = min(sol.dual("costcap"), 0.0)
-    for r, row in enumerate(meta["extra"]):
-        y = sol.dual(f"x{r}:{row.name}")
-        if row.sense == LE:
+        duals.pi[i] = dual(("part", i))
+    duals.mu = min(dual("fleet"), 0.0)
+    for i in inst.pickups():
+        if ("risk", i) in row:
+            y = min(dual(("risk", i)), 0.0)
+            if y != 0.0:
+                duals.rho[i] = inst.exposure_measure(i, y)
+    if "cost" in row:
+        duals.xi = min(dual("cost"), 0.0)
+    for r, xrow in enumerate(meta["extra"]):
+        y = dual(("x", r))
+        if xrow.sense == LE:
             y = min(y, 0.0)
-        elif row.sense == GE:
+        elif xrow.sense == GE:
             y = max(y, 0.0)
         if y == 0.0:
             continue
-        duals.mu += y * row.route_constant
-        for arc, coef in row.arc_coefs:
+        duals.mu += y * xrow.route_constant
+        for arc, coef in xrow.arc_coefs:
             duals.arc_adjust[arc] = duals.arc_adjust.get(arc, 0.0) + y * coef
     return duals
 
@@ -260,64 +236,34 @@ class CGResult:
     solution: MasterSolution | None
     bound: float
     iterations: int
-    t_master: float
-    t_pricing: float
-    columns_added: int
 
 
 class RestrictedMaster:
-    """Incrementally extended master LP with warm-started resolves."""
+    """Master LP over a growing pool, resolved warm from the last basis.
+
+    Columns enter only through ``_column_coefs``: ``build_rlmp`` writes the
+    pool at construction, ``solve`` appends the columns added since.
+    """
 
     def __init__(self, pool: ColumnPool, inst: Instance, mode, eps_risk, eps_cost,
                  eps_dt, extra_rows, fixed_zero):
         self.pool = pool
         self.inst = inst
-        self.args = (mode, eps_risk, eps_cost, eps_dt, extra_rows, fixed_zero)
+        self.fixed_zero = fixed_zero
         self.model, self.meta = build_rlmp(pool, inst, mode, eps_risk, eps_cost,
                                            eps_dt, extra_rows, fixed_zero)
-        self.built_upto = len(pool)
         self.warm = None
-        self.mode = mode
-
-    def _append_new_columns(self):
-        mode, eps_risk, eps_cost, eps_dt, extra_rows, fixed_zero = self.args
-        inst = self.inst
-        edarp = inst.mode == EDARP
-        risk_cap = eps_dt if edarp else eps_risk
-        model, meta = self.model, self.meta
-        for k in range(self.built_upto, len(self.pool)):
-            col = self.pool.columns[k]
-            ub = 0.0 if k in fixed_zero else INF
-            j = model.add_var(f"l{k}", lb=0.0, ub=ub,
-                              obj=col.cost if mode == COST else 0.0)
-            meta["lam"].append(j)
-            for i in col.requests:
-                model.rows[i - 1].append((j, 1.0))
-            model.rows[inst.n].append((j, 1.0))  # fleet row follows partitioning
-            row_offset = inst.n + 1
-            if meta["risk_rows"]:
-                for slot, i in enumerate(meta["risk_rows"]):
-                    h = col.exposure.get(i)
-                    if h:
-                        coef = h / inst.detour_weight[i - 1] if edarp else h
-                        model.rows[row_offset + slot].append((j, coef))
-                row_offset += len(meta["risk_rows"])
-            if meta.get("cost_row"):
-                model.rows[row_offset].append((j, col.cost))
-                row_offset += 1
-            for slot, row in enumerate(meta["extra"]):
-                v = row.coefficient(col)
-                if v != 0.0:
-                    model.rows[row_offset + slot].append((j, v))
-        self.built_upto = len(self.pool)
 
     def solve(self):
         from .lp import solve_lp_warm
 
-        self._append_new_columns()
-        sol, warm = solve_lp_warm(self.model, self.warm)
-        self.warm = warm
-        return sol, self.meta
+        model, meta = self.model, self.meta
+        for col in self.pool.columns[len(meta["lam"]):]:
+            j = _add_lambda(model, meta, col, self.fixed_zero)
+            for key, v in _column_coefs(self.inst, meta, col):
+                model.rows[meta["row"][key]].append((j, v))
+        sol, self.warm = solve_lp_warm(model, self.warm)
+        return sol, meta
 
 
 def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
@@ -345,34 +291,28 @@ def column_generation(
     restrictions: PricingRestrictions | None = None,
     fixed_zero: frozenset[int] = frozenset(),
     use_heuristic_pricing: bool = True,
-    column_limit: int = 200,
     deadline: float | None = None,
     engine: str | None = None,
 ) -> CGResult:
     """Alternate master LP solves and pricing until no negative column exists.
 
-    The returned objective is a valid lower bound for the node's integer
-    problem over the allowed column set. Infeasibility is reported only after
-    exact pricing is exhausted with artificials still active."""
-    t_master = t_pricing = 0.0
+    Each round prices heuristically first (when enabled) and confirms with an
+    exact run when the heuristic adds nothing. The returned objective is a
+    valid lower bound for the node's integer problem over the allowed column
+    set. Infeasibility is reported only after exact pricing is exhausted with
+    artificials still active."""
     iterations = 0
-    added_total = 0
     restrictions = restrictions or PricingRestrictions()
-    heuristic_active = use_heuristic_pricing
+    pricing_modes = (True, False) if use_heuristic_pricing else (False,)
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
                                extra_rows, fixed_zero)
     while True:
         iterations += 1
-        t0 = time.perf_counter()
         sol, meta = rmaster.solve()
-        t_master += time.perf_counter() - t0
         if sol.status != OPTIMAL:
             raise RdarpError(f"master LP unexpectedly {sol.status}")
-        duals = extract_duals(inst, sol, meta, mode)
-        art_total = sum(float(sol.x[v]) for v in meta["art"].values())
-        for r, row in enumerate(meta["extra"]):
-            if row.sense == GE:
-                art_total += float(sol.value(f"xart{r}"))
+        duals = extract_duals(inst, sol, meta)
+        art_total = sum(float(sol.x[v]) for v in (*meta["art"].values(), *meta["xart"].values()))
         lam_vals = {k: float(sol.x[meta["lam"][k]]) for k in range(len(pool.columns))}
         msol = MasterSolution(
             # artificial activity is certified tiny at optimality; strip its
@@ -385,40 +325,20 @@ def column_generation(
             columns_used=[(pool.columns[k], v) for k, v in lam_vals.items() if v > 1e-12],
         )
         if deadline is not None and time.perf_counter() > deadline:
-            return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF,
-                            iterations, t_master, t_pricing, added_total)
+            return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
 
-        t0 = time.perf_counter()
-        cols = solve_pricing(inst, duals, mode, heuristic=heuristic_active,
-                             limit=column_limit, restrictions=restrictions, engine=engine)
         added = 0
-        for col in cols:
-            if pool.add(col):
-                added += 1
-        t_pricing += time.perf_counter() - t0
-        added_total += added
+        for heuristic in pricing_modes:
+            cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
+                                 restrictions=restrictions, engine=engine)
+            added = sum(1 for col in cols if pool.add(col))
+            if added:
+                break
         if added:
             continue
-        if heuristic_active:
-            # heuristic run found nothing new: confirm with full dominance
-            heuristic_active = False
-            t0 = time.perf_counter()
-            cols = solve_pricing(inst, duals, mode, heuristic=False,
-                                 limit=column_limit, restrictions=restrictions, engine=engine)
-            added = 0
-            for col in cols:
-                if pool.add(col):
-                    added += 1
-            t_pricing += time.perf_counter() - t0
-            added_total += added
-            heuristic_active = use_heuristic_pricing
-            if added:
-                continue
         if art_total > ARTIFICIAL_TOL:
-            return CGResult(INFEASIBLE_STATUS, INF, msol, INF,
-                            iterations, t_master, t_pricing, added_total)
-        return CGResult(OPTIMAL_STATUS, msol.objective, msol, msol.objective,
-                        iterations, t_master, t_pricing, added_total)
+            return CGResult(INFEASIBLE_STATUS, INF, msol, INF, iterations)
+        return CGResult(OPTIMAL_STATUS, msol.objective, msol, msol.objective, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +351,6 @@ class ParetoPoint:
     cost: float
     max_risk: float
     routes: list[oracle.Route]
-    t_master: float
-    t_pricing: float
     certified: bool = True
 
 
@@ -459,22 +377,15 @@ def pareto_front(
         if rep_cost.status == INFEASIBLE_STATUS:
             break
         if rep_cost.status != OPTIMAL_STATUS:
-            points.append(ParetoPoint(eps, rep_cost.objective, INF, rep_cost.routes,
-                                      rep_cost.t_master, rep_cost.t_pricing, certified=False))
+            points.append(ParetoPoint(eps, rep_cost.objective, INF, rep_cost.routes, certified=False))
             break
         f_cost = rep_cost.objective
         rep_risk = solve_fn(RISK, INF, f_cost + 1e-6, time_limit_per_point)
         if rep_risk.status != OPTIMAL_STATUS:
-            points.append(ParetoPoint(eps, f_cost, INF, rep_cost.routes,
-                                      rep_cost.t_master + rep_risk.t_master,
-                                      rep_cost.t_pricing + rep_risk.t_pricing, certified=False))
+            points.append(ParetoPoint(eps, f_cost, INF, rep_cost.routes, certified=False))
             break
         f_risk = rep_risk.objective
-        points.append(ParetoPoint(
-            eps, f_cost, f_risk, rep_risk.routes,
-            rep_cost.t_master + rep_risk.t_master,
-            rep_cost.t_pricing + rep_risk.t_pricing,
-        ))
+        points.append(ParetoPoint(eps, f_cost, f_risk, rep_risk.routes))
         eps = f_risk - step
         if eps < 0:
             break

@@ -8,9 +8,8 @@ and exhaustively solves tiny instances over calibrated schedules.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import calibration as cal
 from .errors import RouteInfeasible
@@ -43,19 +42,12 @@ class Route:
     def arcs(self) -> list[tuple[int, int]]:
         return list(zip(self.sequence[:-1], self.sequence[1:]))
 
-    def arc_multiset(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for a in self.arcs():
-            out[a] = out.get(a, 0) + 1
-        return out
-
 
 @dataclass
 class ExposureBreakdown:
     onboard_risk: list[float]  # after each visited node's service starts
     cumulative: list[float]    # risk-minutes accrued through each visit
     exposure: dict[int, float]
-    detour_rate: dict[int, float] = field(default_factory=dict)
 
 
 def route_cost(inst: Instance, sequence) -> float:
@@ -108,12 +100,7 @@ def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakd
         if inst.mode == EDARP:
             total += ei - si  # virtual rider, unit risk, always onboard
         exposure[i] = total
-    breakdown = ExposureBreakdown(onboard_risk, cumulative, exposure)
-    if inst.mode == EDARP and inst.detour_weight is not None:
-        breakdown.detour_rate = {
-            i: exposure[i] / inst.detour_weight[i - 1] for i in requests
-        }
-    return breakdown
+    return ExposureBreakdown(onboard_risk, cumulative, exposure)
 
 
 def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> ExposureBreakdown:
@@ -171,6 +158,37 @@ def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> Expo
     if violations:
         raise RouteInfeasible(violations)
     return breakdown
+
+
+def validate_solution(inst: Instance, routes, cap: float = INF, tol: float = SCHED_TOL) -> None:
+    """Check a whole solution: every route passes ``validate_route``, the
+    routes serve each request exactly once and fit the fleet, and each
+    request's exposure measure (``Instance.exposure_measure``: the detour
+    rate in equity mode) is at most ``cap``. Raises RouteInfeasible listing
+    every violation as (node, description, lhs, rhs)."""
+    violations = []
+    served: dict[int, int] = {}
+    cap_name = "detour rate cap" if inst.mode == EDARP else "exposure cap"
+    for r in routes:
+        try:
+            validate_route(inst, r, tol)
+        except RouteInfeasible as exc:
+            violations.extend(exc.violations)
+        for i, h in r.exposure.items():
+            served[i] = served.get(i, 0) + 1
+            if not inst.is_pickup(i):
+                continue  # reported below as a request that does not exist
+            measure = inst.exposure_measure(i, h)
+            if measure > cap + tol:
+                violations.append((i, cap_name, measure, cap))
+    for i in sorted(set(served) | set(inst.pickups())):
+        expected = 1 if inst.is_pickup(i) else 0
+        if served.get(i, 0) != expected:
+            violations.append((i, "times the request is served", served.get(i, 0), expected))
+    if len(routes) > inst.fleet_size:
+        violations.append((0, "routes exceed the fleet size", len(routes), inst.fleet_size))
+    if violations:
+        raise RouteInfeasible(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +357,6 @@ def brute_force_solve(
         raise ValueError(f"brute force guarded to n <= {BRUTE_FORCE_LIMIT}")
     if objective not in ("cost", "risk"):
         raise ValueError("objective must be 'cost' or 'risk'")
-    weights = None
-    if inst.mode == EDARP:
-        weights = {i: inst.detour_weight[i - 1] for i in inst.pickups()}
 
     option_cache: dict[tuple[int, ...], list[tuple[float, float, Route]]] = {}
 
@@ -355,9 +370,7 @@ def brute_force_solve(
             route, _ = replay_route(inst, seq)
             if route is None:
                 continue
-            measure = route.exposure if weights is None else {
-                i: route.exposure[i] / weights[i] for i in route.exposure
-            }
+            measure = {i: inst.exposure_measure(i, h) for i, h in route.exposure.items()}
             if any(v > eps_risk + 1e-9 for v in measure.values()):
                 continue
             peak = max(measure.values(), default=0.0)
@@ -399,8 +412,8 @@ def brute_force_solve(
                     total += pick[0]
                 if chosen is not None and total <= eps_cost + 1e-9:
                     achieved = max(
-                        (max((r.exposure[i] / (weights[i] if weights else 1.0))
-                             for i in r.exposure) if r.exposure else 0.0)
+                        max((inst.exposure_measure(i, h) for i, h in r.exposure.items()),
+                            default=0.0)
                         for r in chosen
                     )
                     key = (achieved, total)

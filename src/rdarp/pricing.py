@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from .instance import EDARP, Instance
 from .oracle import onboard_times
 
-NEGATIVE_TOL = 1e-6
 DEFAULT_COLUMN_LIMIT = 200
 
 COST = "cost"
@@ -68,19 +67,6 @@ class Column:
         return list(zip(self.sequence[:-1], self.sequence[1:]))
 
 
-def arc_reduced_cost(inst: Instance, duals: DualValues, i: int, j: int, mode: str = COST) -> float:
-    """Arc-level reduced cost: travel (scaled by -xi in risk mode) minus the
-    coverage dual when leaving a pick-up, minus folded cut/branch duals."""
-    if not inst.arc_allowed(i, j):
-        raise ValueError(f"arc ({i}, {j}) is eliminated")
-    t = inst.t(i, j)
-    value = t if mode == COST else -duals.xi * t
-    if inst.is_pickup(i):
-        value -= duals.pi.get(i, 0.0)
-    value -= duals.arc_adjust.get((i, j), 0.0)
-    return value
-
-
 @dataclass
 class PricingRestrictions:
     """Branch-node restrictions applied inside pricing."""
@@ -88,11 +74,8 @@ class PricingRestrictions:
     banned_arcs: frozenset[tuple[int, int]] = frozenset()
     # (arc set, max crossings): sequences exceeding the cap are not emitted
     crossing_caps: tuple[tuple[frozenset[tuple[int, int]], int], ...] = ()
-    banned_sequences: frozenset[tuple[int, ...]] = frozenset()
 
     def allows(self, sequence, arcs) -> bool:
-        if tuple(sequence) in self.banned_sequences:
-            return False
         for arc_set, cap in self.crossing_caps:
             if sum(1 for a in arcs if a in arc_set) > cap:
                 return False

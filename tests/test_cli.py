@@ -61,6 +61,29 @@ def test_validate_rejects_missing_coverage(tmp_path, small_json):
     assert cli.run(["validate", str(small_json), str(partial)]) == 2
 
 
+def test_validate_rejects_a_broken_cap(tmp_path, small_json, capsys):
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--out", str(sol)]) == 0
+    peak = max(h for r in json.loads(sol.read_text())["routes"] for h in r["H"].values())
+    assert peak > 0.0
+    assert cli.run(["validate", str(small_json), str(sol), "--eps-risk", str(peak)]) == 0
+    capsys.readouterr()
+    rc = cli.run(["validate", str(small_json), str(sol), "--eps-risk", str(peak / 2)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exposure cap" in err and "vs" in err
+
+
+def test_pareto_output_byte_stable(tmp_path):
+    inst = random_instance(11, n=5, fleet_size=2)
+    path = tmp_path / "inst.json"
+    path.write_text(emit_realworld(inst))
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert cli.run(["pareto", str(path), "--step", "0.5", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_pareto_csv_matches_brute_force_front(tmp_path):
     import math
 
@@ -73,7 +96,7 @@ def test_pareto_csv_matches_brute_force_front(tmp_path):
     rc = cli.run(["pareto", str(path), "--step", "0.5", "--out", str(out)])
     assert rc == 0
     rows = out.read_text().strip().splitlines()
-    assert rows[0] == "epsilon_risk,cost,max_risk,n_routes,t_master_s,t_pricing_s"
+    assert rows[0] == "epsilon_risk,cost,max_risk,n_routes"
     got = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows[1:]]
 
     solutions = []

@@ -1,13 +1,16 @@
 import itertools
 import math
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from rdarp import bcp, cuts, oracle
 from rdarp.fixtures import random_instance
 from rdarp.instance import preprocess
 from rdarp.lp import GE, LE
-from rdarp.master import ColumnPool, column_generation, seed_pool
+from rdarp.master import ColumnPool, build_rlmp, column_generation, extract_duals, seed_pool
 
 INF = math.inf
 
@@ -120,19 +123,46 @@ def test_cut_validity_on_brute_force_optimum():
             assert cut.violation(opt_flows) <= 1e-6, (seed, cut.kind, cut.key)
 
 
-def test_fold_cut_duals_signs_and_table():
-    inst = random_instance(0, n=2)
-    c1 = cuts.Cut(cuts.IPEC, ("IPEC", (1, 2, 3)), (((1, 2), 1.0), ((2, 3), 1.0)), LE, 1.0)
-    c2 = cuts.Cut(cuts.TWO_PATH, ("2P", (1, 2)), (((1, 4), 1.0),), GE, 2.0)
-    table = cuts.fold_cut_duals([(c1, -2.0), (c2, 0.5)])
-    assert table[(1, 2)] == pytest.approx(-2.0)
-    assert table[(2, 3)] == pytest.approx(-2.0)
-    assert table[(1, 4)] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        cuts.fold_cut_duals([(c1, 0.5)])
-    with pytest.raises(ValueError):
-        cuts.fold_cut_duals([(c2, -0.5)])
-    assert cuts.fold_cut_duals([]) == {}
+def _master_with_two_cuts():
+    inst = preprocess(random_instance(0, n=2))
+    pool = ColumnPool(inst)
+    seed_pool(pool, inst)
+    le_cut = cuts.Cut(cuts.IPEC, (cuts.IPEC, (1, 2, 3)), (((1, 2), 1.0), ((2, 3), 1.0)), LE, 1.0)
+    ge_cut = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 4)), (((1, 4), 1.0), ((4, 2), 2.0)), GE, 2.0)
+    model, meta = build_rlmp(pool, inst, "cost", extra_rows=(le_cut.to_row(), ge_cut.to_row()))
+    return inst, model, meta
+
+
+def _solution_with_duals(model, meta, le_dual, ge_dual):
+    duals = np.zeros(model.n_rows)
+    duals[meta["row"][("x", 0)]] = le_dual
+    duals[meta["row"][("x", 1)]] = ge_dual
+    return SimpleNamespace(duals=duals)
+
+
+def test_extract_duals_folds_cut_duals_into_arcs():
+    inst, model, meta = _master_with_two_cuts()
+    duals = extract_duals(inst, _solution_with_duals(model, meta, -2.0, 0.5), meta)
+    assert duals.arc_adjust == pytest.approx({(1, 2): -2.0, (2, 3): -2.0, (1, 4): 0.5, (4, 2): 1.0})
+    assert duals.mu == 0.0  # cuts carry no route constant
+
+
+def test_extract_duals_clamps_wrong_sign_cut_duals():
+    inst, model, meta = _master_with_two_cuts()
+    duals = extract_duals(inst, _solution_with_duals(model, meta, 0.5, -0.5), meta)
+    assert duals.arc_adjust == {}
+    duals = extract_duals(inst, _solution_with_duals(model, meta, 0.5, 0.25), meta)
+    assert duals.arc_adjust == pytest.approx({(1, 4): 0.25, (4, 2): 0.5})
+
+
+def test_cut_row_name_is_a_function_of_the_key():
+    arcs = (((1, 2), 1.0),)
+    a = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 4)), arcs, GE, 2.0)
+    b = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 4)), (), GE, 3.0)
+    # a literal name: string hashing, randomized per process, plays no part
+    assert a.to_row().name == b.to_row().name == "TwoPath(1,2,4)"
+    other = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 5)), arcs, GE, 2.0)
+    assert other.to_row().name != a.to_row().name
 
 
 def test_root_bound_never_decreases_with_cuts():

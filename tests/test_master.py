@@ -12,14 +12,14 @@ from rdarp.master import (
     ExtraRow,
     OPTIMAL_STATUS,
     INFEASIBLE_STATUS,
-    add_edarp_constraints,
+    RestrictedMaster,
     big_cost,
     build_rlmp,
     column_generation,
     pareto_front,
     seed_pool,
 )
-from rdarp.pricing import Column
+from rdarp.pricing import Column, DualValues, solve_pricing
 
 INF = math.inf
 
@@ -65,10 +65,10 @@ def test_rlmp_infinite_cap_omits_risk_rows(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
     model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=INF)
-    assert meta["risk_rows"] == []
+    assert not any(key[0] == "risk" for key in meta["row"] if isinstance(key, tuple))
     assert all(not name.startswith("risk") for name in model.row_names)
     model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=10.0)
-    assert meta["risk_rows"] == [1, 2]
+    assert [model.row_names[meta["row"][("risk", i)]] for i in (1, 2)] == ["risk1", "risk2"]
 
 
 def test_cg_single_request_converges_in_one_round():
@@ -127,24 +127,62 @@ def test_extra_row_coefficients(two_rider_chain):
     assert arc_row.coefficient(col) == pytest.approx(3.0)
 
 
-def test_add_edarp_constraints_coefficients():
+def test_edarp_risk_rows_bound_detour_rates():
     from rdarp.instance import edarp_transform
 
     inst = preprocess(edarp_transform(random_instance(4, n=2, window=60.0)))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    from rdarp.lp import LinearModel
+    model, meta = build_rlmp(pool, inst, "cost", eps_dt=4.0)
+    for i in inst.pickups():
+        r = meta["row"][("risk", i)]
+        assert model.row_names[r] == f"risk{i}"
+        assert (model.senses[r], model.rhs[r]) == ("<=", 4.0)
+        # coefficient is exposure over the floored direct time
+        expected = {f"l{k}": col.exposure[i] / inst.detour_weight[i - 1]
+                    for k, col in enumerate(pool.columns) if col.exposure.get(i)}
+        assert expected
+        assert {model.var_names[j]: v for j, v in model.rows[r]} == expected
 
-    model = LinearModel()
-    lam = [model.add_var(f"l{k}", obj=c.cost) for k, c in enumerate(pool.columns)]
-    rows = add_edarp_constraints(model, pool, inst, lam, eps_dt=4.0)
-    assert rows
-    # coefficient is exposure over the floored direct time
-    col = pool.columns[0]
-    i = col.requests[0]
-    expected = col.exposure[i] / inst.detour_weight[i - 1]
-    row = model.rows[rows[0]]
-    assert any(abs(v - expected) < 1e-12 for _, v in row)
+
+def _row_coefficients(model):
+    """Row name -> {variable name: coefficient}."""
+    return {name: {model.var_names[j]: v for j, v in model.rows[r]}
+            for r, name in enumerate(model.row_names)}
+
+
+@pytest.mark.parametrize("mode, caps", [
+    ("cost", {"eps_risk": 9.0}),
+    ("risk", {"eps_cost": 400.0}),
+])
+def test_appended_columns_match_a_fresh_build(mode, caps):
+    inst = preprocess(random_instance(6, n=3, fleet_size=2))
+    pool = ColumnPool(inst)
+    seed_pool(pool, inst)
+    extra = (
+        ExtraRow("veh<= 2", "<=", 2.0, route_constant=1.0),
+        ExtraRow("out>=1", ">=", 1.0, arc_coefs=(((1, 2), 1.0), ((2, 5), 2.0), ((3, 6), 1.0))),
+    )
+    args = (inst, mode, caps.get("eps_risk", INF), caps.get("eps_cost", INF), INF,
+            extra, frozenset({1}))
+    rmaster = RestrictedMaster(pool, *args)
+    rmaster.solve()
+    seeded = len(pool)
+    duals = DualValues(pi={i: 300.0 for i in inst.pickups()})
+    added = [c for c in solve_pricing(inst, duals, mode, limit=40) if pool.add(c)]
+    assert len(added) > 5
+    rmaster.solve()
+    model, meta = rmaster.model, rmaster.meta
+    fresh, fresh_meta = build_rlmp(pool, *args)
+    assert meta["row"] == fresh_meta["row"]
+    assert ("costcap" in fresh.row_names) == (mode == "risk")
+    coefs = _row_coefficients(model)
+    appended = {f"l{k}" for k in range(seeded, len(pool))}
+    for prefix in ("part", "fleet", "risk", "x0:", "x1:"):
+        assert any(appended & set(row) for name, row in coefs.items() if name.startswith(prefix))
+    assert coefs == _row_coefficients(fresh)
+    assert {model.var_names[j]: (model.lb[j], model.ub[j], model.obj[j]) for j in range(model.n_vars)} \
+        == {fresh.var_names[j]: (fresh.lb[j], fresh.ub[j], fresh.obj[j]) for j in range(fresh.n_vars)}
 
 
 def test_detour_coefficient_uses_floor(two_rider_chain):

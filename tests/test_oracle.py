@@ -15,6 +15,7 @@ from rdarp.oracle import (
     mmr_schedule,
     replay_route,
     validate_route,
+    validate_solution,
 )
 
 INF = math.inf
@@ -219,3 +220,74 @@ def test_edarp_exposure_equals_onboard_duration():
             for i, h in route.exposure.items():
                 onboard = route.schedule[pos[i + inst.n]] - route.schedule[pos[i]]
                 assert h == pytest.approx(onboard, abs=1e-9)
+
+
+def _corridor_routes(inst, *sequences):
+    routes = [replay_route(inst, seq)[0] for seq in sequences]
+    assert all(r is not None for r in routes)
+    return routes
+
+
+def _violations(inst, routes, cap=INF):
+    with pytest.raises(RouteInfeasible) as err:
+        validate_solution(inst, routes, cap)
+    return err.value.violations
+
+
+def test_validate_solution_accepts_a_feasible_plan():
+    inst = corridor_instance()
+    validate_solution(inst, _corridor_routes(inst, (0, 1, 2, 3, 4, 5)), cap=1.0)
+    validate_solution(inst, _corridor_routes(inst, (0, 1, 3, 5), (0, 2, 4, 5)), cap=0.0)
+
+
+def test_validate_solution_rejects_a_broken_route():
+    inst = corridor_instance()
+    (route,) = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    late = Route(route.sequence, route.schedule[:-1] + (500.0,), route.cost,
+                 route.exposure, route.q_terminal)
+    assert (5, "time window", 500.0, 100.0) in _violations(inst, [late])
+
+
+def test_validate_solution_rejects_missing_and_repeated_requests():
+    inst = corridor_instance()
+    missing = _violations(inst, _corridor_routes(inst, (0, 1, 3, 5)))
+    assert missing == [(2, "times the request is served", 0, 1)]
+    twice = _violations(inst, _corridor_routes(inst, (0, 1, 3, 5), (0, 1, 2, 3, 4, 5)))
+    assert twice == [(1, "times the request is served", 2, 1)]
+
+
+def test_validate_solution_rejects_an_unknown_request():
+    inst = edarp_transform(corridor_instance())
+    (route,) = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    bogus = Route(route.sequence, route.schedule, route.cost,
+                  {**route.exposure, 9: 0.0}, route.q_terminal)
+    assert _violations(inst, [bogus], cap=1.0) == [(9, "times the request is served", 1, 0)]
+
+
+def test_validate_solution_rejects_too_many_routes():
+    from dataclasses import replace
+
+    inst = replace(corridor_instance(), fleet_size=1)
+    routes = _corridor_routes(inst, (0, 1, 3, 5), (0, 2, 4, 5))
+    assert _violations(inst, routes) == [(0, "routes exceed the fleet size", 2, 1)]
+
+
+def test_validate_solution_rejects_a_broken_exposure_cap():
+    inst = corridor_instance()
+    routes = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    assert routes[0].exposure == pytest.approx({1: 1.0, 2: 1.0})
+    assert _violations(inst, routes, cap=0.5) == [
+        (1, "exposure cap", routes[0].exposure[1], 0.5),
+        (2, "exposure cap", routes[0].exposure[2], 0.5),
+    ]
+
+
+def test_validate_solution_caps_the_detour_rate_in_edarp():
+    inst = edarp_transform(corridor_instance())
+    routes = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    h1 = routes[0].exposure[1]
+    rate = h1 / inst.detour_weight[0]
+    assert rate < 1.0 < h1  # a raw-exposure check would reject cap 1
+    validate_solution(inst, routes, cap=1.0)
+    violations = _violations(inst, routes, cap=rate / 2)
+    assert (1, "detour rate cap", rate, rate / 2) in violations

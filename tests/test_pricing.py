@@ -13,7 +13,6 @@ from rdarp.pricing import (
     Column,
     DualValues,
     PricingRestrictions,
-    arc_reduced_cost,
     solve_pricing,
 )
 
@@ -44,23 +43,6 @@ def enumerate_min_rc(inst, duals, mode):
                 if best is None or rc < best[0]:
                     best = (rc, seq)
     return best
-
-
-def test_arc_reduced_cost_modes():
-    inst = random_instance(0, n=2)
-    duals = DualValues(pi={1: inst.t(1, 2)})
-    d = inst.dropoff_of(1)
-    # drop-off source keeps the raw travel time
-    assert arc_reduced_cost(inst, duals, d, 2, "cost") == pytest.approx(inst.t(d, 2))
-    # pick-up source subtracts its coverage dual
-    assert arc_reduced_cost(inst, duals, 1, 2, "cost") == pytest.approx(0.0)
-    # risk mode scales travel by the cost-cap dual
-    duals = DualValues(xi=-1.0)
-    assert arc_reduced_cost(inst, duals, d, 2, "risk") == pytest.approx(inst.t(d, 2))
-    pre = preprocess(inst)
-    banned = sorted(pre.banned_arcs)[0]
-    with pytest.raises(ValueError):
-        arc_reduced_cost(pre, duals, banned[0], banned[1], "cost")
 
 
 def test_zero_duals_yield_no_columns(engine):
@@ -102,6 +84,11 @@ def test_min_reduced_cost_matches_enumeration(mode, engine):
             rho={i: -rng.uniform(0.0, 2.5) for i in inst.pickups()},
             xi=-rng.uniform(0.1, 2.0) if mode == "risk" else 0.0,
         )
+        # folded cut/branch duals of either sign on a third of the arcs
+        arc_rng = random.Random(100 + seed)
+        duals.arc_adjust = {(i, j): arc_rng.uniform(-15.0, 15.0)
+                            for i in range(inst.n_nodes) for j in range(1, inst.n_nodes)
+                            if i != j and inst.arc_allowed(i, j) and arc_rng.random() < 1 / 3}
         best = enumerate_min_rc(inst, duals, mode)
         cols = solve_pricing(inst, duals, mode, limit=500, engine=engine)
         if best and best[0] < -1e-6:
@@ -175,11 +162,14 @@ def test_restrictions_filter_emissions():
     all_cols = solve_pricing(inst, duals, "cost", limit=100)
     assert all_cols
     target = all_cols[0].sequence
+    # capping the target's own arcs one below their count bans the target only
+    target_arcs = frozenset(zip(target[:-1], target[1:]))
+    caps = ((target_arcs, len(target_arcs) - 1),)
     restricted = solve_pricing(
         inst, duals, "cost", limit=100,
-        restrictions=PricingRestrictions(banned_sequences=frozenset({target})),
+        restrictions=PricingRestrictions(crossing_caps=caps),
     )
-    assert target not in {c.sequence for c in restricted}
+    assert {c.sequence for c in restricted} == {c.sequence for c in all_cols} - {target}
 
 
 def test_trace_emits_lines(engine):
