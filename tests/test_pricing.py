@@ -45,6 +45,33 @@ def enumerate_min_rc(inst, duals, mode):
     return best
 
 
+def test_arc_reduced_cost_modes():
+    """With no exposure duals a column's reduced cost is -mu plus the sum of
+    its arc reduced costs: travel time (scaled by -xi in risk mode), minus
+    the coverage dual on arcs leaving a pick-up, minus the folded arc dual.
+    Eliminated arcs are never used, whatever their folded dual."""
+    pre = preprocess(random_instance(0, n=2))
+    banned = sorted(pre.banned_arcs)[0]
+    d = pre.dropoff_of(1)
+    for engine in ("py", None):
+        for mode, xi in (("cost", 0.0), ("risk", -0.5)):
+            duals = DualValues(pi={i: 100.0 for i in pre.pickups()}, mu=-3.0, xi=xi,
+                               arc_adjust={banned: 1e6, (1, d): 2.5})
+            cols = solve_pricing(pre, duals, mode, limit=500, engine=engine)
+            assert cols
+            for c in cols:
+                expected = -duals.mu
+                for a, b in c.arcs():
+                    t = pre.t(a, b)
+                    expected += t if mode == "cost" else -xi * t
+                    if pre.is_pickup(a):
+                        expected -= duals.pi[a]
+                    expected -= duals.arc_adjust.get((a, b), 0.0)
+                assert c.reduced_cost == pytest.approx(expected)
+                assert banned not in c.arcs()
+            assert any((1, d) in c.arcs() for c in cols)
+
+
 def test_zero_duals_yield_no_columns(engine):
     inst = preprocess(random_instance(3, n=3))
     assert solve_pricing(inst, DualValues(), "cost", engine=engine) == []
