@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import cuts as cuts_mod
 from . import oracle
 from .errors import RdarpError
-from .instance import EDARP, Instance
+from .instance import Instance
 from .lp import GE, LE
 from .master import (
     CGResult,
@@ -184,7 +184,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     separated at the root until none are violated, then frozen.
     """
     opts = options or SolveOptions()
-    cap = opts.eps_dt if inst.mode == EDARP else opts.eps_risk
+    cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
     t_start = time.perf_counter()
     deadline = None if opts.time_limit is None else t_start + opts.time_limit
 

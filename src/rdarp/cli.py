@@ -238,7 +238,7 @@ def cmd_pareto(args) -> int:
 def cmd_validate(args) -> int:
     inst = preprocess(_prepare(args))
     doc = json.loads(Path(args.solution).read_text())
-    cap = args.eps_dt if inst.mode == EDARP else args.eps_risk
+    cap = inst.measure_cap(args.eps_risk, args.eps_dt)
     try:
         oracle.validate_solution(inst, routes_from_json(doc), cap)
     except RouteInfeasible as exc:

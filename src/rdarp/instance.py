@@ -136,6 +136,11 @@ class Instance:
             return h / self.detour_weight[i - 1]
         return h
 
+    def measure_cap(self, eps_risk: float, eps_dt: float) -> float:
+        """The cap on ``exposure_measure``: the detour-rate cap ``eps_dt`` in
+        equity mode (EDARP), the exposure cap ``eps_risk`` otherwise."""
+        return eps_dt if self.mode == EDARP else eps_risk
+
 
 def _check_triangle(travel, service, tol: float = 1e-9) -> None:
     # Labeling-time pruning (and validity of ride-time arc elimination) relies

@@ -100,12 +100,6 @@ class LpSolution:
     var_names: list[str]
     row_names: list[str]
 
-    def value(self, name: str) -> float:
-        return float(self.x[self.var_names.index(name)])
-
-    def dual(self, name: str) -> float:
-        return float(self.duals[self.row_names.index(name)])
-
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import RdarpError
-from .instance import EDARP, Instance
+from .instance import Instance
 from .lp import EQ, GE, LE, OPTIMAL, LinearModel
 from .pricing import (
     COST,
@@ -175,7 +175,7 @@ def build_rlmp(
     # (row key, name, sense, rhs, coefficients of non-column variables)
     specs = [(("part", i), f"part{i}", EQ, 1.0, {meta["art"][i]: 1.0}) for i in inst.pickups()]
     specs.append(("fleet", "fleet", LE, float(inst.fleet_size), {}))
-    risk_cap = eps_dt if inst.mode == EDARP else eps_risk
+    risk_cap = inst.measure_cap(eps_risk, eps_dt)
     if mode == RISK:
         specs += [(("risk", i), f"risk{i}", LE, 0.0, {peak: -1.0}) for i in inst.pickups()]
         if eps_cost < INF:

@@ -160,7 +160,7 @@ def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> Expo
     return breakdown
 
 
-def validate_solution(inst: Instance, routes, cap: float = INF, tol: float = SCHED_TOL) -> None:
+def validate_solution(inst: Instance, routes, cap: float) -> None:
     """Check a whole solution: every route passes ``validate_route``, the
     routes serve each request exactly once and fit the fleet, and each
     request's exposure measure (``Instance.exposure_measure``: the detour
@@ -171,7 +171,7 @@ def validate_solution(inst: Instance, routes, cap: float = INF, tol: float = SCH
     cap_name = "detour rate cap" if inst.mode == EDARP else "exposure cap"
     for r in routes:
         try:
-            validate_route(inst, r, tol)
+            validate_route(inst, r)
         except RouteInfeasible as exc:
             violations.extend(exc.violations)
         for i, h in r.exposure.items():
@@ -179,7 +179,7 @@ def validate_solution(inst: Instance, routes, cap: float = INF, tol: float = SCH
             if not inst.is_pickup(i):
                 continue  # reported below as a request that does not exist
             measure = inst.exposure_measure(i, h)
-            if measure > cap + tol:
+            if measure > cap + SCHED_TOL:
                 violations.append((i, cap_name, measure, cap))
     for i in sorted(set(served) | set(inst.pickups())):
         expected = 1 if inst.is_pickup(i) else 0

@@ -24,6 +24,10 @@ from rdarp.pricing import Column, DualValues, solve_pricing
 INF = math.inf
 
 
+def value(sol, name):
+    return float(sol.x[sol.var_names.index(name)])
+
+
 def make_column(inst, seq):
     route, reason = oracle.replay_route(inst, seq)
     assert route is not None, reason
@@ -48,8 +52,8 @@ def test_rlmp_single_feasible_column(two_rider_chain):
     model, meta = build_rlmp(pool, two_rider_chain, "cost")
     sol = solve_lp(model)
     assert sol.status == "Optimal"
-    assert sol.value("l0") == pytest.approx(1.0)
-    assert all(sol.value(f"art{i}") == pytest.approx(0.0) for i in (1, 2))
+    assert value(sol, "l0") == pytest.approx(1.0)
+    assert all(value(sol, f"art{i}") == pytest.approx(0.0) for i in (1, 2))
 
 
 def test_rlmp_empty_pool_uses_artificials(two_rider_chain):
@@ -57,7 +61,7 @@ def test_rlmp_empty_pool_uses_artificials(two_rider_chain):
     pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))  # covers request 1 only
     model, meta = build_rlmp(pool, two_rider_chain, "cost")
     sol = solve_lp(model)
-    assert sol.value("art2") == pytest.approx(1.0)
+    assert value(sol, "art2") == pytest.approx(1.0)
     assert sol.objective >= big_cost(two_rider_chain)
 
 
@@ -133,7 +137,8 @@ def test_edarp_risk_rows_bound_detour_rates():
     inst = preprocess(edarp_transform(random_instance(4, n=2, window=60.0)))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    model, meta = build_rlmp(pool, inst, "cost", eps_dt=4.0)
+    model, meta = build_rlmp(pool, inst, "cost", eps_risk=1.0, eps_dt=4.0)
+    # the detour-rate cap applies in EDARP; the exposure cap does not
     for i in inst.pickups():
         r = meta["row"][("risk", i)]
         assert model.row_names[r] == f"risk{i}"
