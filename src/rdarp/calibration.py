@@ -47,12 +47,6 @@ class Extension:
 
     state: "PathState"
     delta_h: dict[int, float]  # exposure increment per real request this step
-    span: float = 0.0          # service + travel + residual wait on the arc
-    assign: dict[int, float] | None = None  # delay committed per member
-
-    def onboard_duration(self, rider: int) -> float:
-        """Effective time the rider spent on this arc after calibration."""
-        return self.span - (self.assign or {}).get(rider, 0.0)
 
 
 class PathState:
@@ -189,9 +183,9 @@ def extend(inst: Instance, st: PathState, j: int):
                 delta_star = cap
     assign = {x: min(delta_star, usable[x]) for x in members}
 
-    delta_h = _pair_increments(inst, st, members, assign, span)
-
     shifts = _node_shifts(st, members, assign, len(st.times))
+    delta_h = _pair_increments(inst, st, members, assign, span, shifts)
+
     q_new = st.q_cum
     for o in st.onboard:
         q_new += rider_risk(inst, o) * (span - assign.get(o, 0.0))
@@ -245,7 +239,7 @@ def extend(inst: Instance, st: PathState, j: int):
         h=h_new, d=d_new, bo=bo_new, do_a=do_a_new, do_b=do_b_new,
         pick_pos=pick_pos_new, drop_pos=drop_pos_new,
     )
-    return Extension(state, delta_h, span, assign), None
+    return Extension(state, delta_h), None
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +293,16 @@ def _node_shifts(st: PathState, members, assign, n_positions: int) -> list[float
     return shifts
 
 
-def _pair_increments(inst: Instance, st: PathState, members, assign, span):
+def _pair_increments(inst: Instance, st: PathState, members, assign, span, shifts):
     """Exposure increment per real rider for one extension.
 
     Open pairs gain the arc span (travel + service + residual wait) less the
     later rider's delay; pairs with a dropped rider change only through the
-    induced shifts of their recorded endpoints.
+    induced shifts of their recorded endpoints (``shifts``, from
+    ``_node_shifts`` for the same ``assign``).
     """
     if not members:
         return {}
-    shifts = _node_shifts(st, members, assign, len(st.times))
     pos = st.pick_pos
     onboard = set(st.onboard)
     dh = {x: 0.0 for x in members}
@@ -441,7 +435,8 @@ def _argmin_peak(inst: Instance, st: PathState, members, usable, span, cap) -> f
 
     def rider_values(delta: float) -> dict[int, float]:
         assign = {x: min(delta, usable[x]) for x in members}
-        dh = _pair_increments(inst, st, members, assign, span)
+        shifts = _node_shifts(st, members, assign, len(st.times))
+        dh = _pair_increments(inst, st, members, assign, span, shifts)
         return {x: st.h[x] + dh.get(x, 0.0) for x in members if x != DUMMY}
 
     bps = {0.0, cap}

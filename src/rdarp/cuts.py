@@ -183,14 +183,13 @@ def _candidate_sets(flows, inst) -> list[frozenset[int]]:
 
 
 def _single_vehicle_feasible(inst: Instance, requests: frozenset[int]) -> bool:
-    """Can one trip serve all given requests? Risk caps are ignored so the
-    answer stays valid under any exposure bound."""
+    """Can one trip serve all given requests? True when
+    ``oracle.feasible_routes`` finds any calibrated route over exactly these
+    requests; the search stops at the first one. Risk caps (the cumulative
+    cap ``q_max``) are lifted so the answer stays valid under any exposure
+    bound."""
     relaxed = replace(inst, q_max=INF)
-    for seq in oracle._orderings(relaxed, tuple(sorted(requests))):
-        route, _ = oracle.replay_route(relaxed, seq)
-        if route is not None:
-            return True
-    return False
+    return next(oracle.feasible_routes(relaxed, tuple(sorted(requests))), None) is not None
 
 
 def _crossing_arcs(inst: Instance, node_set: frozenset[int]):

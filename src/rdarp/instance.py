@@ -57,9 +57,6 @@ class Instance:
     def pickups(self) -> range:
         return range(1, self.n + 1)
 
-    def dropoffs(self) -> range:
-        return range(self.n + 1, 2 * self.n + 1)
-
     def is_pickup(self, i: int) -> bool:
         return 1 <= i <= self.n
 

@@ -35,10 +35,6 @@ class Route:
     def requests(self) -> tuple[int, ...]:
         return tuple(sorted(self.exposure))
 
-    @property
-    def max_exposure(self) -> float:
-        return max(self.exposure.values(), default=0.0)
-
     def arcs(self) -> list[tuple[int, int]]:
         return list(zip(self.sequence[:-1], self.sequence[1:]))
 
@@ -165,21 +161,30 @@ def validate_solution(inst: Instance, routes, cap: float) -> None:
     routes serve each request exactly once and fit the fleet, and each
     request's exposure measure (``Instance.exposure_measure``: the detour
     rate in equity mode) is at most ``cap``. Raises RouteInfeasible listing
-    every violation as (node, description, lhs, rhs)."""
+    every violation as (node, description, lhs, rhs).
+
+    The cap is checked on the exposure recomputed from each route's own
+    sequence and schedule (``exposure_from_schedule``), never on the route's
+    stored exposure, and only for routes that pass ``validate_route``. Its
+    tolerance admits schedules rounded to 6 decimals: each start of service
+    may be off by SCHED_TOL / 2, so each overlap by SCHED_TOL, and an
+    exposure sums at most every co-rider's risk (and, in equity mode, the
+    onboard time) over such overlaps."""
     violations = []
     served: dict[int, int] = {}
     cap_name = "detour rate cap" if inst.mode == EDARP else "exposure cap"
     for r in routes:
+        for i in r.exposure:
+            served[i] = served.get(i, 0) + 1
         try:
-            validate_route(inst, r)
+            exposure = validate_route(inst, r).exposure
         except RouteInfeasible as exc:
             violations.extend(exc.violations)
-        for i, h in r.exposure.items():
-            served[i] = served.get(i, 0) + 1
-            if not inst.is_pickup(i):
-                continue  # reported below as a request that does not exist
+            continue
+        slack = SCHED_TOL * (2.0 + sum(abs(inst.risk[i]) for i in exposure))
+        for i, h in exposure.items():
             measure = inst.exposure_measure(i, h)
-            if measure > cap + SCHED_TOL:
+            if measure > cap + inst.exposure_measure(i, slack):
                 violations.append((i, cap_name, measure, cap))
     for i in sorted(set(served) | set(inst.pickups())):
         expected = 1 if inst.is_pickup(i) else 0
@@ -265,8 +270,22 @@ def mmr_schedule(inst: Instance, sequence) -> tuple[Route, float] | None:
     return route, float(sol.objective)
 
 
+def _route(inst: Instance, st: cal.PathState) -> Route:
+    """The route a calibration state that has reached the end depot stands
+    for: its sequence, calibrated schedule, arc cost, exposure (each rider's
+    onboard time in equity mode, read off the schedule as in pricing) and
+    cumulative risk."""
+    exposure = onboard_times(inst, st.nodes, st.times) if inst.mode == EDARP else st.request_h()
+    return Route(
+        sequence=st.nodes, schedule=st.times, cost=route_cost(inst, st.nodes),
+        exposure=exposure, q_terminal=st.q_cum,
+    )
+
+
 def replay_route(inst: Instance, sequence) -> tuple[Route, str | None]:
-    """Canonical route data via the calibration's extension semantics.
+    """Canonical route data for a fixed depot-to-depot sequence via the
+    calibration's extension semantics; (None, reason) when a step is
+    rejected, with the calibration's rejection reason.
 
     This is the same evaluation pricing labels perform, replayed over a fixed
     sequence; emitted columns carry these schedules and exposures. The
@@ -281,43 +300,45 @@ def replay_route(inst: Instance, sequence) -> tuple[Route, str | None]:
         if ext is None:
             return None, reason
         st = ext.state
-    exposure = onboard_times(inst, sequence, st.times) if inst.mode == EDARP else st.request_h()
-    route = Route(
-        sequence=tuple(sequence), schedule=st.times,
-        cost=route_cost(inst, sequence),
-        exposure=exposure, q_terminal=st.q_cum,
-    )
-    return route, None
+    return _route(inst, st), None
+
+
+def feasible_routes(inst: Instance, group):
+    """Yield every route serving exactly the requests in ``group`` that the
+    calibration accepts, each as ``replay_route`` would build it.
+
+    Depth-first over ``calibration.extend`` from the origin depot. Nodes are
+    tried in the order ``i, i + n`` for each ``i`` in ``group``; a drop-off
+    only once its pick-up is on the route, the end depot only once every
+    drop-off is. A prefix the calibration rejects is never extended, and an
+    accepted prefix is extended once for all routes that share it. Routes
+    come in lexicographic order of those item positions, so they are exactly
+    the sequences over that enumeration that ``replay_route`` accepts, in the
+    same order and with the same data to the bit.
+    """
+    n = inst.n
+    end = inst.end_depot
+    items = [v for i in group for v in (i, i + n)]
+
+    def rec(st, remaining):
+        if not remaining:
+            ext, _ = cal.extend(inst, st, end)
+            if ext is not None:
+                yield _route(inst, ext.state)
+            return
+        for x in remaining:
+            if x > n and x - n in remaining:
+                continue  # drop-off before its pick-up
+            ext, _ = cal.extend(inst, st, x)
+            if ext is not None:
+                yield from rec(ext.state, [y for y in remaining if y != x])
+
+    yield from rec(cal.initial_state(inst), items)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive tiny-instance solver
 # ---------------------------------------------------------------------------
-
-def _orderings(inst: Instance, group: tuple[int, ...]):
-    """All depot-to-depot sequences over a request group respecting pairing
-    and precedence."""
-    n = inst.n
-    items = []
-    for i in group:
-        items.extend([i, i + n])
-
-    def rec(remaining, onboard, prefix):
-        if not remaining and not onboard:
-            yield (0, *prefix, inst.end_depot)
-            return
-        seen = set()
-        for x in remaining:
-            if x in seen:
-                continue
-            seen.add(x)
-            if inst.is_pickup(x):
-                yield from rec([y for y in remaining if y != x], onboard | {x}, prefix + [x])
-            elif (x - n) in onboard:
-                yield from rec([y for y in remaining if y != x], onboard - {x - n}, prefix + [x])
-
-    yield from rec(items, set(), [])
-
 
 def _partitions(requests: tuple[int, ...], max_blocks: int):
     if not requests:
@@ -346,10 +367,10 @@ def brute_force_solve(
     objective: str = "cost",
     eps_cost: float = INF,
 ) -> BruteForceResult:
-    """Enumerate every partition of requests into at most K routes and every
-    feasible sequence per route; exact for n <= 5 over calibrated schedules
-    (each sequence is evaluated with its ``replay_route`` schedule, as the
-    solver's columns are).
+    """Enumerate every partition of requests into at most K routes and, per
+    block, every route ``feasible_routes`` yields; exact for n <= 5 over
+    calibrated schedules (each sequence carries its ``replay_route``
+    schedule, as the solver's columns do).
 
     ``eps_risk`` caps each request's exposure (detour rate in equity mode);
     ``objective`` is "cost" or "risk" (peak exposure / detour rate)."""
@@ -366,10 +387,7 @@ def brute_force_solve(
         if key in option_cache:
             return option_cache[key]
         candidates = []
-        for seq in _orderings(inst, key):
-            route, _ = replay_route(inst, seq)
-            if route is None:
-                continue
+        for route in feasible_routes(inst, key):
             measure = {i: inst.exposure_measure(i, h) for i, h in route.exposure.items()}
             if any(v > eps_risk + 1e-9 for v in measure.values()):
                 continue

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -43,6 +44,17 @@ def interlaced_instance(a_second_drop: float) -> Instance:
 @pytest.fixture(params=[60.0, 65.0])
 def interlaced(request):
     return interlaced_instance(request.param), request.param
+
+
+def precedence_orderings(inst, group):
+    """Every depot-to-depot sequence over the requests in ``group`` that puts
+    each drop-off after its pick-up: permutations of ``i, i + n`` for each
+    ``i`` in ``group``, in lexicographic order of those positions."""
+    items = [v for i in group for v in (i, i + inst.n)]
+    for perm in itertools.permutations(items):
+        pos = {v: k for k, v in enumerate(perm)}
+        if all(pos[i] < pos[i + inst.n] for i in group):
+            yield (0, *perm, inst.end_depot)
 
 
 def engines():

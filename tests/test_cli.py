@@ -74,6 +74,38 @@ def test_validate_rejects_a_broken_cap(tmp_path, small_json, capsys):
     assert "exposure cap" in err and "vs" in err
 
 
+def test_validate_recomputes_exposure_from_the_schedule(tmp_path, small_json, capsys):
+    # the file's H values are not trusted: zeroing them hides no exposure
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--out", str(sol)]) == 0
+    assert cli.run(["validate", str(small_json), str(sol), "--eps-risk", "1"]) == 2
+    doc = json.loads(sol.read_text())
+    for route in doc["routes"]:
+        route["H"] = {k: 0.0 for k in route["H"]}
+    zeroed = tmp_path / "zeroed.json"
+    zeroed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.run(["validate", str(small_json), str(zeroed), "--eps-risk", "1"]) == 2
+    assert "exposure cap" in capsys.readouterr().err
+
+
+def test_solve_validate_roundtrip_at_the_solution_peak(tmp_path):
+    # schedules are written to 6 decimals, so the exposure recomputed from
+    # them sits a little above the solution's own (rounded) peak
+    inst = random_instance(5, n=3, fleet_size=2)
+    path = tmp_path / "inst.json"
+    path.write_text(emit_realworld(inst))
+    free = tmp_path / "free.json"
+    assert cli.run(["solve", str(path), "--out", str(free)]) == 0
+    peak = max(h for r in json.loads(free.read_text())["routes"] for h in r["H"].values())
+    assert peak > 0.0
+    capped = tmp_path / "capped.json"
+    assert cli.run(["solve", str(path), "--eps-risk", repr(peak), "--out", str(capped)]) == 0
+    doc = json.loads(capped.read_text())
+    assert max(h for r in doc["routes"] for h in r["H"].values()) == peak
+    assert cli.run(["validate", str(path), str(capped), "--eps-risk", repr(peak)]) == 0
+
+
 def test_pareto_output_byte_stable(tmp_path):
     inst = random_instance(11, n=5, fleet_size=2)
     path = tmp_path / "inst.json"
@@ -104,7 +136,7 @@ def test_pareto_csv_matches_brute_force_front(tmp_path):
     for cap in caps:
         bf = brute_force_solve(inst, eps_risk=cap)
         if bf.status == "Optimal":
-            peak = max((r.max_exposure for r in bf.routes), default=0.0)
+            peak = max((h for r in bf.routes for h in r.exposure.values()), default=0.0)
             solutions.append((round(bf.objective, 5), round(peak, 5)))
     front = sorted(
         (c, h) for c, h in set(solutions)

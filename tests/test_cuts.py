@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from rdarp import bcp, cuts, oracle
-from rdarp.fixtures import random_instance
+from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import preprocess
 from rdarp.lp import GE, LE
 from rdarp.master import ColumnPool, build_rlmp, column_generation, extract_duals, seed_pool
+from tests.conftest import precedence_orderings
 
 INF = math.inf
 
@@ -80,6 +81,27 @@ def test_two_path_capacity_forced(two_rider_chain):
 def test_two_path_never_cuts_single_vehicle_servable(two_rider_chain):
     flows = {(1, 2): 0.4, (2, 3): 0.4}
     assert cuts.separate_two_path(flows, two_rider_chain) == []
+
+
+def test_single_vehicle_feasible_matches_enumeration():
+    # every request set of size <= 4: one trip serves it exactly when some
+    # pairing/precedence ordering replays, with the cumulative risk cap lifted
+    from dataclasses import replace
+
+    bases = [random_instance(s, n=4, fleet_size=2) for s in (0, 1, 2)]
+    bases += [benchmark_like_instance(3, n=5, fleet_size=2)]
+    bases += [replace(bases[1], q_max=1.0)]  # a cap the answer must ignore
+    infeasible = 0
+    for base in bases:
+        inst = preprocess(base)
+        relaxed = replace(inst, q_max=INF)
+        for size in range(1, 5):
+            for group in itertools.combinations(inst.pickups(), size):
+                expected = any(oracle.replay_route(relaxed, seq)[0] is not None
+                               for seq in precedence_orderings(relaxed, group))
+                assert cuts._single_vehicle_feasible(inst, frozenset(group)) == expected, group
+                infeasible += not expected
+    assert infeasible >= 10
 
 
 def test_rounded_capacity_rhs_formula():

@@ -238,7 +238,7 @@ def test_pareto_front_brute_force_equality():
         bf = oracle.brute_force_solve(inst0, eps_risk=cap)
         if bf.status != "Optimal":
             continue
-        peak = max((r.max_exposure for r in bf.routes), default=0.0)
+        peak = max((h for r in bf.routes for h in r.exposure.values()), default=0.0)
         all_solutions.append((bf.objective, peak))
     front = []
     for c, h in sorted(set((round(c, 6), round(h, 6)) for c, h in all_solutions)):

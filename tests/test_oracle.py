@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,14 +10,15 @@ from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
 from rdarp.oracle import (
     Route,
-    _orderings,
     brute_force_solve,
     exposure_from_schedule,
+    feasible_routes,
     mmr_schedule,
     replay_route,
     validate_route,
     validate_solution,
 )
+from tests.conftest import precedence_orderings
 
 INF = math.inf
 
@@ -40,8 +42,6 @@ def test_wait_without_delay_keeps_departure_accrual(two_rider_chain):
     # a three-minute wait before the second pick-up, with the first pick-up
     # pinned: exposure starts at each rider's start of service, so both
     # riders still share exactly the five travel minutes
-    from dataclasses import replace
-
     inst = replace(
         two_rider_chain,
         early=(0.0, 5.0, 13.0, 0.0, 0.0, 0.0),
@@ -103,7 +103,7 @@ def test_mmr_grid_search_bracket(two_rider_chain):
             best = min(best, max(h1, h2))
     assert peak <= best + 1e-6
     route, _ = replay_route(inst, seq)
-    assert route.max_exposure <= best + 1e-6
+    assert max(route.exposure.values()) <= best + 1e-6
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -111,7 +111,7 @@ def test_replay_matches_lp_peak_and_validates(seed):
     inst = random_instance(seed, n=3)
     for size in (1, 2, 3):
         for group in itertools.combinations(range(1, 4), size):
-            for seq in _orderings(inst, group):
+            for seq in precedence_orderings(inst, group):
                 load = 0.0
                 ok = True
                 for node in seq:
@@ -127,7 +127,7 @@ def test_replay_matches_lp_peak_and_validates(seed):
                 if route is None:
                     continue
                 validate_route(inst, route)
-                assert route.max_exposure == pytest.approx(lp[1], abs=1e-6)
+                assert max(route.exposure.values()) == pytest.approx(lp[1], abs=1e-6)
 
 
 def test_exposure_double_counting_identity(two_rider_chain):
@@ -212,14 +212,64 @@ def test_brute_force_guard():
 def test_edarp_exposure_equals_onboard_duration():
     inst = edarp_transform(random_instance(6, n=3, window=50.0))
     for group in ((1, 2), (1, 2, 3)):
-        for seq in _orderings(inst, group):
-            route, _ = replay_route(inst, seq)
-            if route is None:
-                continue
+        for route in feasible_routes(inst, group):
             pos = {node: k for k, node in enumerate(route.sequence)}
             for i, h in route.exposure.items():
                 onboard = route.schedule[pos[i + inst.n]] - route.schedule[pos[i]]
                 assert h == pytest.approx(onboard, abs=1e-9)
+
+
+def _enumerated_routes(inst, group):
+    routes = (replay_route(inst, seq)[0] for seq in precedence_orderings(inst, group))
+    return [r for r in routes if r is not None]
+
+
+@pytest.mark.parametrize("regime", ["rdarp", "edarp", "q_max"])
+def test_feasible_routes_match_enumeration(regime):
+    # same routes, same order, same data as replaying every pairing- and
+    # precedence-respecting permutation, for groups of one to four requests
+    base = random_instance(0, n=4, fleet_size=2, window=120.0)
+    if regime == "edarp":
+        base = edarp_transform(base)
+    groups = [g for size in (1, 2, 3, 4) for g in itertools.combinations(range(1, 5), size)]
+    uncapped = len(list(feasible_routes(base, groups[-1])))
+    if regime == "q_max":
+        # a cumulative risk cap that rejects about half the four-request routes
+        q_terminals = sorted(r.q_terminal for r in feasible_routes(base, groups[-1]))
+        base = replace(base, q_max=q_terminals[len(q_terminals) // 2])
+    total = 0
+    for group in groups:
+        expected = _enumerated_routes(base, group)
+        got = list(feasible_routes(base, group))
+        assert [r.sequence for r in got] == [r.sequence for r in expected]
+        assert got == expected  # schedule, cost, exposure, q to the bit
+        total += len(got)
+    assert 0 < len(got) <= uncapped
+    assert (len(got) < uncapped) == (regime == "q_max")
+    assert total > 100
+
+
+def test_brute_force_matches_benchmark_refs(monkeypatch):
+    # the benchmark's correctness gate stores brute-force answers; a change
+    # to the oracle that moves them must regenerate the references with it
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    refs = workloads.load_refs()
+    solves = workloads.battery_solves(range(10), lambda seed, _base: refs[f"battery/{seed}/risk"])
+    assert len(solves) == 50
+    for s in solves:
+        bf = brute_force_solve(s.base, eps_risk=s.cap, objective=s.mode)
+        ref = refs[s.key]
+        assert bf.status == ref["status"], s.key
+        if ref["status"] == "Optimal":
+            assert bf.objective == ref["objective"], s.key
 
 
 def _corridor_routes(inst, *sequences):
@@ -265,8 +315,6 @@ def test_validate_solution_rejects_an_unknown_request():
 
 
 def test_validate_solution_rejects_too_many_routes():
-    from dataclasses import replace
-
     inst = replace(corridor_instance(), fleet_size=1)
     routes = _corridor_routes(inst, (0, 1, 3, 5), (0, 2, 4, 5))
     assert _violations(inst, routes) == [(0, "routes exceed the fleet size", 2, 1)]

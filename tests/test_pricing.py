@@ -8,7 +8,7 @@ from rdarp import calibration as cal
 from rdarp._labeling_py import _Label, dominates
 from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
-from rdarp.oracle import Route, _orderings, mmr_schedule, replay_route, validate_route
+from rdarp.oracle import Route, feasible_routes, mmr_schedule, validate_route
 from rdarp.pricing import (
     Column,
     DualValues,
@@ -25,11 +25,9 @@ def enumerate_min_rc(inst, duals, mode):
     n = inst.n
     for size in range(1, n + 1):
         for group in itertools.combinations(range(1, n + 1), size):
-            for seq in _orderings(inst, group):
-                if any(a in inst.banned_arcs for a in zip(seq[:-1], seq[1:])):
-                    continue
-                route, _ = replay_route(inst, seq)
-                if route is None:
+            for route in feasible_routes(inst, group):
+                seq = route.sequence
+                if any(a in inst.banned_arcs for a in route.arcs()):
                     continue
                 rc = -duals.mu
                 for a, b in zip(seq[:-1], seq[1:]):
