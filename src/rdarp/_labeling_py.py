@@ -1,7 +1,15 @@
-"""Pure-Python labeling engine: the semantic reference for pricing."""
+"""Pure-Python labeling engine: the semantic reference for pricing.
+
+Forward labeling from the origin depot, cheapest reduced cost first. A popped
+label is extended only to the nodes its state admits by precedence
+(``calibration.successors``), in ascending order. Each node keeps its
+undominated labels in a store sorted by reduced cost (``_Store``), so a new
+label is compared only with the labels on the side where dominance can hold.
+"""
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 
@@ -24,6 +32,58 @@ class _Label:
         self.alive = True
 
 
+class _Store:
+    """One node's undominated labels, in ascending reduced cost.
+
+    ``dominates`` can hold only where its reduced-cost test does, so each
+    direction bisects to the labels that pass that same test: the cheap end
+    (``old.rcost <= new.rcost + TOL``) for "a stored label dominates the new
+    one", the dear end (``new.rcost <= old.rcost + TOL``) for the converse.
+    Within it, the earliest-start, load and cumulative-risk tests that
+    ``dominates`` opens with are repeated inline, because they reject most
+    pairs and a call costs more than they do. Which labels survive does not
+    depend on the store's order, so this keeps every pricing result.
+    """
+
+    __slots__ = ("rcosts", "labels")
+
+    def __init__(self):
+        self.rcosts: list[float] = []
+        self.labels: list[_Label] = []
+
+    def insert(self, new: _Label, heuristic: bool) -> bool:
+        """Store ``new`` unless a stored label dominates it, and retire the
+        stored labels it dominates. Returns whether ``new`` was stored."""
+        rcosts, labels = self.rcosts, self.labels
+        rc = new.rcost
+        st = new.state
+        a_hi, load_hi, q_hi = st.a_cur + TOL, st.load + TOL, st.q_cum + TOL
+        for k in range(bisect.bisect_right(rcosts, rc + TOL)):
+            old = labels[k]
+            so = old.state
+            if so.a_cur > a_hi or so.load > load_hi or so.q_cum > q_hi:
+                continue
+            if dominates(old, new, heuristic):
+                return False
+        lo = bisect.bisect_left(rcosts, rc, key=lambda r: r + TOL)
+        a, load, q = st.a_cur, st.load, st.q_cum
+        dead = []
+        for k in range(lo, len(labels)):
+            so = labels[k].state
+            if a > so.a_cur + TOL or load > so.load + TOL or q > so.q_cum + TOL:
+                continue
+            if dominates(new, labels[k], heuristic):
+                dead.append(k)
+        for k in reversed(dead):
+            labels[k].alive = False
+            del labels[k]
+            del rcosts[k]
+        pos = bisect.bisect_right(rcosts, rc)
+        rcosts.insert(pos, rc)
+        labels.insert(pos, new)
+        return True
+
+
 def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     """Resource-wise dominance; True only when every condition holds.
 
@@ -43,18 +103,19 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
         return False
     if not heuristic and not s1.served <= s2.served:
         return False
-    open1 = set(s1.onboard)
-    if not open1 <= set(s2.onboard):
-        return False
-    assoc1 = set(s1.assoc)
-    if not assoc1 <= set(s2.assoc):
-        return False
+    onboard2 = s2.onboard
     for o in s1.onboard:
+        if o not in onboard2:
+            return False
         if o == DUMMY:
             continue
         if s1.do_a[o] - s1.a_cur < s2.do_a[o] - s2.a_cur - TOL:
             return False
         if s1.do_b[o] < s2.do_b[o] - TOL:
+            return False
+    assoc2 = s2.assoc
+    for x in s1.assoc:
+        if x not in assoc2:
             return False
     for x in itertools.chain(s1.onboard, s1.assoc):
         if x == DUMMY:
@@ -91,7 +152,7 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
     counter = itertools.count()
     root = _Label(cal.initial_state(inst), -duals.mu, next(counter))
     queue: list[tuple[float, int, _Label]] = [(root.rcost, root.counter, root)]
-    stores: dict[int, list[_Label]] = {i: [] for i in range(inst.n_nodes)}
+    stores: dict[int, _Store] = {i: _Store() for i in range(inst.n_nodes)}
     finished: list[tuple[float, int, Column]] = []
 
     while queue:
@@ -100,8 +161,8 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
             continue
         st = label.state
         eta = st.current
-        for j in range(1, inst.n_nodes):
-            if j == eta or (eta, j) in banned:
+        for j in cal.successors(inst, st):
+            if (eta, j) in banned:
                 continue
             ext, _reason = cal.extend(inst, st, j)
             if ext is None:
@@ -124,17 +185,8 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
                         finished.append((rcost, next(counter), col))
                 continue
             new = _Label(ext.state, rcost, next(counter))
-            store = stores[j]
-            if any(dominates(old, new, heuristic) for old in store):
+            if not stores[j].insert(new, heuristic):
                 continue
-            survivors = []
-            for old in store:
-                if dominates(new, old, heuristic):
-                    old.alive = False
-                else:
-                    survivors.append(old)
-            survivors.append(new)
-            stores[j] = survivors
             heapq.heappush(queue, (new.rcost, new.counter, new))
             if trace is not None:
                 trace(

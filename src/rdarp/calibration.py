@@ -90,11 +90,27 @@ def rider_risk(inst: Instance, rider: int) -> float:
     return 1.0 if rider == DUMMY else inst.risk[rider]
 
 
+def successors(inst: Instance, st: PathState) -> list[int]:
+    """Nodes ``extend`` does not reject on precedence from ``st``, ascending:
+    pick-ups not yet visited, drop-offs of real onboard riders, and the end
+    depot when no real rider is onboard."""
+    n = inst.n
+    out = [i for i in range(1, n + 1) if i not in st.pick_pos]
+    drops = sorted(o + n for o in st.onboard if o != DUMMY)
+    if drops:
+        out.extend(drops)
+    else:
+        out.append(inst.end_depot)
+    return out
+
+
 def extend(inst: Instance, st: PathState, j: int):
     """Extend ``st`` to node ``j``.
 
     Returns (Extension, None) on success or (None, reason) on rejection,
-    where ``reason`` names the stage and the violated quantity.
+    where ``reason`` names the stage and the violated quantity. Stage 1
+    rejects exactly the nodes ``successors`` leaves out; it stays because
+    fixed sequences (``oracle.replay_route``) are extended node by node.
     """
     eta = st.current
     n = inst.n

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +218,74 @@ def test_edarp_columns_satisfy_onboard_identity(engine):
         for i, h in col.exposure.items():
             onboard = col.schedule[pos[i + inst.n]] - col.schedule[pos[i]]
             assert h == pytest.approx(onboard, abs=1e-9)
+
+
+def _reached_states(inst):
+    """Every state on the way to each route ``feasible_routes`` yields, once."""
+    seen = {}
+    for size in range(1, inst.n + 1):
+        for group in itertools.combinations(range(1, inst.n + 1), size):
+            for route in feasible_routes(inst, group):
+                st = cal.initial_state(inst)
+                for j in route.sequence[1:]:
+                    seen.setdefault(st.nodes, st)
+                    st = cal.extend(inst, st, j)[0].state
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("equity", [False, True])
+def test_successors_are_the_nodes_precedence_admits(equity):
+    inst = random_instance(0, n=4, window=120.0)
+    if equity:
+        inst = edarp_transform(inst)
+    states = _reached_states(inst)
+    assert len(states) > 100
+    for st in states:
+        admitted = [j for j in range(inst.n_nodes)
+                    if cal.extend(inst, st, j)[1] != cal.PDPTW_PRECEDENCE]
+        assert cal.successors(inst, st) == admitted, st.nodes
+
+
+GOLDEN = json.loads((Path(__file__).parent / "pricing_golden.json").read_text())
+
+
+def _golden_cases():
+    inst = preprocess(random_instance(2, n=4))
+    rng = random.Random(31)
+    yield "rand-2-n4", inst, "cost", DualValues(
+        pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0,
+        rho={i: -rng.uniform(0.0, 1.5) for i in inst.pickups()})
+    inst = preprocess(edarp_transform(random_instance(4, n=3, window=50.0)))
+    yield "edarp-4-n3", inst, "cost", DualValues(
+        pi={i: 200.0 for i in inst.pickups()}, rho={i: -0.5 for i in inst.pickups()})
+    inst = preprocess(random_instance(5, n=4))
+    rng = random.Random(32)
+    yield "rand-5-n4-risk", inst, "risk", DualValues(
+        pi={i: rng.uniform(10.0, 60.0) for i in inst.pickups()}, mu=-2.0, xi=-0.4,
+        rho={i: -rng.uniform(0.0, 1.0) for i in inst.pickups()},
+        arc_adjust={(i, j): rng.uniform(-8.0, 8.0) for i in range(inst.n_nodes)
+                    for j in range(1, inst.n_nodes)
+                    if i != j and inst.arc_allowed(i, j) and rng.random() < 0.25})
+    # duals of a column-generation iteration on this instance: a new label
+    # dominates a stored one that costs less than 1 more
+    yield "rand-5-n4-cg", inst, "cost", DualValues(
+        pi={1: 42.50617158661603, 2: 24.321500641011518,
+            3: 40.06754743109607, 4: 61.54388633818642},
+        rho={1: -1.6927373020153342, 2: -0.18638857261775757})
+
+
+@pytest.mark.parametrize("heuristic", [False, True], ids=["exact", "heuristic"])
+def test_pricing_output_matches_golden(heuristic):
+    """The Python engine's columns (order, sequences, reduced costs) and its
+    trace-line count for four fixed dual vectors on three instances, as
+    recorded in ``pricing_golden.json`` from the engine that tried every node
+    after each label and compared each new label with its whole store."""
+    for name, inst, mode, duals in _golden_cases():
+        want = GOLDEN[f"{name}/{'heuristic' if heuristic else 'exact'}"]
+        lines = []
+        cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
+                             trace=lines.append, engine="py")
+        assert [list(c.sequence) for c in cols] == [seq for seq, _ in want["columns"]], name
+        assert [c.reduced_cost for c in cols] == pytest.approx(
+            [rc for _, rc in want["columns"]], rel=1e-12, abs=1e-9), name
+        assert len(lines) == want["trace_lines"], name
