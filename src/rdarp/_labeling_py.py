@@ -5,6 +5,11 @@ label is extended only to the nodes its state admits by precedence
 (``calibration.successors``), in ascending order. Each node keeps its
 undominated labels in a store sorted by reduced cost (``_Store``), so a new
 label is compared only with the labels on the side where dominance can hold.
+
+An exact run is exhaustive. A heuristic run weakens dominance and stops as
+soon as ``limit`` columns are complete, counting only columns with reduced
+cost below -1e-6 that pass the branch restrictions (Desaulniers, Desrosiers
+& Solomon 2002); either run returns its columns sorted by reduced cost.
 """
 
 from __future__ import annotations
@@ -183,6 +188,9 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
                             q_terminal=ext.state.q_cum, reduced_cost=rcost,
                         )
                         finished.append((rcost, next(counter), col))
+                        if heuristic and len(finished) >= limit:
+                            queue.clear()  # a heuristic run ends here
+                            break
                 continue
             new = _Label(ext.state, rcost, next(counter))
             if not stores[j].insert(new, heuristic):

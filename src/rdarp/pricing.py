@@ -114,7 +114,11 @@ def solve_pricing(
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, best
     first. A heuristic run weakens dominance (drops the served-set inclusion)
-    and must be confirmed by an exact run before declaring LP optimality.
+    and must be confirmed by an exact run before declaring LP optimality. In
+    the Python engine a heuristic run stops once ``limit`` columns are
+    complete, so it returns the first ones found, not the best; the compiled
+    engine's heuristic run is still exhaustive. An exact run is exhaustive in
+    both, so its best column is the minimum reduced cost.
 
     In equity mode each column's exposure is read off its emitted schedule
     (drop-off minus pick-up start of service), so it equals the onboard time

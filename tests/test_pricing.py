@@ -289,3 +289,20 @@ def test_pricing_output_matches_golden(heuristic):
         assert [c.reduced_cost for c in cols] == pytest.approx(
             [rc for _, rc in want["columns"]], rel=1e-12, abs=1e-9), name
         assert len(lines) == want["trace_lines"], name
+
+
+def test_heuristic_run_stops_at_limit():
+    inst = preprocess(random_instance(0, n=5, window=60.0))
+    rng = random.Random(31)
+    duals = DualValues(pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0,
+                       rho={i: -rng.uniform(0.0, 1.5) for i in inst.pickups()})
+    full_lines, lines = [], []
+    full = solve_pricing(inst, duals, "cost", heuristic=True, trace=full_lines.append, engine="py")
+    cols = solve_pricing(inst, duals, "cost", heuristic=True, limit=5, trace=lines.append, engine="py")
+    assert len(full) > 5
+    assert len(cols) == 5
+    rcs = [c.reduced_cost for c in cols]
+    assert rcs == sorted(rcs) and rcs[-1] < -1e-6
+    assert len(lines) < len(full_lines)  # the run stopped before exhausting the labels
+    exact = solve_pricing(inst, duals, "cost", limit=5, engine="py")
+    assert exact[0].reduced_cost <= rcs[0]
