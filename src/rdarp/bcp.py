@@ -243,6 +243,10 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
     def offer(node: BranchNode, result: CGResult):
+        """Take an integral master as incumbent, and keep the node open
+        unless its column generation converged there. A timed-out result
+        (only the root's reaches here) stays open with its bound of -inf:
+        the relaxation is unsolved, whatever the master looks like."""
         nonlocal incumbent, best_value
         if result.status == INFEASIBLE_STATUS:
             return
@@ -256,7 +260,8 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                 oracle.validate_solution(inst, routes, cap)
                 incumbent = routes
                 best_value = value
-            return
+            if result.status != TIME_LIMIT_STATUS:
+                return
         heapq.heappush(heap, (node.sort_key(), node, result))
 
     offer(root, res)
@@ -280,6 +285,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
             nodes_explored += 1
             if child_res.status == TIME_LIMIT_STATUS:
                 timed_out = True
+                heapq.heappush(heap, (child.sort_key(), child, result))
                 continue
             if child_res.status == INFEASIBLE_STATUS:
                 continue

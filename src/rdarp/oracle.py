@@ -158,7 +158,8 @@ def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> Expo
 
 def validate_solution(inst: Instance, routes, cap: float) -> None:
     """Check a whole solution: every route passes ``validate_route``, the
-    routes serve each request exactly once and fit the fleet, and each
+    routes' sequences visit each request exactly once and fit the fleet, no
+    route lists exposure for a request it does not visit, and each
     request's exposure measure (``Instance.exposure_measure``: the detour
     rate in equity mode) is at most ``cap``. Raises RouteInfeasible listing
     every violation as (node, description, lhs, rhs).
@@ -174,8 +175,11 @@ def validate_solution(inst: Instance, routes, cap: float) -> None:
     served: dict[int, int] = {}
     cap_name = "detour rate cap" if inst.mode == EDARP else "exposure cap"
     for r in routes:
-        for i in r.exposure:
+        on_route = [i for i in r.sequence if inst.is_pickup(i)]
+        for i in on_route:
             served[i] = served.get(i, 0) + 1
+        for i in sorted(set(r.exposure) - set(on_route)):
+            violations.append((i, "exposure listed for a request off the route", 1, 0))
         try:
             exposure = validate_route(inst, r).exposure
         except RouteInfeasible as exc:
@@ -186,10 +190,9 @@ def validate_solution(inst: Instance, routes, cap: float) -> None:
             measure = inst.exposure_measure(i, h)
             if measure > cap + inst.exposure_measure(i, slack):
                 violations.append((i, cap_name, measure, cap))
-    for i in sorted(set(served) | set(inst.pickups())):
-        expected = 1 if inst.is_pickup(i) else 0
-        if served.get(i, 0) != expected:
-            violations.append((i, "times the request is served", served.get(i, 0), expected))
+    for i in inst.pickups():
+        if served.get(i, 0) != 1:
+            violations.append((i, "times the request is served", served.get(i, 0), 1))
     if len(routes) > inst.fleet_size:
         violations.append((0, "routes exceed the fleet size", len(routes), inst.fleet_size))
     if violations:

@@ -4,7 +4,9 @@ delay calibration (``rdarp.calibration``) commits for its sequence.
 
 The engine is selected at import: the compiled kernel (``rdarp._labeling_cy``)
 when built, otherwise the pure-Python reference. Override with the environment
-variable ``RDARP_PRICING`` set to ``py`` or ``cy``.
+variable ``RDARP_PRICING`` set to ``py`` or ``cy``. The compiled kernel keeps
+rider sets as 64-bit masks, so instances with more than ``MASK_REQUESTS``
+requests are priced by the Python engine.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from . import _labeling_py
+from .errors import RdarpError
 from .instance import EDARP, Instance
 from .oracle import onboard_times
 
 DEFAULT_COLUMN_LIMIT = 200
+MASK_REQUESTS = 63  # most requests the compiled kernel's 64-bit rider masks hold
 
 COST = "cost"
 RISK = "risk"
@@ -94,9 +99,7 @@ def _select_engine():
         except ImportError:
             if choice == "cy":
                 raise
-    from . import _labeling_py as engine
-
-    return engine, "py"
+    return _labeling_py, "py"
 
 
 _ENGINE, ENGINE_NAME = _select_engine()
@@ -128,10 +131,13 @@ def solve_pricing(
     duals.validate_signs()
     restrictions = restrictions or PricingRestrictions()
     if engine is None:
-        eng = _ENGINE
+        eng = _ENGINE if inst.n <= MASK_REQUESTS else _labeling_py
     elif engine == "py":
-        from . import _labeling_py as eng
+        eng = _labeling_py
     elif engine == "cy":
+        if inst.n > MASK_REQUESTS:
+            raise RdarpError(f"the compiled pricing engine handles at most {MASK_REQUESTS} "
+                             f"requests, got {inst.n}; use the py engine")
         from . import _labeling_cy as eng  # type: ignore[no-redef]
     else:
         raise ValueError(f"unknown engine {engine!r}")

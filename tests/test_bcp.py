@@ -137,3 +137,44 @@ def test_edarp_solve_detour_caps():
         for r in rep.routes:
             for i, h in r.exposure.items():
                 assert h / inst.detour_weight[i - 1] <= eps + 1e-6
+
+
+def _check_time_limited(inst, rep, full):
+    """A solve cut by its time limit certifies nothing it did not prove."""
+    if rep.status == "Optimal":
+        assert rep.objective == pytest.approx(full.objective, abs=1e-6)
+    assert rep.bound <= full.objective + 1e-6
+    if rep.routes:
+        oracle.validate_solution(inst, rep.routes, INF)
+
+
+def test_root_time_limit_keeps_the_root_open():
+    inst = preprocess(random_instance(0, n=2, fleet_size=2))
+    full = bcp.solve(inst, "cost")
+    rep = bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=0.0))
+    _check_time_limited(inst, rep, full)
+    assert rep.status == "TimeLimit" and rep.bound == -INF
+
+
+@pytest.mark.parametrize("timed_out_call", [2, 3])
+def test_child_time_limit_keeps_the_child_open(monkeypatch, timed_out_call):
+    """The root branches into two children. The child whose column
+    generation times out stays open with its parent's bound."""
+    inst = preprocess(random_instance(41, n=4, fleet_size=2))
+    full = bcp.solve(inst, "cost")
+    real = bcp.column_generation
+    results = []
+
+    def timed(*args, **kwargs):
+        if len(results) + 1 == timed_out_call:
+            kwargs["deadline"] = 0.0  # already past: stops after one master solve
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bcp, "column_generation", timed)
+    rep = bcp.solve(inst, "cost")
+    assert len(results) == 3 and rep.nodes_explored == 3
+    assert results[timed_out_call - 1].status == "TimeLimit"
+    _check_time_limited(inst, rep, full)
+    assert rep.bound <= results[0].bound + 1e-9
+    assert rep.status == "TimeLimit"

@@ -51,14 +51,19 @@ def test_validate_roundtrip_and_violation(tmp_path, small_json, capsys):
     assert "vs" in captured.err  # both sides of the violated inequality
 
 
-def test_validate_rejects_missing_coverage(tmp_path, small_json):
+def test_validate_rejects_missing_coverage(tmp_path, small_json, capsys):
     sol = tmp_path / "sol.json"
     assert cli.run(["solve", str(small_json), "--out", str(sol)]) == 0
     doc = json.loads(sol.read_text())
-    doc["routes"] = doc["routes"][:0]
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps(doc))
-    assert cli.run(["validate", str(small_json), str(partial)]) == 2
+    (route,) = doc["routes"]
+    # coverage is read off the sequence: an emptied route keeping its H serves nothing
+    emptied = dict(route, sequence=[0, 7], schedule=[route["schedule"][0], route["schedule"][-1]])
+    for name, routes in (("partial", []), ("emptied", [emptied])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(doc, routes=routes)))
+        capsys.readouterr()
+        assert cli.run(["validate", str(small_json), str(path)]) == 2, name
+        assert "times the request is served" in capsys.readouterr().err
 
 
 def test_validate_rejects_a_broken_cap(tmp_path, small_json, capsys):

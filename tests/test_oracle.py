@@ -311,7 +311,8 @@ def test_validate_solution_rejects_an_unknown_request():
     (route,) = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
     bogus = Route(route.sequence, route.schedule, route.cost,
                   {**route.exposure, 9: 0.0}, route.q_terminal)
-    assert _violations(inst, [bogus], cap=1.0) == [(9, "times the request is served", 1, 0)]
+    assert _violations(inst, [bogus], cap=1.0) == [
+        (9, "exposure listed for a request off the route", 1, 0)]
 
 
 def test_validate_solution_rejects_too_many_routes():

@@ -3,11 +3,14 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from rdarp import _labeling_py, pricing
 from rdarp import calibration as cal
 from rdarp._labeling_py import _Label, dominates
+from rdarp.errors import RdarpError
 from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
 from rdarp.oracle import Route, feasible_routes, mmr_schedule, validate_route
@@ -306,3 +309,22 @@ def test_heuristic_run_stops_at_limit():
     assert len(lines) < len(full_lines)  # the run stopped before exhausting the labels
     exact = solve_pricing(inst, duals, "cost", limit=5, engine="py")
     assert exact[0].reduced_cost <= rcs[0]
+
+
+def test_wide_instances_stay_out_of_the_compiled_engine(monkeypatch):
+    """The compiled kernel keeps rider sets as 64-bit masks: the automatic
+    choice prices more than 63 requests with the Python engine, and an
+    explicit request for the compiled one is refused."""
+    calls = []
+
+    def stub(name):
+        return SimpleNamespace(run_labeling=lambda inst, *args: calls.append((name, inst.n)) or [])
+
+    monkeypatch.setattr(pricing, "_ENGINE", stub("cy"))
+    monkeypatch.setattr(_labeling_py, "run_labeling", stub("py").run_labeling)
+    wide = random_instance(0, n=64)
+    for inst in (random_instance(0, n=63), wide):
+        assert solve_pricing(inst, DualValues()) == []
+    assert calls == [("cy", 63), ("py", 64)]
+    with pytest.raises(RdarpError, match="at most 63"):
+        solve_pricing(wide, DualValues(), engine="cy")
