@@ -37,6 +37,10 @@ class _Label:
         self.alive = True
 
 
+def _plus_tol(rcost: float) -> float:
+    return rcost + TOL
+
+
 class _Store:
     """One node's undominated labels, in ascending reduced cost.
 
@@ -70,7 +74,7 @@ class _Store:
                 continue
             if dominates(old, new, heuristic):
                 return False
-        lo = bisect.bisect_left(rcosts, rc, key=lambda r: r + TOL)
+        lo = bisect.bisect_left(rcosts, rc, key=_plus_tol)
         a, load, q = st.a_cur, st.load, st.q_cum
         dead = []
         for k in range(lo, len(labels)):
