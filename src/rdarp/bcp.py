@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from . import cuts as cuts_mod
 from . import oracle
-from .errors import RdarpError
 from .instance import Instance
 from .lp import GE, LE
 from .master import (
@@ -99,9 +98,18 @@ def _arc_candidate(msol: MasterSolution):
     return best
 
 
+def _integral(msol: MasterSolution) -> bool:
+    """Whether the tree treats the master as integral: every λ is, or no
+    arc flow is fractional. The second test catches λ that miss
+    ``INTEGRALITY_TOL`` by tolerance dust while every aggregated arc flow
+    meets it; then the columns with λ above 0.5 form the solution."""
+    return msol.integral or _arc_candidate(msol) is None
+
+
 def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode, BranchNode] | None:
-    """Two children per the rule hierarchy, or None when the LP is integral."""
-    if msol.integral:
+    """Two children per the rule hierarchy, or None when the LP is integral
+    (``_integral``)."""
+    if _integral(msol):
         return None
     total = msol.vehicle_count()
     if abs(total - round(total)) > INTEGRALITY_TOL:
@@ -130,10 +138,7 @@ def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> t
                            node.rows + (ExtraRow(f"out({a},{b})>=2", GE, 2.0, arc_coefs=arcs),),
                            node.banned_arcs, node.crossing_caps, node.used_fallback)
         return left, right
-    arc = _arc_candidate(msol)
-    if arc is None:
-        raise RdarpError("fractional solution without fractional arc flow")
-    _, (i, j), _ = arc
+    _, (i, j), _ = _arc_candidate(msol)
     left = BranchNode(node.depth + 1, next(counter), msol.objective, node.rows,
                       node.banned_arcs | {(i, j)}, node.crossing_caps, True)
     right = BranchNode(node.depth + 1, next(counter), msol.objective,
@@ -242,26 +247,32 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     used_fallback = False
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
-    def offer(node: BranchNode, result: CGResult):
-        """Take an integral master as incumbent, and keep the node open
-        unless its column generation converged there. A timed-out result
-        (only the root's reaches here) stays open with its bound of -inf:
-        the relaxation is unsolved, whatever the master looks like."""
+    def take_incumbent(msol: MasterSolution) -> bool:
+        """Take an integral, artificial-free master as incumbent when it
+        improves on the one held. Returns whether the master was integral
+        and artificial-free."""
         nonlocal incumbent, best_value
+        if msol.artificial_total > 1e-6 or not _integral(msol):
+            return False
+        routes = _extract_routes(pool, msol)
+        value = incumbent_value(inst, routes, mode)
+        if value < best_value - PRUNE_TOL:
+            oracle.validate_solution(inst, routes, cap)
+            incumbent = routes
+            best_value = value
+        return True
+
+    def offer(node: BranchNode, result: CGResult):
+        """Offer the master as incumbent, and keep the node open unless its
+        column generation converged at an integral master. A timed-out
+        result (only the root's reaches here) stays open with its bound of
+        -inf: the relaxation is unsolved, whatever the master looks like."""
         if result.status == INFEASIBLE_STATUS:
             return
-        msol = result.solution
         node = BranchNode(node.depth, node.counter, result.bound, node.rows,
                           node.banned_arcs, node.crossing_caps, node.used_fallback)
-        if msol.integral and msol.artificial_total <= 1e-6:
-            routes = _extract_routes(pool, msol)
-            value = incumbent_value(inst, routes, mode)
-            if value < best_value - PRUNE_TOL:
-                oracle.validate_solution(inst, routes, cap)
-                incumbent = routes
-                best_value = value
-            if result.status != TIME_LIMIT_STATUS:
-                return
+        if take_incumbent(result.solution) and result.status != TIME_LIMIT_STATUS:
+            return
         heapq.heappush(heap, (node.sort_key(), node, result))
 
     offer(root, res)
@@ -284,7 +295,10 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
             child_res = run_cg(child)
             nodes_explored += 1
             if child_res.status == TIME_LIMIT_STATUS:
+                # the child stays open with its parent's bound, but a
+                # feasible master it already holds is still a solution
                 timed_out = True
+                take_incumbent(child_res.solution)
                 heapq.heappush(heap, (child.sort_key(), child, result))
                 continue
             if child_res.status == INFEASIBLE_STATUS:

@@ -19,6 +19,15 @@ calibrated schedules.
 
 The pure-Python pricing engine and the oracle's fixed-sequence replay share
 these semantics; the compiled engine mirrors them and is tested for equality.
+
+``extend`` is the labeling algorithm's unit of work, so its common case has a
+path of its own. Most accepted steps choose no delay; on this zero-delay path
+no committed position shifts, so only pairs of onboard riders accrue, each by
+the step's span (``_onboard_increments``), and the general shift and pair
+bookkeeping (``_node_shifts``, ``_pair_increments``) is skipped. Delay buffers
+(``_usable_buffers``) are computed only when there is a wait to absorb. Both
+paths add the same terms in the same order, so every result is the same to
+the bit.
 """
 
 from __future__ import annotations
@@ -50,7 +59,13 @@ class Extension:
 
 
 class PathState:
-    """Immutable partial-route state; extensions return fresh copies."""
+    """Immutable partial-route state.
+
+    An extension shares with its parent every container the step leaves
+    unchanged (the position dicts, the onboard and associated tuples, the
+    served set) and builds new ones for the rest. Nothing mutates a state's
+    containers after construction, so sharing is safe.
+    """
 
     __slots__ = (
         "nodes", "times", "a_cur", "b_cur", "load", "onboard", "assoc",
@@ -58,9 +73,24 @@ class PathState:
         "pick_pos", "drop_pos",
     )
 
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    def __init__(self, nodes, times, a_cur, b_cur, load, onboard, assoc, served,
+                 q_cum, h, d, bo, do_a, do_b, pick_pos, drop_pos):
+        self.nodes = nodes
+        self.times = times
+        self.a_cur = a_cur
+        self.b_cur = b_cur
+        self.load = load
+        self.onboard = onboard
+        self.assoc = assoc
+        self.served = served
+        self.q_cum = q_cum
+        self.h = h
+        self.d = d
+        self.bo = bo
+        self.do_a = do_a
+        self.do_b = do_b
+        self.pick_pos = pick_pos
+        self.drop_pos = drop_pos
 
     @property
     def current(self) -> int:
@@ -111,36 +141,50 @@ def extend(inst: Instance, st: PathState, j: int):
     where ``reason`` names the stage and the violated quantity. Stage 1
     rejects exactly the nodes ``successors`` leaves out; it stays because
     fixed sequences (``oracle.replay_route``) are extended node by node.
+
+    ``st`` is never changed. Two-value ``min`` and ``max`` are written out as
+    conditionals that return the operand the builtins would.
     """
-    eta = st.current
+    eta = st.nodes[-1]
     n = inst.n
+    onboard = st.onboard
+    pick_pos = st.pick_pos
 
     # ---- stage 1: pairing, precedence, window, capacity ----
-    if inst.is_pickup(j):
-        if j in st.served or j in st.pick_pos:
+    pickup = 1 <= j <= n
+    dropped = None
+    if pickup:
+        if j in pick_pos or j in st.served:
             return None, PDPTW_PRECEDENCE
-    elif inst.is_dropoff(j):
-        if (j - n) not in st.onboard:
+    elif n < j <= 2 * n:
+        dropped = j - n
+        if dropped not in onboard:
             return None, PDPTW_PRECEDENCE
-    elif j == inst.end_depot:
-        if any(r != DUMMY for r in st.onboard):
+    elif j == 2 * n + 1:
+        if any(r != DUMMY for r in onboard):
             return None, PDPTW_PRECEDENCE
     else:
         return None, PDPTW_PRECEDENCE
 
     s_eta = inst.service[eta]
-    t_arc = inst.t(eta, j)
-    arrival = st.a_cur + s_eta + t_arc
-    a_new = max(arrival, inst.early[j])
-    if a_new > inst.late[j] + TOL:
+    t_arc = inst.travel[eta][j]
+    a_cur = st.a_cur
+    arrival = a_cur + s_eta + t_arc
+    a_new = inst.early[j]
+    if not a_new > arrival:
+        a_new = arrival
+    late_j = inst.late[j]
+    if a_new > late_j + TOL:
         return None, PDPTW_WINDOW
     load_new = st.load + inst.load[j]
     if load_new > inst.capacity + TOL:
         return None, PDPTW_CAPACITY
 
     # ---- stage 2: latest starts and dynamic drop-off windows ----
-    dropped = j - n if inst.is_dropoff(j) else None
-    b_new = min(inst.late[j], st.do_b[dropped]) if dropped is not None else inst.late[j]
+    st_bo, st_do_a, st_do_b = st.bo, st.do_a, st.do_b
+    b_new = late_j
+    if dropped is not None and st_do_b[dropped] < late_j:
+        b_new = st_do_b[dropped]
     if a_new > b_new + TOL:
         return None, DARP_LATEST
 
@@ -148,112 +192,150 @@ def extend(inst: Instance, st: PathState, j: int):
     bo_new: dict[int, float] = {}
     do_a_new: dict[int, float] = {}
     do_b_new: dict[int, float] = {}
-    open_after = [o for o in st.onboard if o != DUMMY and o != dropped]
-    if inst.is_pickup(j):
-        open_after.append(j)
-    for o in open_after:
-        if o == j:
-            ride = inst.max_ride[j - 1]
-            bo = max(a_new, min(b_new, inst.late[j + n] - inst.service[j] - ride))
-            da = min(a_new + inst.service[j] + ride, inst.late[j + n])
-            db = min(bo + inst.service[j] + ride, inst.late[j + n])
-        else:
-            bo = max(a_new, min(st.bo[o] + s_eta + t_arc, b_new))
-            da = st.do_a[o] + min(wait, max(0.0, st.bo[o] - st.a_cur))
-            db = st.do_b[o] - max(0.0, st.bo[o] + s_eta + t_arc - b_new)
+    for o in onboard:
+        if o == DUMMY or o == dropped:
+            continue
+        bo_o = st_bo[o]
+        reach = bo_o + s_eta + t_arc
+        bo = b_new if b_new < reach else reach
+        if not bo > a_new:
+            bo = a_new
+        lead = bo_o - a_cur
+        if not lead > 0.0:
+            lead = 0.0
+        da = st_do_a[o] + (lead if lead < wait else wait)
         if a_new > da + TOL:
             return None, DARP_RIDETIME
-        bo_new[o], do_a_new[o], do_b_new[o] = bo, da, db
-    if dropped is not None:
+        over = reach - b_new
+        bo_new[o] = bo
+        do_a_new[o] = da
+        do_b_new[o] = st_do_b[o] - over if over > 0.0 else st_do_b[o]
+    if pickup:
+        s_j = inst.service[j]
+        ride = inst.max_ride[j - 1]
+        late_d = inst.late[j + n]
+        bo = late_d - s_j - ride
+        if not bo < b_new:
+            bo = b_new
+        if not bo > a_new:
+            bo = a_new
+        da = a_new + s_j + ride
+        if late_d < da:
+            da = late_d
+        if a_new > da + TOL:
+            return None, DARP_RIDETIME
+        db = bo + s_j + ride
+        bo_new[j] = bo
+        do_a_new[j] = da
+        do_b_new[j] = late_d if late_d < db else db
+    elif dropped is not None:
         # the request served at j must itself admit this drop-off time
-        da = st.do_a[dropped] + min(wait, max(0.0, st.bo[dropped] - st.a_cur))
+        lead = st_bo[dropped] - a_cur
+        if not lead > 0.0:
+            lead = 0.0
+        da = st_do_a[dropped] + (lead if lead < wait else wait)
         if a_new > da + TOL:
             return None, DARP_RIDETIME
 
     # ---- stage 3: delay calibration and exposure accrual ----
-    members = sorted(set(st.onboard) | set(st.assoc), key=lambda x: st.pick_pos[x])
+    assoc = st.assoc
+    if assoc:
+        members = sorted(set(onboard) | set(assoc), key=pick_pos.__getitem__)
+    else:
+        members = list(onboard)  # already in boarding order
 
     # A drop-off may force a minimum pick-up delay when the committed ride
     # would exceed its cap; the bump propagates forward through committed
     # waits (and the new node's wait) and rebaselines the bookkeeping.
     if dropped is not None:
-        t_pick = st.times[st.pick_pos[dropped]]
+        t_pick = st.times[pick_pos[dropped]]
         forced = a_new - (t_pick + inst.service[dropped]) - inst.max_ride[dropped - 1]
         if forced > TOL:
-            st = _forced_repair(inst, st, members, st.pick_pos[dropped], forced, wait)
+            st = _forced_repair(inst, st, members, pick_pos[dropped], forced, wait)
             if st is None:
                 return None, DARP_RIDETIME
             arrival = st.times[-1] + s_eta + t_arc
             wait = a_new - arrival
 
     span = s_eta + t_arc + wait
-    usable = _usable_buffers(inst, st, members)
-
     delta_star = 0.0
     if wait > TOL and members:
+        usable = _usable_buffers(inst, st, members)
         cap = min(wait, max(usable.values()))
         if cap > TOL:
-            if st.assoc:
+            if assoc:
                 delta_star = _argmin_peak(inst, st, members, usable, span, cap)
             else:
                 delta_star = cap
-    assign = {x: min(delta_star, usable[x]) for x in members}
 
-    shifts = _node_shifts(st, members, assign, len(st.times))
-    delta_h = _pair_increments(inst, st, members, assign, span, shifts)
-
+    st_d = st.d
     q_new = st.q_cum
-    for o in st.onboard:
-        q_new += rider_risk(inst, o) * (span - assign.get(o, 0.0))
-    for i in st.assoc:
-        q_new += rider_risk(inst, i) * (shifts[st.drop_pos[i]] - assign[i])
+    gap = b_new - a_new
+    if delta_star == 0.0:
+        # Zero-delay path: no shifts, so only pairs of onboard riders accrue,
+        # each by ``span`` (what ``_pair_increments`` adds with zero delays).
+        delta_h = _onboard_increments(inst, members, onboard, span)
+        risk = inst.risk
+        for o in onboard:
+            q_new += (1.0 if o == DUMMY else risk[o]) * span
+        times = st.times + (a_new,)
+        d_new = {}
+        for x in members:
+            if x == DUMMY:
+                d_new[x] = 0.0
+            else:
+                dx = st_d[x]
+                d_new[x] = gap if gap < dx else dx
+    else:
+        assign = {x: min(delta_star, usable[x]) for x in members}
+        shifts = _node_shifts(st, members, assign, len(st.times))
+        delta_h = _pair_increments(inst, st, members, assign, span, shifts)
+        for o in onboard:
+            q_new += rider_risk(inst, o) * (span - assign.get(o, 0.0))
+        for i in assoc:
+            q_new += rider_risk(inst, i) * (shifts[st.drop_pos[i]] - assign[i])
+        times = tuple(tv + sv for tv, sv in zip(st.times, shifts)) + (a_new,)
+        d_new = {}
+        for x in members:
+            d_new[x] = 0.0 if x == DUMMY else min(st_d[x] - assign[x], gap)
     if q_new > inst.q_max + 1e-9:
         return None, RISK_QMAX
 
     # ---- commit: schedule shifts, membership, buffers ----
-    if delta_star > 0.0:
-        times = tuple(tv + sv for tv, sv in zip(st.times, shifts)) + (a_new,)
-    else:
-        times = st.times + (a_new,)
-
     h_new = dict(st.h)
     for x, dh in delta_h.items():
         h_new[x] = h_new.get(x, 0.0) + dh
 
-    d_new = {}
-    for x in members:
-        d_new[x] = 0.0 if x == DUMMY else min(st.d[x] - assign[x], b_new - a_new)
-
-    onboard_new = [o for o in st.onboard if o != dropped]
-    assoc_new = list(st.assoc)
+    onboard_new = onboard
+    assoc_new = assoc
     served_new = st.served
-    pick_pos_new = dict(st.pick_pos)
-    drop_pos_new = dict(st.drop_pos)
+    pick_pos_new = pick_pos
+    drop_pos_new = st.drop_pos
     pos_new = len(times) - 1
-    if inst.is_pickup(j):
-        onboard_new.append(j)
+    if pickup:
+        onboard_new = onboard + (j,)
+        pick_pos_new = dict(pick_pos)
         pick_pos_new[j] = pos_new
-        d_new[j] = b_new - a_new
+        d_new[j] = gap
         h_new.setdefault(j, 0.0)
     elif dropped is not None:
-        served_new = st.served | {dropped}
+        onboard_new = tuple(o for o in onboard if o != dropped)
+        served_new = served_new | {dropped}
+        drop_pos_new = dict(drop_pos_new)
         drop_pos_new[dropped] = pos_new
         if any(o != DUMMY for o in onboard_new):
-            assoc_new.append(dropped)
+            assoc_new = assoc + (dropped,)
         else:
             # vehicle empties: no future delay can reach riders served so far
-            for i in assoc_new:
+            for i in assoc:
                 d_new.pop(i, None)
-            assoc_new = []
+            assoc_new = ()
             d_new.pop(dropped, None)
 
     state = PathState(
-        nodes=st.nodes + (j,), times=times,
-        a_cur=a_new, b_cur=b_new, load=load_new,
-        onboard=tuple(onboard_new), assoc=tuple(assoc_new),
-        served=served_new, q_cum=q_new,
-        h=h_new, d=d_new, bo=bo_new, do_a=do_a_new, do_b=do_b_new,
-        pick_pos=pick_pos_new, drop_pos=drop_pos_new,
+        st.nodes + (j,), times, a_new, b_new, load_new, onboard_new, assoc_new,
+        served_new, q_new, h_new, d_new, bo_new, do_a_new, do_b_new,
+        pick_pos_new, drop_pos_new,
     )
     return Extension(state, delta_h), None
 
@@ -307,6 +389,25 @@ def _node_shifts(st: PathState, members, assign, n_positions: int) -> list[float
             k += 1
         shifts[pos] = cur
     return shifts
+
+
+def _onboard_increments(inst: Instance, members, onboard, span) -> dict[int, float]:
+    """``_pair_increments`` when every delay and shift is zero: each pair of
+    onboard riders gains ``span`` in the same order of pairs and additions,
+    so every sum is the same to the bit; no other pair changes."""
+    dh = dict.fromkeys(members, 0.0)
+    if span != 0.0 and len(onboard) > 1:
+        risk = inst.risk
+        risks = [1.0 if o == DUMMY else risk[o] for o in onboard]
+        for a in range(len(onboard) - 1):
+            x = onboard[a]
+            rx = risks[a]
+            for b in range(a + 1, len(onboard)):
+                y = onboard[b]
+                dh[x] += risks[b] * span
+                dh[y] += rx * span
+    dh.pop(DUMMY, None)
+    return dh
 
 
 def _pair_increments(inst: Instance, st: PathState, members, assign, span, shifts):

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from rdarp import calibration as cal
 from rdarp.instance import Instance
+from rdarp.oracle import feasible_routes
 
 INF = math.inf
 
@@ -55,6 +57,19 @@ def precedence_orderings(inst, group):
         pos = {v: k for k, v in enumerate(perm)}
         if all(pos[i] < pos[i + inst.n] for i in group):
             yield (0, *perm, inst.end_depot)
+
+
+def reached_states(inst):
+    """Every state on the way to each route ``feasible_routes`` yields, once."""
+    seen = {}
+    for size in range(1, inst.n + 1):
+        for group in itertools.combinations(range(1, inst.n + 1), size):
+            for route in feasible_routes(inst, group):
+                st = cal.initial_state(inst)
+                for j in route.sequence[1:]:
+                    seen.setdefault(st.nodes, st)
+                    st = cal.extend(inst, st, j)[0].state
+    return list(seen.values())
 
 
 def engines():

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from rdarp import bcp, oracle
-from rdarp.fixtures import random_instance
+from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import edarp_transform, preprocess
+from rdarp.master import ColumnPool, pareto_front
 
 INF = math.inf
 
@@ -178,3 +179,32 @@ def test_child_time_limit_keeps_the_child_open(monkeypatch, timed_out_call):
     _check_time_limited(inst, rep, full)
     assert rep.bound <= results[0].bound + 1e-9
     assert rep.status == "TimeLimit"
+    if timed_out_call == 3:
+        # the timed-out child's master is integral and artificial-free at
+        # the optimum, so it is the incumbent although the child stays open
+        assert math.isfinite(rep.objective)
+        assert rep.objective == pytest.approx(full.objective, abs=1e-6)
+        assert full.objective == pytest.approx(123.196, abs=1e-3)
+
+
+def test_pareto_sweep_with_a_shared_pool_branches_past_tolerance_dust():
+    """With one pool shared by every solve of the sweep, the 8th solve (risk
+    mode at the last cost) reaches a master whose λ miss the integrality
+    tolerance by dust while every arc flow meets it. That master is integral
+    for the tree: its routes are the incumbent, and the front is the one
+    fresh pools give."""
+    inst = preprocess(benchmark_like_instance(3, n=10, fleet_size=3))
+    pool = ColumnPool(inst)
+
+    def solve_fn(mode, eps_risk, eps_cost, time_limit):
+        return bcp.solve(inst, mode, bcp.SolveOptions(
+            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit), pool=pool)
+
+    points = pareto_front(solve_fn, step=0.01)
+    assert all(p.certified for p in points)
+    front = [(p.cost, p.max_risk) for p in points]
+    expected = [(195.661, 12.87), (199.099, 10.7697), (206.256, 7.2026), (208.819, 0.0)]
+    assert len(front) == len(expected)
+    for (cost, risk), (cost_ref, risk_ref) in zip(front, expected):
+        assert cost == pytest.approx(cost_ref, abs=1e-3)
+        assert risk == pytest.approx(risk_ref, abs=1e-4)

@@ -20,6 +20,7 @@ from rdarp.pricing import (
     PricingRestrictions,
     solve_pricing,
 )
+from tests.conftest import reached_states
 
 INF = math.inf
 
@@ -223,25 +224,12 @@ def test_edarp_columns_satisfy_onboard_identity(engine):
             assert h == pytest.approx(onboard, abs=1e-9)
 
 
-def _reached_states(inst):
-    """Every state on the way to each route ``feasible_routes`` yields, once."""
-    seen = {}
-    for size in range(1, inst.n + 1):
-        for group in itertools.combinations(range(1, inst.n + 1), size):
-            for route in feasible_routes(inst, group):
-                st = cal.initial_state(inst)
-                for j in route.sequence[1:]:
-                    seen.setdefault(st.nodes, st)
-                    st = cal.extend(inst, st, j)[0].state
-    return list(seen.values())
-
-
 @pytest.mark.parametrize("equity", [False, True])
 def test_successors_are_the_nodes_precedence_admits(equity):
     inst = random_instance(0, n=4, window=120.0)
     if equity:
         inst = edarp_transform(inst)
-    states = _reached_states(inst)
+    states = reached_states(inst)
     assert len(states) > 100
     for st in states:
         admitted = [j for j in range(inst.n_nodes)

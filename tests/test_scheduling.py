@@ -1,13 +1,17 @@
 """Golden tests for the extension semantics: dynamic drop-off windows, delay
 buffers, and the wait-absorption calibration on an interlaced route."""
 
+import copy
 import math
 
 import pytest
 
 from rdarp import calibration as cal
+from rdarp.fixtures import random_instance
+from rdarp.instance import edarp_transform, preprocess
 from rdarp.oracle import mmr_schedule, replay_route, validate_route
-from tests.conftest import interlaced_instance
+from rdarp.pricing import DualValues, solve_pricing
+from tests.conftest import interlaced_instance, reached_states
 
 INF = math.inf
 
@@ -99,8 +103,6 @@ def test_forced_ride_repair_cascades():
     # committed earliest schedule violates a ride cap at the drop-off; the
     # repair delays the pick-up through an interior wait, shifting an
     # already-served rider's drop-off and cascading to that rider's pick-up
-    from rdarp.fixtures import random_instance
-
     inst = random_instance(1, n=3)
     seq = (0, 2, 3, 5, 1, 6, 4, 7)
     route, reason = replay_route(inst, seq)
@@ -108,3 +110,76 @@ def test_forced_ride_repair_cascades():
     validate_route(inst, route)
     lp = mmr_schedule(inst, seq)
     assert max(route.exposure.values()) == pytest.approx(lp[1], abs=1e-6)
+
+
+def _snapshot(st):
+    """Every field of a state, deep-copied, with dict entries in order."""
+    out = []
+    for name in cal.PathState.__slots__:
+        value = getattr(st, name)
+        out.append((name, list(value.items()) if isinstance(value, dict) else value))
+    return copy.deepcopy(out)
+
+
+@pytest.mark.parametrize("base, edarp", [
+    (random_instance(1, n=3), False),   # reaches the forced ride repair
+    (random_instance(9, n=4), False),   # reaches it twice
+    (random_instance(4, n=3, window=50.0), True),
+])
+def test_extend_never_changes_a_state(monkeypatch, base, edarp):
+    """An exact pricing run extends every label it pops to each successor.
+    No call changes its input state, and no later call changes any state
+    seen before: extensions share unchanged containers with their parent."""
+    inst = preprocess(edarp_transform(base) if edarp else base)
+    real_extend, real_repair = cal.extend, cal._forced_repair
+    seen = []
+    paths = {"repair": 0, "delay": 0, "zero": 0}
+
+    def extend(inst_, st, j):
+        before = _snapshot(st)
+        ext, reason = real_extend(inst_, st, j)
+        assert _snapshot(st) == before, (st.nodes, j)
+        seen.append((st, before))
+        if ext is not None:
+            paths["zero" if ext.state.times[:-1] == st.times else "delay"] += 1
+        return ext, reason
+
+    def repair(*args):
+        paths["repair"] += 1
+        return real_repair(*args)
+
+    monkeypatch.setattr(cal, "extend", extend)
+    monkeypatch.setattr(cal, "_forced_repair", repair)
+    duals = DualValues(pi={i: 300.0 for i in inst.pickups()},
+                       rho={i: -0.5 for i in inst.pickups()})
+    assert solve_pricing(inst, duals, "cost", limit=10_000, engine="py")
+    for st, before in seen:
+        assert _snapshot(st) == before, st.nodes
+    assert paths["zero"] and paths["delay"]
+    assert paths["repair"] or edarp
+
+
+def _hex(dh):
+    return [(x, v.hex()) for x, v in dh.items()]
+
+
+@pytest.mark.parametrize("edarp", [False, True])
+def test_zero_delay_accrual_matches_pair_increments(edarp):
+    """The zero-delay path's accrual is ``_pair_increments`` with every
+    delay and shift zero, key order and floats included."""
+    base = random_instance(0, n=4, window=120.0)
+    inst = edarp_transform(base) if edarp else base
+    states = reached_states(inst)
+    assert len(states) > 100
+    tried = 0
+    for st in states:
+        members = sorted(set(st.onboard) | set(st.assoc), key=st.pick_pos.__getitem__)
+        zeros = dict.fromkeys(members, 0.0)
+        shifts = [0.0] * len(st.times)
+        for span in (0.0, 7.25, 13.0 / 3.0, inst.t(st.current, inst.end_depot)):
+            expected = cal._pair_increments(inst, st, members, zeros, span, shifts)
+            got = cal._onboard_increments(inst, members, st.onboard, span)
+            assert _hex(got) == _hex(expected), (st.nodes, span)
+            tried += len(st.onboard) > 1
+    assert tried
+
