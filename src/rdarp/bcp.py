@@ -7,40 +7,43 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import cuts as cuts_mod
 from . import oracle
 from .instance import Instance
 from .lp import GE, LE
 from .master import (
+    ARTIFICIAL_TOL,
     CGResult,
     ColumnPool,
     ExtraRow,
     INFEASIBLE_STATUS,
+    INTEGRALITY_TOL,
     MasterSolution,
     OPTIMAL_STATUS,
     TIME_LIMIT_STATUS,
     column_generation,
+    fractional,
     seed_pool,
 )
 from .pricing import COST, PricingRestrictions
 
 INF = math.inf
-INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-6
 MAX_CUT_ROUNDS = 20
 
 
 @dataclass(frozen=True)
 class BranchNode:
+    """A tree node: its branching rows, which enter the master, and its
+    restriction record, which binds both the master and pricing."""
+
     depth: int
     counter: int
     bound: float
-    rows: tuple[ExtraRow, ...]
-    banned_arcs: frozenset[tuple[int, int]]
-    crossing_caps: tuple[tuple[frozenset[tuple[int, int]], int], ...]
-    used_fallback: bool = False
+    rows: tuple[ExtraRow, ...] = ()
+    restrictions: PricingRestrictions = PricingRestrictions()
 
     def sort_key(self):
         return (self.bound, -self.depth, self.counter)
@@ -56,7 +59,6 @@ class SolveReport:
     nodes_explored: int
     columns: int
     cuts: int
-    used_fallback_branching: bool = False
     infeasible_at_root: bool = False
 
 
@@ -66,7 +68,7 @@ class SolveOptions:
     eps_cost: float = INF
     eps_dt: float = INF
     time_limit: float | None = None
-    cut_families: tuple[str, ...] = ("ipec", "2pc", "rc")
+    cut_families: tuple[str, ...] = cuts_mod.FAMILIES
     use_heuristic_pricing: bool = True
     engine: str | None = None
 
@@ -90,84 +92,41 @@ def _pair_candidates(inst: Instance, msol: MasterSolution):
 def _arc_candidate(msol: MasterSolution):
     best = None
     for arc, v in sorted(msol.arc_flows().items()):
-        frac = abs(v - round(v))
-        if frac > INTEGRALITY_TOL:
+        if fractional(v):
             score = abs(v - 0.5)
             if best is None or score < best[0] - 1e-12:
                 best = (score, arc, v)
     return best
 
 
-def _integral(msol: MasterSolution) -> bool:
-    """Whether the tree treats the master as integral: every λ is, or no
-    arc flow is fractional. The second test catches λ that miss
-    ``INTEGRALITY_TOL`` by tolerance dust while every aggregated arc flow
-    meets it; then the columns with λ above 0.5 form the solution."""
-    return msol.integral or _arc_candidate(msol) is None
-
-
 def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode, BranchNode] | None:
     """Two children per the rule hierarchy, or None when the LP is integral
-    (``_integral``)."""
-    if _integral(msol):
+    (``MasterSolution.integral``)."""
+    if msol.integral:
         return None
+
+    def child(row: ExtraRow | None = None, restrictions: PricingRestrictions | None = None):
+        return BranchNode(node.depth + 1, next(counter), msol.objective,
+                          node.rows + (() if row is None else (row,)),
+                          restrictions or node.restrictions)
+
     total = msol.vehicle_count()
-    if abs(total - round(total)) > INTEGRALITY_TOL:
+    if fractional(total):
         lo, hi = math.floor(total), math.ceil(total)
-        left = BranchNode(node.depth + 1, next(counter), msol.objective,
-                          node.rows + (ExtraRow(f"veh<= {lo}", LE, float(lo), route_constant=1.0),),
-                          node.banned_arcs, node.crossing_caps, node.used_fallback)
-        right = BranchNode(node.depth + 1, next(counter), msol.objective,
-                           node.rows + (ExtraRow(f"veh>={hi}", GE, float(hi), route_constant=1.0),),
-                           node.banned_arcs, node.crossing_caps, node.used_fallback)
-        return left, right
+        return (child(ExtraRow(f"veh<= {lo}", LE, float(lo), route_constant=1.0)),
+                child(ExtraRow(f"veh>={hi}", GE, float(hi), route_constant=1.0)))
     pair = _pair_candidates(inst, msol)
     if pair is not None:
         _, (a, b), _ = pair
-        node_set = {a, b}
-        arcs = tuple(((i, j), 1.0)
-                     for i in sorted(node_set)
-                     for j in range(inst.n_nodes)
-                     if j not in node_set and j != i and inst.arc_allowed(i, j))
-        arc_set = frozenset(arc for arc, _ in arcs)
-        left = BranchNode(node.depth + 1, next(counter), msol.objective,
-                          node.rows + (ExtraRow(f"out({a},{b})<=1", LE, 1.0, arc_coefs=arcs),),
-                          node.banned_arcs,
-                          node.crossing_caps + ((arc_set, 1),), node.used_fallback)
-        right = BranchNode(node.depth + 1, next(counter), msol.objective,
-                           node.rows + (ExtraRow(f"out({a},{b})>=2", GE, 2.0, arc_coefs=arcs),),
-                           node.banned_arcs, node.crossing_caps, node.used_fallback)
-        return left, right
+        arcs = cuts_mod.crossing_arcs(inst, {a, b})
+        capped = node.restrictions.crossing_caps + ((frozenset(arc for arc, _ in arcs), 1),)
+        return (child(ExtraRow(f"out({a},{b})<=1", LE, 1.0, arc_coefs=arcs),
+                      replace(node.restrictions, crossing_caps=capped)),
+                child(ExtraRow(f"out({a},{b})>=2", GE, 2.0, arc_coefs=arcs)))
     _, (i, j), _ = _arc_candidate(msol)
-    left = BranchNode(node.depth + 1, next(counter), msol.objective, node.rows,
-                      node.banned_arcs | {(i, j)}, node.crossing_caps, True)
-    right = BranchNode(node.depth + 1, next(counter), msol.objective,
-                       node.rows + (ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),)),),
-                       node.banned_arcs, node.crossing_caps, True)
-    return left, right
-
-
-def _fixed_zero(pool: ColumnPool, node: BranchNode) -> frozenset[int]:
-    out = set()
-    for k, col in enumerate(pool.columns):
-        arcs = col.arcs()
-        if any(a in node.banned_arcs for a in arcs):
-            out.add(k)
-            continue
-        for arc_set, cap in node.crossing_caps:
-            if sum(1 for a in arcs if a in arc_set) > cap:
-                out.add(k)
-                break
-    return frozenset(out)
-
-
-def _extract_routes(pool: ColumnPool, msol: MasterSolution) -> list[oracle.Route]:
-    routes = []
-    for col, value in msol.columns_used:
-        if value > 0.5:
-            routes.append(oracle.Route(col.sequence, col.schedule, col.cost,
-                                       col.exposure, col.q_terminal))
-    return routes
+    banned = node.restrictions.banned_arcs | {(i, j)}
+    return (child(restrictions=replace(node.restrictions, banned_arcs=banned)),
+            child(ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),))))
 
 
 def incumbent_value(inst: Instance, routes: list[oracle.Route], mode: str) -> float:
@@ -184,9 +143,11 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
           pool: ColumnPool | None = None) -> SolveReport:
     """Certified minimum (cost or peak exposure) via branch-cut-and-price.
 
-    The column pool is shared tree-wide; per-node restrictions are applied by
-    fixing violating columns to zero and filtering pricing emissions. Cuts are
-    separated at the root until none are violated, then frozen.
+    The column pool is shared tree-wide. A node's branching rows enter the
+    master; its restriction record (``BranchNode.restrictions``) is passed
+    once to ``column_generation``, where the master fixes every pool column
+    it bars to zero and pricing emits none. Cuts are separated at the root
+    until none are violated, then frozen.
     """
     opts = options or SolveOptions()
     cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
@@ -203,22 +164,19 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
 
     counter = itertools.count()
     cut_rows: list[ExtraRow] = []
-    active_cuts: list[cuts_mod.Cut] = []
 
     def run_cg(node: BranchNode) -> CGResult:
         return column_generation(
             inst, pool, mode,
             eps_risk=opts.eps_risk, eps_cost=opts.eps_cost, eps_dt=opts.eps_dt,
             extra_rows=tuple(cut_rows) + node.rows,
-            restrictions=PricingRestrictions(
-                banned_arcs=node.banned_arcs, crossing_caps=node.crossing_caps),
-            fixed_zero=_fixed_zero(pool, node),
+            restrictions=node.restrictions,
             use_heuristic_pricing=opts.use_heuristic_pricing,
             deadline=deadline,
             engine=opts.engine,
         )
 
-    root = BranchNode(0, next(counter), -INF, (), frozenset(), ())
+    root = BranchNode(0, next(counter), -INF)
     res = run_cg(root)
     nodes_explored = 1
     if res.status == INFEASIBLE_STATUS:
@@ -230,21 +188,19 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     while res.status == OPTIMAL_STATUS and rounds < MAX_CUT_ROUNDS:
         rounds += 1
         flows = res.solution.arc_flows()
+        active = {c.name for c in cut_rows}
         violated = [c for c in cuts_mod.separate_all(flows, inst, opts.cut_families)
-                    if c.violation(flows) > cuts_mod.VIOLATION_TOL
-                    and c.key not in {a.key for a in active_cuts}]
+                    if c.violation(flows) > cuts_mod.VIOLATION_TOL and c.name not in active]
         if not violated:
             break
-        active_cuts.extend(violated)
-        cut_rows = [c.to_row() for c in active_cuts]
+        cut_rows.extend(violated)
         res = run_cg(root)
         if res.status == INFEASIBLE_STATUS:
             return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
-                               len(pool), len(active_cuts), infeasible_at_root=True)
+                               len(pool), len(cut_rows), infeasible_at_root=True)
 
     incumbent: list[oracle.Route] | None = None
     best_value = INF
-    used_fallback = False
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
     def take_incumbent(msol: MasterSolution) -> bool:
@@ -252,9 +208,9 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         improves on the one held. Returns whether the master was integral
         and artificial-free."""
         nonlocal incumbent, best_value
-        if msol.artificial_total > 1e-6 or not _integral(msol):
+        if msol.artificial_total > ARTIFICIAL_TOL or not msol.integral:
             return False
-        routes = _extract_routes(pool, msol)
+        routes = [col for col, value in msol.columns_used if value > 0.5]
         value = incumbent_value(inst, routes, mode)
         if value < best_value - PRUNE_TOL:
             oracle.validate_solution(inst, routes, cap)
@@ -269,8 +225,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         -inf: the relaxation is unsolved, whatever the master looks like."""
         if result.status == INFEASIBLE_STATUS:
             return
-        node = BranchNode(node.depth, node.counter, result.bound, node.rows,
-                          node.banned_arcs, node.crossing_caps, node.used_fallback)
+        node = replace(node, bound=result.bound)
         if take_incumbent(result.solution) and result.status != TIME_LIMIT_STATUS:
             return
         heapq.heappush(heap, (node.sort_key(), node, result))
@@ -286,8 +241,6 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         if children is None:
             continue
         for child in children:
-            if child.used_fallback:
-                used_fallback = True
             if deadline is not None and time.perf_counter() > deadline:
                 timed_out = True
                 heapq.heappush(heap, (child.sort_key(), child, result))
@@ -313,7 +266,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     if incumbent is None:
         status = TIME_LIMIT_STATUS if timed_out else INFEASIBLE_STATUS
         return SolveReport(status, INF, best_bound, INF, [], nodes_explored,
-                           len(pool), len(active_cuts), used_fallback)
+                           len(pool), len(cut_rows))
     gap = max(0.0, (best_value - best_bound) / max(abs(best_value), 1e-9))
     if timed_out and gap > 1e-6:
         status = TIME_LIMIT_STATUS
@@ -323,4 +276,4 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     else:
         status = "Feasible"
     return SolveReport(status, best_value, best_bound, gap, incumbent,
-                       nodes_explored, len(pool), len(active_cuts), used_fallback)
+                       nodes_explored, len(pool), len(cut_rows))

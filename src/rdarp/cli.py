@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, bcp, master, oracle
+from . import __version__, bcp, cuts, master, oracle
 from .errors import (
     InfeasibleRequestError,
     ParseError,
@@ -56,7 +56,33 @@ def load_instance(path: str, benchmark_risk: bool = True) -> Instance:
 def _parse_eps(value: str) -> float:
     if value.lower() in ("inf", "infinity", "none"):
         return INF
-    return float(value)
+    eps = float(value)
+    if math.isnan(eps):
+        raise argparse.ArgumentTypeError("a cap must be a number or inf, not nan")
+    return eps
+
+
+def _parse_step(value: str) -> float:
+    step = float(value)
+    if not step > 0:
+        raise argparse.ArgumentTypeError(f"the step must be positive, got {value}")
+    return step
+
+
+def _parse_time_limit(value: str) -> float:
+    limit = float(value)
+    if not limit >= 0:
+        raise argparse.ArgumentTypeError(f"the time limit must be nonnegative, got {value}")
+    return limit
+
+
+def _parse_cuts(value: str) -> tuple[str, ...]:
+    families = tuple(f for f in value.split(",") if f)
+    unknown = [f for f in families if f not in cuts.FAMILIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown cut families {','.join(unknown)}; choose from {','.join(cuts.FAMILIES)}")
+    return families
 
 
 def _round6(x: float):
@@ -120,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-risk", type=_parse_eps, default=INF)
     sp.add_argument("--eps-cost", type=_parse_eps, default=INF)
     sp.add_argument("--eps-dt", type=_parse_eps, default=INF)
-    sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--cuts", default="ipec,2pc,rc",
+    sp.add_argument("--time-limit", type=_parse_time_limit, default=None)
+    sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES,
                     help="comma list from {ipec,2pc,rc}; empty disables cuts")
     sp.add_argument("--no-heuristic-pricing", action="store_true")
     sp.add_argument("--certify-risk", action="store_true",
@@ -131,10 +157,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pareto", help="exact bi-objective front")
     common(sp)
-    sp.add_argument("--step", type=float, default=master.DEFAULT_PARETO_STEP)
-    sp.add_argument("--time-limit", type=float, default=None,
+    sp.add_argument("--step", type=_parse_step, default=master.DEFAULT_PARETO_STEP)
+    sp.add_argument("--time-limit", type=_parse_time_limit, default=None,
                     help="per-point time limit in seconds")
-    sp.add_argument("--cuts", default="ipec,2pc,rc")
+    sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES)
     sp.add_argument("--no-heuristic-pricing", action="store_true")
     sp.add_argument("--engine", choices=["py", "cy"], default=None)
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -162,10 +188,9 @@ def _prepare(args) -> Instance:
 
 
 def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None):
-    families = tuple(f for f in args.cuts.split(",") if f) if args.cuts else ()
     return bcp.SolveOptions(
         eps_risk=eps_risk, eps_cost=eps_cost, eps_dt=eps_dt,
-        time_limit=time_limit, cut_families=families,
+        time_limit=time_limit, cut_families=args.cuts,
         use_heuristic_pricing=not args.no_heuristic_pricing,
         engine=args.engine,
     )
@@ -183,8 +208,7 @@ def cmd_solve(args) -> int:
             rep = bcp.SolveReport(
                 rep.status, rep.objective, rep.bound, rep.gap, certified.routes,
                 rep.nodes_explored + certified.nodes_explored,
-                rep.columns + certified.columns, rep.cuts + certified.cuts,
-                rep.used_fallback_branching)
+                rep.columns + certified.columns, rep.cuts + certified.cuts)
     payload = report_to_json(inst, rep)
     if args.out:
         Path(args.out).write_text(payload + "\n")

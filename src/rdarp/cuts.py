@@ -3,13 +3,15 @@
 Three families over aggregated arc flows: tournament-style infeasible-path
 elimination, two-path cuts on sets no single vehicle can serve, and rounded
 capacity cuts. All are satisfied by every feasible integer solution, so they
-tighten the relaxation without cutting off optima.
+tighten the relaxation without cutting off optima. A cut is an ``ExtraRow``
+named by its family and nodes, e.g. ``TwoPath(1,2,4)``, so the name is the
+same in every process and equal names mean the same cut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import oracle
 from .instance import Instance
@@ -27,24 +29,11 @@ STRENGTHENED_IPEC = "StrengthenedIPEC"
 TWO_PATH = "TwoPath"
 ROUNDED_CAPACITY = "RoundedCapacity"
 
+FAMILIES = ("ipec", "2pc", "rc")  # names of the separators ``separate_all`` runs
 
-@dataclass(frozen=True)
-class Cut:
-    kind: str
-    key: tuple
-    arc_coefs: tuple[tuple[tuple[int, int], float], ...]
-    sense: str
-    rhs: float
 
-    def to_row(self) -> ExtraRow:
-        # named by the key's nodes, so the name is the same in every process
-        nodes = ",".join(str(v) for v in self.key[-1])
-        return ExtraRow(name=f"{self.kind}({nodes})",
-                        sense=self.sense, rhs=self.rhs, arc_coefs=self.arc_coefs)
-
-    def violation(self, flows: dict[tuple[int, int], float]) -> float:
-        lhs = sum(flows.get(a, 0.0) * c for a, c in self.arc_coefs)
-        return lhs - self.rhs if self.sense == LE else self.rhs - lhs
+def _cut(kind: str, nodes, arc_coefs, sense: str, rhs: float) -> ExtraRow:
+    return ExtraRow(f"{kind}({','.join(str(v) for v in nodes)})", sense, rhs, arc_coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +80,7 @@ def _subpath_infeasible(inst: Instance, path: tuple[int, ...]) -> tuple[bool, bo
     return False, False
 
 
-def separate_ipec(flows: dict[tuple[int, int], float], inst: Instance) -> list[Cut]:
+def separate_ipec(flows: dict[tuple[int, int], float], inst: Instance) -> list[ExtraRow]:
     """Enumerate flow-supported request-node paths up to six arcs; emit the
     tournament inequality for every infeasible one violated by the flows."""
     support: dict[int, list[tuple[int, float]]] = {}
@@ -100,7 +89,7 @@ def separate_ipec(flows: dict[tuple[int, int], float], inst: Instance) -> list[C
             support.setdefault(i, []).append((j, v))
     for i in support:
         support[i].sort()
-    cuts: dict[tuple, Cut] = {}
+    cuts: dict[str, ExtraRow] = {}
 
     def walk(path: list[int], flow_sum: float):
         if len(cuts) >= MAX_CUTS_PER_ROUND:
@@ -118,8 +107,8 @@ def separate_ipec(flows: dict[tuple[int, int], float], inst: Instance) -> list[C
                 if flow_sum > rhs + VIOLATION_TOL:
                     arc_list = tuple(((a, b), 1.0) for a, b in zip(path[:-1], path[1:]))
                     kind = STRENGTHENED_IPEC if strengthened else IPEC
-                    key = (kind, tuple(path))
-                    cuts.setdefault(key, Cut(kind, key, arc_list, LE, rhs))
+                    cut = _cut(kind, path, arc_list, LE, rhs)
+                    cuts.setdefault(cut.name, cut)
                 return  # extensions of an infeasible path add nothing stronger
         if arcs >= MAX_PATH_ARCS:
             return
@@ -192,7 +181,8 @@ def _single_vehicle_feasible(inst: Instance, requests: frozenset[int]) -> bool:
     return next(oracle.feasible_routes(relaxed, tuple(sorted(requests))), None) is not None
 
 
-def _crossing_arcs(inst: Instance, node_set: frozenset[int]):
+def crossing_arcs(inst: Instance, node_set) -> tuple[tuple[tuple[int, int], float], ...]:
+    """Unit coefficients of the allowed arcs leaving ``node_set``."""
     out = []
     for i in sorted(node_set):
         for j in range(inst.n_nodes):
@@ -201,7 +191,7 @@ def _crossing_arcs(inst: Instance, node_set: frozenset[int]):
     return tuple(out)
 
 
-def separate_two_path(flows, inst: Instance) -> list[Cut]:
+def separate_two_path(flows, inst: Instance) -> list[ExtraRow]:
     cuts = []
     for node_set in _candidate_sets(flows, inst):
         if _outflow(flows, node_set) >= 2.0 - VIOLATION_TOL:
@@ -209,14 +199,13 @@ def separate_two_path(flows, inst: Instance) -> list[Cut]:
         requests = frozenset(inst.request_of(v) for v in node_set)
         if _single_vehicle_feasible(inst, requests):
             continue
-        key = (TWO_PATH, tuple(sorted(node_set)))
-        cuts.append(Cut(TWO_PATH, key, _crossing_arcs(inst, node_set), GE, 2.0))
+        cuts.append(_cut(TWO_PATH, sorted(node_set), crossing_arcs(inst, node_set), GE, 2.0))
         if len(cuts) >= MAX_CUTS_PER_ROUND:
             break
     return cuts
 
 
-def separate_rounded_capacity(flows, inst: Instance) -> list[Cut]:
+def separate_rounded_capacity(flows, inst: Instance) -> list[ExtraRow]:
     cuts = []
     for node_set in _candidate_sets(flows, inst):
         pred = [i for i in inst.pickups() if i not in node_set and (i + inst.n) in node_set]
@@ -228,22 +217,22 @@ def separate_rounded_capacity(flows, inst: Instance) -> list[Cut]:
         )
         if _outflow(flows, node_set) >= lo - VIOLATION_TOL:
             continue
-        key = (ROUNDED_CAPACITY, tuple(sorted(node_set)))
-        cuts.append(Cut(ROUNDED_CAPACITY, key, _crossing_arcs(inst, node_set), GE, float(lo)))
+        cuts.append(_cut(ROUNDED_CAPACITY, sorted(node_set), crossing_arcs(inst, node_set),
+                         GE, float(lo)))
         if len(cuts) >= MAX_CUTS_PER_ROUND:
             break
     return cuts
 
 
-def separate_all(flows, inst: Instance, families=("ipec", "2pc", "rc")) -> list[Cut]:
-    cuts: list[Cut] = []
+def separate_all(flows, inst: Instance, families=FAMILIES) -> list[ExtraRow]:
+    cuts: list[ExtraRow] = []
     if "ipec" in families:
         cuts.extend(separate_ipec(flows, inst))
     if "2pc" in families:
         cuts.extend(separate_two_path(flows, inst))
     if "rc" in families:
         cuts.extend(separate_rounded_capacity(flows, inst))
-    unique: dict[tuple, Cut] = {}
+    unique: dict[str, ExtraRow] = {}
     for c in cuts:
-        unique.setdefault(c.key, c)
+        unique.setdefault(c.name, c)
     return list(unique.values())[:MAX_CUTS_PER_ROUND]

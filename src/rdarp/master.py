@@ -10,14 +10,7 @@ from . import oracle
 from .errors import RdarpError
 from .instance import Instance
 from .lp import EQ, GE, LE, OPTIMAL, LinearModel
-from .pricing import (
-    COST,
-    RISK,
-    Column,
-    DualValues,
-    PricingRestrictions,
-    solve_pricing,
-)
+from .pricing import COST, RISK, DualValues, PricingRestrictions, solve_pricing
 
 INF = math.inf
 INTEGRALITY_TOL = 1e-6
@@ -28,25 +21,28 @@ INFEASIBLE_STATUS = "Infeasible"
 TIME_LIMIT_STATUS = "TimeLimit"
 
 
+def fractional(value: float) -> bool:
+    """Whether a λ sum or an arc flow is off an integer by more than
+    ``INTEGRALITY_TOL``."""
+    return abs(value - round(value)) > INTEGRALITY_TOL
+
+
 class ColumnPool:
-    """Deduplicated columns keyed by node sequence; every insert re-validates
+    """Deduplicated routes keyed by node sequence; every insert re-validates
     the route against the oracle."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.columns: list[Column] = []
+        self.columns: list[oracle.Route] = []
         self._index: dict[tuple[int, ...], int] = {}
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def add(self, col: Column) -> bool:
+    def add(self, col: oracle.Route) -> bool:
         if col.sequence in self._index:
             return False
-        oracle.validate_route(
-            self.inst,
-            oracle.Route(col.sequence, col.schedule, col.cost, col.exposure, col.q_terminal),
-        )
+        oracle.validate_route(self.inst, col)
         self._index[col.sequence] = len(self.columns)
         self.columns.append(col)
         return True
@@ -58,6 +54,8 @@ class ExtraRow:
 
     A column's coefficient is ``route_constant`` plus the sum over its arcs of
     ``arc_coefs``; duals fold into pricing through the same decomposition.
+    ``name`` identifies the row: a cut's name is a function of its family and
+    nodes (``cuts``), so equal names mean the same cut.
     """
 
     name: str
@@ -66,7 +64,7 @@ class ExtraRow:
     arc_coefs: tuple[tuple[tuple[int, int], float], ...] = ()
     route_constant: float = 0.0
 
-    def coefficient(self, col: Column) -> float:
+    def coefficient(self, col: oracle.Route) -> float:
         value = self.route_constant
         if self.arc_coefs:
             counts: dict[tuple[int, int], int] = {}
@@ -78,6 +76,12 @@ class ExtraRow:
                     value += coef * c
         return value
 
+    def violation(self, flows: dict[tuple[int, int], float]) -> float:
+        """How far aggregated arc flows break the row, positive when they do.
+        Only the arc terms are measured, as for every cut."""
+        lhs = sum(flows.get(a, 0.0) * c for a, c in self.arc_coefs)
+        return lhs - self.rhs if self.sense == LE else self.rhs - lhs
+
 
 def big_cost(inst: Instance) -> float:
     return max(1000.0, 10.0 * sum(inst.late[i] for i in inst.pickups()))
@@ -86,21 +90,22 @@ def big_cost(inst: Instance) -> float:
 @dataclass
 class MasterSolution:
     objective: float
-    lambdas: dict[int, float]           # pool index -> value
     duals: DualValues
     artificial_total: float
-    peak_variable: float | None
-    columns_used: list[tuple[Column, float]]
+    columns_used: list[tuple[oracle.Route, float]]  # pool order, λ > 1e-12
 
     @property
     def integral(self) -> bool:
-        return all(
-            v <= INTEGRALITY_TOL or abs(v - 1.0) <= INTEGRALITY_TOL
-            for v in self.lambdas.values()
-        )
+        """Whether the tree treats the master as integral: every λ is, or no
+        arc flow is fractional. The second test catches λ that miss
+        ``INTEGRALITY_TOL`` by tolerance dust while every aggregated arc flow
+        meets it; then the columns with λ above 0.5 form the solution."""
+        return (all(v <= INTEGRALITY_TOL or abs(v - 1.0) <= INTEGRALITY_TOL
+                    for _, v in self.columns_used)
+                or not any(fractional(v) for v in self.arc_flows().values()))
 
     def vehicle_count(self) -> float:
-        return sum(self.lambdas.values())
+        return sum(v for _, v in self.columns_used)
 
     def arc_flows(self) -> dict[tuple[int, int], float]:
         flows: dict[tuple[int, int], float] = {}
@@ -112,16 +117,18 @@ class MasterSolution:
         return flows
 
 
-def _add_lambda(model: LinearModel, meta: dict, col: Column, fixed_zero: frozenset[int]) -> int:
-    """Add the variable of the pool's next column (index ``len(meta["lam"])``)."""
+def _add_lambda(model: LinearModel, meta: dict, col: oracle.Route) -> int:
+    """Add the variable of the pool's next column (index ``len(meta["lam"])``),
+    fixed to zero when the node's restrictions bar the route."""
     k = len(meta["lam"])
-    j = model.add_var(f"l{k}", lb=0.0, ub=0.0 if k in fixed_zero else INF,
+    allowed = meta["restrictions"].allows(col.sequence, col.arcs())
+    j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0,
                       obj=col.cost if meta["mode"] == COST else 0.0)
     meta["lam"].append(j)
     return j
 
 
-def _column_coefs(inst: Instance, meta: dict, col: Column):
+def _column_coefs(inst: Instance, meta: dict, col: oracle.Route):
     """Every nonzero ``(row key, coefficient)`` of a column in the master.
 
     Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("risk", i)`` the
@@ -151,7 +158,7 @@ def build_rlmp(
     eps_cost: float = INF,
     eps_dt: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
-    fixed_zero: frozenset[int] = frozenset(),
+    restrictions: PricingRestrictions | None = None,
 ) -> tuple[LinearModel, dict]:
     """Assemble the restricted master LP over the pool.
 
@@ -160,14 +167,18 @@ def build_rlmp(
     per-request rows bound detour rates instead of raw exposures. Column
     coefficients come only from ``_column_coefs``; ``meta["row"]`` maps each
     row key to its row index.
+
+    A branch node's ``restrictions`` act here by fixing to zero the λ of
+    every pool column they bar (``_add_lambda``), and in pricing, which
+    emits no barred column; its branching rows come in ``extra_rows``.
     """
     model = LinearModel(f"rlmp-{mode}")
     big = big_cost(inst)
-    meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big}
+    meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big,
+                  "restrictions": restrictions or PricingRestrictions()}
     for col in pool.columns:
-        _add_lambda(model, meta, col, fixed_zero)
+        _add_lambda(model, meta, col)
     peak = model.add_var("peak", lb=0.0, obj=1.0) if mode == RISK else None
-    meta["peak"] = peak
     meta["art"] = {i: model.add_var(f"art{i}", lb=0.0, obj=big) for i in inst.pickups()}
     meta["xart"] = {r: model.add_var(f"xart{r}", lb=0.0, obj=big)
                     for r, row in enumerate(extra_rows) if row.sense == GE}
@@ -246,12 +257,11 @@ class RestrictedMaster:
     """
 
     def __init__(self, pool: ColumnPool, inst: Instance, mode, eps_risk, eps_cost,
-                 eps_dt, extra_rows, fixed_zero):
+                 eps_dt, extra_rows, restrictions):
         self.pool = pool
         self.inst = inst
-        self.fixed_zero = fixed_zero
         self.model, self.meta = build_rlmp(pool, inst, mode, eps_risk, eps_cost,
-                                           eps_dt, extra_rows, fixed_zero)
+                                           eps_dt, extra_rows, restrictions)
         self.warm = None
 
     def solve(self):
@@ -259,7 +269,7 @@ class RestrictedMaster:
 
         model, meta = self.model, self.meta
         for col in self.pool.columns[len(meta["lam"]):]:
-            j = _add_lambda(model, meta, col, self.fixed_zero)
+            j = _add_lambda(model, meta, col)
             for key, v in _column_coefs(self.inst, meta, col):
                 model.rows[meta["row"][key]].append((j, v))
         sol, self.warm = solve_lp_warm(model, self.warm)
@@ -275,8 +285,7 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
         if route is None:
             bad.append(i)
             continue
-        pool.add(Column(route.sequence, route.schedule, route.cost, route.exposure,
-                        route.q_terminal, 0.0))
+        pool.add(route)
     return bad
 
 
@@ -289,7 +298,6 @@ def column_generation(
     eps_dt: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
     restrictions: PricingRestrictions | None = None,
-    fixed_zero: frozenset[int] = frozenset(),
     use_heuristic_pricing: bool = True,
     deadline: float | None = None,
     engine: str | None = None,
@@ -298,14 +306,14 @@ def column_generation(
 
     Each round prices heuristically first (when enabled) and confirms with an
     exact run when the heuristic adds nothing. The returned objective is a
-    valid lower bound for the node's integer problem over the allowed column
-    set. Infeasibility is reported only after exact pricing is exhausted with
+    valid lower bound for the node's integer problem over the routes
+    ``restrictions`` allows, which bind both the master and pricing.
+    Infeasibility is reported only after exact pricing is exhausted with
     artificials still active."""
     iterations = 0
-    restrictions = restrictions or PricingRestrictions()
     pricing_modes = (True, False) if use_heuristic_pricing else (False,)
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
-                               extra_rows, fixed_zero)
+                               extra_rows, restrictions)
     while True:
         iterations += 1
         sol, meta = rmaster.solve()
@@ -313,16 +321,14 @@ def column_generation(
             raise RdarpError(f"master LP unexpectedly {sol.status}")
         duals = extract_duals(inst, sol, meta)
         art_total = sum(float(sol.x[v]) for v in (*meta["art"].values(), *meta["xart"].values()))
-        lam_vals = {k: float(sol.x[meta["lam"][k]]) for k in range(len(pool.columns))}
+        lam_vals = [float(sol.x[j]) for j in meta["lam"]]
         msol = MasterSolution(
             # artificial activity is certified tiny at optimality; strip its
             # big-M contribution so bounds are not inflated by tolerance dust
             objective=float(sol.objective) - meta["big"] * art_total,
-            lambdas={k: v for k, v in lam_vals.items() if v > 1e-12},
             duals=duals,
             artificial_total=art_total,
-            peak_variable=float(sol.x[meta["peak"]]) if meta["peak"] is not None else None,
-            columns_used=[(pool.columns[k], v) for k, v in lam_vals.items() if v > 1e-12],
+            columns_used=[(col, v) for col, v in zip(pool.columns, lam_vals) if v > 1e-12],
         )
         if deadline is not None and time.perf_counter() > deadline:
             return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
@@ -368,8 +374,8 @@ def pareto_front(
     report (integer-optimal). Each iteration minimizes cost under the current
     risk cap, then re-minimizes peak risk at that cost to certify the point;
     the cap then steps below the certified risk."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     points: list[ParetoPoint] = []
     eps = INF
     while True:

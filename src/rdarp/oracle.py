@@ -23,7 +23,8 @@ BRUTE_FORCE_LIMIT = 5
 
 @dataclass(frozen=True)
 class Route:
-    """A node sequence with a committed schedule and its risk bookkeeping."""
+    """A node sequence with a committed schedule and its risk bookkeeping:
+    one column of the master (``pricing.Column`` adds its reduced cost)."""
 
     sequence: tuple[int, ...]
     schedule: tuple[float, ...]
@@ -41,7 +42,6 @@ class Route:
 
 @dataclass
 class ExposureBreakdown:
-    onboard_risk: list[float]  # after each visited node's service starts
     cumulative: list[float]    # risk-minutes accrued through each visit
     exposure: dict[int, float]
 
@@ -96,7 +96,7 @@ def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakd
         if inst.mode == EDARP:
             total += ei - si  # virtual rider, unit risk, always onboard
         exposure[i] = total
-    return ExposureBreakdown(onboard_risk, cumulative, exposure)
+    return ExposureBreakdown(cumulative, exposure)
 
 
 def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> ExposureBreakdown:

@@ -3,21 +3,20 @@ solved by forward labeling. Each emitted column carries the schedule the
 delay calibration (``rdarp.calibration``) commits for its sequence.
 
 The engine is selected at import: the compiled kernel (``rdarp._labeling_cy``)
-when built, otherwise the pure-Python reference. Override with the environment
-variable ``RDARP_PRICING`` set to ``py`` or ``cy``. The compiled kernel keeps
-rider sets as 64-bit masks, so instances with more than ``MASK_REQUESTS``
-requests are priced by the Python engine.
+when built, otherwise the pure-Python reference (``ENGINE_NAME`` says which).
+A caller picks one per call with ``engine=``. The compiled kernel keeps rider
+sets as 64-bit masks, so instances with more than ``MASK_REQUESTS`` requests
+are priced by the Python engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from . import _labeling_py
 from .errors import RdarpError
 from .instance import EDARP, Instance
-from .oracle import onboard_times
+from .oracle import Route, onboard_times
 
 DEFAULT_COLUMN_LIMIT = 200
 MASK_REQUESTS = 63  # most requests the compiled kernel's 64-bit rider masks hold
@@ -54,33 +53,30 @@ class DualValues:
 
 
 @dataclass(frozen=True)
-class Column:
-    """A priced route: the master's unit of work."""
+class Column(Route):
+    """A route as pricing emits it, with its reduced cost under the duals it
+    was priced with."""
 
-    sequence: tuple[int, ...]
-    schedule: tuple[float, ...]
-    cost: float
-    exposure: dict[int, float]
-    q_terminal: float
     reduced_cost: float
 
-    @property
-    def requests(self) -> tuple[int, ...]:
-        return tuple(sorted(self.exposure))
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return list(zip(self.sequence[:-1], self.sequence[1:]))
-
-
-@dataclass
+@dataclass(frozen=True)
 class PricingRestrictions:
-    """Branch-node restrictions applied inside pricing."""
+    """A branch node's restrictions: the one record of what its subtree
+    forbids.
+
+    Pricing enforces it by never extending along a banned arc and by emitting
+    only sequences ``allows`` accepts; the master enforces it by fixing to
+    zero every pool column ``allows`` rejects (``master.build_rlmp``).
+    """
 
     banned_arcs: frozenset[tuple[int, int]] = frozenset()
-    # (arc set, max crossings): sequences exceeding the cap are not emitted
+    # (arc set, max crossings): a route crossing the set more often is barred
     crossing_caps: tuple[tuple[frozenset[tuple[int, int]], int], ...] = ()
 
     def allows(self, sequence, arcs) -> bool:
+        if not self.banned_arcs.isdisjoint(arcs):
+            return False
         for arc_set, cap in self.crossing_caps:
             if sum(1 for a in arcs if a in arc_set) > cap:
                 return False
@@ -88,18 +84,12 @@ class PricingRestrictions:
 
 
 def _select_engine():
-    choice = os.environ.get("RDARP_PRICING", "auto")
-    if choice not in ("auto", "py", "cy"):
-        raise ValueError(f"RDARP_PRICING must be auto, py, or cy; got {choice!r}")
-    if choice in ("auto", "cy"):
-        try:
-            from . import _labeling_cy as engine
+    try:
+        from . import _labeling_cy as engine
 
-            return engine, "cy"
-        except ImportError:
-            if choice == "cy":
-                raise
-    return _labeling_py, "py"
+        return engine, "cy"
+    except ImportError:
+        return _labeling_py, "py"
 
 
 _ENGINE, ENGINE_NAME = _select_engine()

@@ -269,7 +269,7 @@ def test_c7b_cuts_valid_on_integer_optimum():
         extra_nodes = list(inst.pickups())
         frac[(extra_nodes[0], extra_nodes[-1])] = frac.get((extra_nodes[0], extra_nodes[-1]), 0.0) + 0.5
         for cut in cuts.separate_all(frac, inst):
-            assert cut.violation(opt_flows) <= 1e-6, (seed, cut.kind)
+            assert cut.violation(opt_flows) <= 1e-6, (seed, cut.name)
             checked += 1
     assert checked > 0
     print(f"CRITERION 7b: PASS {checked} separated cuts all satisfied by "
@@ -289,7 +289,7 @@ def test_c7c_root_bound_improves_with_cuts():
         flows = base.solution.arc_flows()
         violated = [c for c in cuts.separate_all(flows, inst)
                     if c.violation(flows) > cuts.VIOLATION_TOL]
-        rows = tuple(c.to_row() for c in violated)
+        rows = tuple(violated)
         after = column_generation(inst, pool, "cost", eps_risk=10.0, extra_rows=rows)
         assert after.status == "Optimal"
         assert after.objective >= base.objective - 1e-6

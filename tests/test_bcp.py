@@ -77,14 +77,13 @@ def test_branching_bounds_monotone():
         if res.status != "Optimal" or res.solution.integral:
             continue
         counter = itertools.count(100)
-        root = bcp.BranchNode(0, 0, res.bound, (), frozenset(), ())
+        root = bcp.BranchNode(0, 0, res.bound)
         children = bcp.branch(inst, root, res.solution, counter)
         assert children is not None
         for child in children:
             child_res = column_generation(
                 inst, pool, "cost", eps_risk=9.0, extra_rows=child.rows,
-                restrictions=__import__("rdarp.pricing", fromlist=["PricingRestrictions"]).PricingRestrictions(
-                    banned_arcs=child.banned_arcs, crossing_caps=child.crossing_caps),
+                restrictions=child.restrictions,
             )
             if child_res.status == "Optimal":
                 assert child_res.bound >= res.bound - 1e-6
@@ -92,21 +91,43 @@ def test_branching_bounds_monotone():
     pytest.skip("no fractional root found in the sampled seeds")
 
 
+def test_restriction_record_fixes_barred_pool_columns():
+    # the record alone binds the master: pool columns it bars get no value,
+    # though they were priced before the restriction existed
+    from rdarp.master import column_generation, seed_pool
+    from rdarp.pricing import PricingRestrictions
+
+    inst = preprocess(random_instance(5, n=4, fleet_size=2))
+    pool = ColumnPool(inst)
+    assert seed_pool(pool, inst) == []
+    root = column_generation(inst, pool, "cost")
+    assert root.status == "Optimal"
+    col, _ = max(root.solution.columns_used, key=lambda item: item[1])
+    banned = col.arcs()[1]  # an arc between two request nodes
+    restrictions = PricingRestrictions(banned_arcs=frozenset({banned}))
+    assert not restrictions.allows(col.sequence, col.arcs())
+    res = column_generation(inst, pool, "cost", restrictions=restrictions)
+    assert res.status == "Optimal"
+    assert all(banned not in used.arcs() for used, _ in res.solution.columns_used)
+    fresh = ColumnPool(inst)
+    seed_pool(fresh, inst)
+    alone = column_generation(inst, fresh, "cost", restrictions=restrictions)
+    assert res.bound == pytest.approx(alone.bound, abs=1e-6)
+    assert res.bound >= root.bound - 1e-6
+
+
 def test_vehicle_branch_rule_floor_ceil():
     import itertools
 
     from rdarp.master import MasterSolution
-    from rdarp.pricing import Column, DualValues
+    from rdarp.pricing import DualValues
 
-    col = Column((0, 1, 3, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {1: 0.0}, 0.0, 0.0)
-    col2 = Column((0, 2, 4, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {2: 0.0}, 0.0, 0.0)
-    msol = MasterSolution(
-        objective=3.0, lambdas={0: 1.25, 1: 1.25}, duals=DualValues(),
-        artificial_total=0.0, peak_variable=None,
-        columns_used=[(col, 1.25), (col2, 1.25)],
-    )
+    col = oracle.Route((0, 1, 3, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {1: 0.0}, 0.0)
+    col2 = oracle.Route((0, 2, 4, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {2: 0.0}, 0.0)
+    msol = MasterSolution(objective=3.0, duals=DualValues(), artificial_total=0.0,
+                          columns_used=[(col, 1.25), (col2, 1.25)])
     inst = preprocess(random_instance(0, n=2, fleet_size=3))
-    node = bcp.BranchNode(0, 0, 0.0, (), frozenset(), ())
+    node = bcp.BranchNode(0, 0, 0.0)
     left, right = bcp.branch(inst, node, msol, itertools.count(1))
     assert left.rows[-1].sense == "<=" and left.rows[-1].rhs == 2.0
     assert right.rows[-1].sense == ">=" and right.rows[-1].rhs == 3.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +189,45 @@ def test_usage_errors():
     assert cli.run(["solve"]) == 1
     assert cli.run(["solve", "/nonexistent/file.json"]) == 1
     assert cli.run([]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--eps-risk", "--eps-cost", "--eps-dt"])
+def test_solve_rejects_a_nan_cap(flag, capsys):
+    # a NaN cap compares false with everything, so it would lift the cap
+    rc = cli.run(["solve", str(FIXTURES / "rw-2.json"), flag, "nan"])
+    assert rc == 1
+    assert "nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "pareto"])
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_rejects_a_time_limit_that_is_nan_or_negative(small_json, command, limit):
+    assert cli.run([command, str(small_json), "--time-limit", limit]) == 1
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_pareto_rejects_a_step_that_is_not_positive(small_json, step):
+    assert cli.run(["pareto", str(small_json), "--step", step]) == 1
+
+
+def test_pareto_rejects_a_nan_step(small_json):
+    # a sweep with a NaN step never ends, so it runs in a child process
+    # whose wait is bounded
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rdarp.cli", "pareto", str(small_json), "--step", "nan"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "pareto"])
+def test_rejects_an_unknown_cut_family(small_json, command, capsys):
+    assert cli.run([command, str(small_json), "--cuts", "ipec,bogus"]) == 1
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_cut_families_may_be_empty(small_json):
+    assert cli.run(["solve", str(small_json), "--cuts", ""]) == 0
 
 
 def test_version(capsys):

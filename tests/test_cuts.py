@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from rdarp import bcp, cuts, oracle
 from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import preprocess
 from rdarp.lp import GE, LE
-from rdarp.master import ColumnPool, build_rlmp, column_generation, extract_duals, seed_pool
+from rdarp.master import ColumnPool, ExtraRow, build_rlmp, column_generation, extract_duals, seed_pool
 from tests.conftest import precedence_orderings
 
 INF = math.inf
@@ -33,7 +34,7 @@ def test_ipec_hand_built_fractional_point(two_rider_chain):
     lhs = sum(flows.get(a, 0.0) * c for a, c in cut.arc_coefs)
     assert lhs > cut.rhs + 1e-4
     # ride-driven start-to-finish paths use the strengthened bound
-    assert cut.kind == cuts.STRENGTHENED_IPEC
+    assert cut.name == f"{cuts.STRENGTHENED_IPEC}(1,2,3)"
     assert cut.rhs == pytest.approx(0.0)
     assert lhs == pytest.approx(1.2)
 
@@ -142,16 +143,16 @@ def test_cut_validity_on_brute_force_optimum():
         frac = {a: 0.5 * v for a, v in opt_flows.items()}
         frac[(1, 2)] = frac.get((1, 2), 0.0) + 0.4
         for cut in cuts.separate_all(frac, inst):
-            assert cut.violation(opt_flows) <= 1e-6, (seed, cut.kind, cut.key)
+            assert cut.violation(opt_flows) <= 1e-6, (seed, cut.name)
 
 
 def _master_with_two_cuts():
     inst = preprocess(random_instance(0, n=2))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    le_cut = cuts.Cut(cuts.IPEC, (cuts.IPEC, (1, 2, 3)), (((1, 2), 1.0), ((2, 3), 1.0)), LE, 1.0)
-    ge_cut = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 4)), (((1, 4), 1.0), ((4, 2), 2.0)), GE, 2.0)
-    model, meta = build_rlmp(pool, inst, "cost", extra_rows=(le_cut.to_row(), ge_cut.to_row()))
+    le_cut = ExtraRow("IPEC(1,2,3)", LE, 1.0, (((1, 2), 1.0), ((2, 3), 1.0)))
+    ge_cut = ExtraRow("TwoPath(1,4)", GE, 2.0, (((1, 4), 1.0), ((4, 2), 2.0)))
+    model, meta = build_rlmp(pool, inst, "cost", extra_rows=(le_cut, ge_cut))
     return inst, model, meta
 
 
@@ -177,14 +178,27 @@ def test_extract_duals_clamps_wrong_sign_cut_duals():
     assert duals.arc_adjust == pytest.approx({(1, 4): 0.25, (4, 2): 0.5})
 
 
-def test_cut_row_name_is_a_function_of_the_key():
-    arcs = (((1, 2), 1.0),)
-    a = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 4)), arcs, GE, 2.0)
-    b = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 4)), (), GE, 3.0)
+def test_separated_cut_names_are_family_and_nodes():
     # a literal name: string hashing, randomized per process, plays no part
-    assert a.to_row().name == b.to_row().name == "TwoPath(1,2,4)"
-    other = cuts.Cut(cuts.TWO_PATH, (cuts.TWO_PATH, (1, 2, 5)), arcs, GE, 2.0)
-    assert other.to_row().name != a.to_row().name
+    name = re.compile(r"(IPEC|StrengthenedIPEC|TwoPath|RoundedCapacity)\((\d+(?:,\d+)*)\)")
+    seen = set()
+    for seed, flow in itertools.product((1, 5, 9), (0.5, 0.1)):
+        inst = preprocess(random_instance(seed, n=3, fleet_size=2))
+        flows = {(i, j): flow for i in range(1, 2 * inst.n + 1)
+                 for j in range(1, 2 * inst.n + 1) if i != j}
+        found = cuts.separate_all(flows, inst)
+        assert len({c.name for c in found}) == len(found)
+        for cut in found:
+            match = name.fullmatch(cut.name)
+            assert match, cut.name
+            kind, nodes = match[1], tuple(int(v) for v in match[2].split(","))
+            seen.add(kind)
+            if kind in (cuts.IPEC, cuts.STRENGTHENED_IPEC):
+                assert [a for a, _ in cut.arc_coefs] == list(zip(nodes[:-1], nodes[1:]))
+            else:
+                assert nodes == tuple(sorted(nodes))
+                assert cut.arc_coefs == cuts.crossing_arcs(inst, set(nodes))
+    assert seen == {cuts.IPEC, cuts.STRENGTHENED_IPEC, cuts.ROUNDED_CAPACITY}
 
 
 def test_root_bound_never_decreases_with_cuts():
@@ -198,7 +212,7 @@ def test_root_bound_never_decreases_with_cuts():
         flows = base.solution.arc_flows()
         violated = [c for c in cuts.separate_all(flows, inst)
                     if c.violation(flows) > cuts.VIOLATION_TOL]
-        rows = tuple(c.to_row() for c in violated)
+        rows = tuple(violated)
         after = column_generation(inst, pool, "cost", eps_risk=10.0, extra_rows=rows)
         assert after.status == "Optimal"
         assert after.objective >= base.objective - 1e-6

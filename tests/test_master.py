@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from rdarp.master import (
     pareto_front,
     seed_pool,
 )
-from rdarp.pricing import Column, DualValues, solve_pricing
+from rdarp.pricing import DualValues, PricingRestrictions, solve_pricing
 
 INF = math.inf
 
@@ -31,8 +32,7 @@ def value(sol, name):
 def make_column(inst, seq):
     route, reason = oracle.replay_route(inst, seq)
     assert route is not None, reason
-    return Column(route.sequence, route.schedule, route.cost, route.exposure,
-                  route.q_terminal, 0.0)
+    return route
 
 
 def test_pool_rejects_duplicates_and_validates(two_rider_chain):
@@ -40,8 +40,7 @@ def test_pool_rejects_duplicates_and_validates(two_rider_chain):
     col = make_column(two_rider_chain, (0, 1, 2, 3, 4, 5))
     assert pool.add(col)
     assert not pool.add(col)
-    broken = Column(col.sequence, tuple(t + 500 for t in col.schedule), col.cost,
-                    col.exposure, col.q_terminal, 0.0)
+    broken = replace(col, schedule=tuple(t + 500 for t in col.schedule))
     with pytest.raises(RouteInfeasible):
         ColumnPool(two_rider_chain).add(broken)
 
@@ -82,7 +81,7 @@ def test_cg_single_request_converges_in_one_round():
     res = column_generation(inst, pool, "cost")
     assert res.status == OPTIMAL_STATUS
     assert res.iterations <= 2
-    assert len(res.solution.lambdas) == 1
+    assert len(res.solution.columns_used) == 1
 
 
 def test_cg_matches_brute_force_when_integral():
@@ -168,8 +167,10 @@ def test_appended_columns_match_a_fresh_build(mode, caps):
         ExtraRow("veh<= 2", "<=", 2.0, route_constant=1.0),
         ExtraRow("out>=1", ">=", 1.0, arc_coefs=(((1, 2), 1.0), ((2, 5), 2.0), ((3, 6), 1.0))),
     )
+    # bars the second seed column, (0, 2, 2 + n, end)
+    barred = PricingRestrictions(banned_arcs=frozenset({(2, 2 + inst.n)}))
     args = (inst, mode, caps.get("eps_risk", INF), caps.get("eps_cost", INF), INF,
-            extra, frozenset({1}))
+            extra, barred)
     rmaster = RestrictedMaster(pool, *args)
     rmaster.solve()
     seeded = len(pool)
@@ -188,6 +189,9 @@ def test_appended_columns_match_a_fresh_build(mode, caps):
     assert coefs == _row_coefficients(fresh)
     assert {model.var_names[j]: (model.lb[j], model.ub[j], model.obj[j]) for j in range(model.n_vars)} \
         == {fresh.var_names[j]: (fresh.lb[j], fresh.ub[j], fresh.obj[j]) for j in range(fresh.n_vars)}
+    fixed = {f"l{k}" for k, col in enumerate(pool.columns) if (2, 2 + inst.n) in col.arcs()}
+    assert "l1" in fixed and fixed & appended
+    assert {model.var_names[j] for j in range(model.n_vars) if model.ub[j] == 0.0} == fixed
 
 
 def test_detour_coefficient_uses_floor(two_rider_chain):
@@ -260,6 +264,19 @@ def test_pareto_step_larger_than_range():
 
     points = pareto_front(solve_fn, step=50.0)
     assert 1 <= len(points) <= 2
+
+
+@pytest.mark.parametrize("step", [math.nan, 0.0, -0.5])
+def test_pareto_rejects_a_step_that_is_not_positive(step):
+    calls = []
+
+    def solve_fn(mode, eps_risk, eps_cost, time_limit):
+        calls.append(mode)
+        return bcp.SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, 0, 0)
+
+    with pytest.raises(ValueError):
+        pareto_front(solve_fn, step=step)
+    assert calls == []
 
 
 def test_monotone_cost_in_cap():
