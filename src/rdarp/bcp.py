@@ -148,8 +148,15 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     once to ``column_generation``, where the master fixes every pool column
     it bars to zero and pricing emits none. Cuts are separated at the root
     until none are violated, then frozen.
+
+    Raises ``ValueError`` on a negative cap, before any LP is built: its
+    master rows carry no artificial, so the master LP itself would be
+    infeasible.
     """
     opts = options or SolveOptions()
+    for name in ("eps_risk", "eps_cost", "eps_dt"):
+        if getattr(opts, name) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {getattr(opts, name)}")
     cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
     t_start = time.perf_counter()
     deadline = None if opts.time_limit is None else t_start + opts.time_limit

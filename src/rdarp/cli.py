@@ -59,6 +59,8 @@ def _parse_eps(value: str) -> float:
     eps = float(value)
     if math.isnan(eps):
         raise argparse.ArgumentTypeError("a cap must be a number or inf, not nan")
+    if eps < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be nonnegative, got {value}")
     return eps
 
 
@@ -196,8 +198,30 @@ def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None
     )
 
 
+def _ignored_caps(args, inst: Instance) -> list[str]:
+    """Messages for the finite caps this solve would not enforce: a cost cap
+    binds only the risk objective, an exposure cap only the cost objective on
+    an instance that is not EDARP, a detour-rate cap only the cost objective
+    on an EDARP one (``Instance.measure_cap``)."""
+    edarp = inst.mode == EDARP
+    caps = [
+        (args.eps_cost, args.mode == "risk", "--eps-cost caps cost only with --mode risk"),
+        (args.eps_risk, args.mode == "cost" and not edarp,
+         "--eps-risk caps exposure only with --mode cost on an instance that is not EDARP"),
+        (args.eps_dt, args.mode == "cost" and edarp,
+         "--eps-dt caps detour rates only with --mode cost on an EDARP instance (--edarp)"),
+    ]
+    return [message for value, applies, message in caps if value < INF and not applies]
+
+
 def cmd_solve(args) -> int:
-    inst = preprocess(_prepare(args))
+    inst = _prepare(args)
+    ignored = _ignored_caps(args, inst)
+    for message in ignored:
+        print(f"error: {message}", file=sys.stderr)
+    if ignored:
+        return EXIT_USAGE
+    inst = preprocess(inst)
     rep = bcp.solve(inst, args.mode, _solve_options(
         args, args.eps_risk, args.eps_cost, args.eps_dt, args.time_limit))
     if args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost":

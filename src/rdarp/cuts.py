@@ -192,12 +192,17 @@ def crossing_arcs(inst: Instance, node_set) -> tuple[tuple[tuple[int, int], floa
 
 
 def separate_two_path(flows, inst: Instance) -> list[ExtraRow]:
+    """Two-path cuts on candidate node sets whose requests no single vehicle
+    can serve. Node sets over the same requests share one feasibility check."""
     cuts = []
+    servable: dict[frozenset[int], bool] = {}
     for node_set in _candidate_sets(flows, inst):
         if _outflow(flows, node_set) >= 2.0 - VIOLATION_TOL:
             continue
         requests = frozenset(inst.request_of(v) for v in node_set)
-        if _single_vehicle_feasible(inst, requests):
+        if requests not in servable:
+            servable[requests] = _single_vehicle_feasible(inst, requests)
+        if servable[requests]:
             continue
         cuts.append(_cut(TWO_PATH, sorted(node_set), crossing_arcs(inst, node_set), GE, 2.0))
         if len(cuts) >= MAX_CUTS_PER_ROUND:

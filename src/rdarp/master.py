@@ -6,6 +6,7 @@ import math
 import time
 from dataclasses import dataclass
 
+from . import calibration as cal
 from . import oracle
 from .errors import RdarpError
 from .instance import Instance
@@ -276,8 +277,76 @@ class RestrictedMaster:
         return sol, meta
 
 
+def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
+    """Sequences of one cheapest-insertion solution (Solomon 1987).
+
+    Requests are taken by pick-up earliest start, ties by index. Each goes to
+    the placement (route, pick-up position, drop-off position) that raises
+    travel cost least, over the routes open so far plus a new one while fewer
+    than ``inst.fleet_size`` are open; ties keep the first placement found. A
+    placement counts only when ``calibration.extend`` accepts its whole
+    sequence. Feasibility is tested only for a placement cheaper than the best
+    so far, by extending the route's cached prefix states; once a prefix is
+    rejected, no placement sharing it is tested. A request that fits nowhere
+    is left out and the routes built so far are kept.
+    """
+    n, end, t = inst.n, inst.end_depot, inst.t
+    start = cal.initial_state(inst)
+    routes: list[list[cal.PathState]] = []  # states after each prefix, end depot included
+    for i in sorted(inst.pickups(), key=lambda i: (inst.early[i], i)):
+        p, d = i, i + n
+        best, best_cost = None, INF
+        for r in range(min(len(routes) + 1, inst.fleet_size)):
+            states, seq = (routes[r], routes[r][-1].nodes) if r < len(routes) else ([start], (0, end))
+            for a in range(1, len(seq)):
+                u, v = seq[a - 1], seq[a]
+                add_p = t(u, p) + t(p, v) - t(u, v)
+                walk = (p, *seq[a:-1])
+                chain = [states[a - 1]]  # states of seq[:a] + walk[:k], extended on demand
+                for b in range(a, len(seq)):
+                    if b == a:
+                        cost = t(u, p) + t(p, d) + t(d, v) - t(u, v)
+                    else:
+                        w, x = seq[b - 1], seq[b]
+                        cost = add_p + t(w, d) + t(d, x) - t(w, x)
+                    if not cost < best_cost:
+                        continue
+                    while len(chain) < b - a + 2:
+                        ext, _ = cal.extend(inst, chain[-1], walk[len(chain) - 1])
+                        if ext is None:
+                            break
+                        chain.append(ext.state)
+                    if len(chain) < b - a + 2:
+                        break  # every later drop-off position shares the rejected prefix
+                    tail = [chain[-1]]
+                    for node in (d, *seq[b:]):
+                        ext, _ = cal.extend(inst, tail[-1], node)
+                        if ext is None:
+                            break
+                        tail.append(ext.state)
+                    else:
+                        best_cost = cost
+                        best = (r, states[:a] + chain[1:] + tail[1:])
+        if best is None:
+            continue
+        r, states = best
+        if r < len(routes):
+            routes[r] = states
+        else:
+            routes.append(states)
+    return [states[-1].nodes for states in routes]
+
+
 def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
-    """Single-request round trips; returns requests with no feasible trip."""
+    """Seed an empty pool; returns the requests with no feasible round trip.
+
+    First each request's single-request round trip. When all of them are
+    feasible, the routes of one cheapest-insertion solution follow
+    (``_insertion_routes``): they serve requests together on at most
+    ``inst.fleet_size`` vehicles, so the first master LPs need less of the
+    big-M artificials. Every route is replayed by ``oracle.replay_route`` and
+    validated by ``ColumnPool.add``.
+    """
     bad = []
     for i in inst.pickups():
         seq = (0, i, i + inst.n, inst.end_depot)
@@ -286,6 +355,10 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
             bad.append(i)
             continue
         pool.add(route)
+    if not bad:
+        for seq in _insertion_routes(inst):
+            route, _ = oracle.replay_route(inst, seq)
+            pool.add(route)
     return bad
 
 
@@ -309,7 +382,13 @@ def column_generation(
     valid lower bound for the node's integer problem over the routes
     ``restrictions`` allows, which bind both the master and pricing.
     Infeasibility is reported only after exact pricing is exhausted with
-    artificials still active."""
+    artificials still active.
+
+    The pool must hold the columns to start from. ``seed_pool`` fills it with
+    round trips and one cheapest-insertion solution; when that solution
+    covers every request on the fleet, the first master is feasible without
+    artificials, which shortens the opening rounds whose duals carry the
+    big-M penalty."""
     iterations = 0
     pricing_modes = (True, False) if use_heuristic_pricing else (False,)
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,

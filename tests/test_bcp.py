@@ -133,6 +133,21 @@ def test_vehicle_branch_rule_floor_ceil():
     assert right.rows[-1].sense == ">=" and right.rows[-1].rhs == 3.0
 
 
+@pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])
+def test_negative_cap_raises_before_any_lp(cap, monkeypatch):
+    from rdarp import master
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a master LP was built")
+
+    monkeypatch.setattr(master, "build_rlmp", no_lp)
+    inst = preprocess(random_instance(0, n=2, fleet_size=1))
+    pool = ColumnPool(inst)
+    with pytest.raises(ValueError, match=cap):
+        bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: -1.0}), pool=pool)
+    assert len(pool) == 0
+
+
 def test_infeasible_instance_reports_root():
     from dataclasses import replace
 

@@ -199,6 +199,38 @@ def test_solve_rejects_a_nan_cap(flag, capsys):
     assert "nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eps-risk", "--eps-cost", "--eps-dt"])
+def test_solve_rejects_a_negative_cap(flag, capsys):
+    # under a negative cap the master LP itself is infeasible, which says
+    # nothing about the instance
+    rc = cli.run(["solve", str(FIXTURES / "rw-2.json"), flag, "-1"])
+    assert rc == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--eps-cost", "1"],                   # a cost cap binds only the risk objective
+    ["--eps-dt", "0.01"],                  # a detour-rate cap binds only EDARP instances
+    ["--edarp", "--eps-risk", "1"],        # an EDARP instance caps detour rates
+    ["--mode", "risk", "--eps-risk", "1"],  # the risk objective takes no exposure cap
+])
+def test_solve_rejects_a_cap_that_does_not_apply(args, capsys):
+    # the solve would not enforce these caps and would report the uncapped optimum
+    rc = cli.run(["solve", str(FIXTURES / "rw-2.json"), *args])
+    assert rc == 1
+    assert args[-2] in capsys.readouterr().err
+
+
+def test_solve_accepts_caps_that_apply(tmp_path):
+    path = str(FIXTURES / "rw-2.json")
+    assert cli.run(["solve", path, "--mode", "risk", "--eps-cost", "70", "--out",
+                    str(tmp_path / "a.json")]) == 0
+    assert cli.run(["solve", path, "--eps-risk", "inf", "--eps-dt", "inf", "--out",
+                    str(tmp_path / "b.json")]) == 0
+    assert cli.run(["solve", path, "--edarp", "--eps-dt", "0.01", "--out",
+                    str(tmp_path / "c.json")]) == 2
+
+
 @pytest.mark.parametrize("command", ["solve", "pareto"])
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 def test_rejects_a_time_limit_that_is_nan_or_negative(small_json, command, limit):

@@ -105,6 +105,51 @@ def test_single_vehicle_feasible_matches_enumeration():
     assert infeasible >= 10
 
 
+def _all_pair_flows(inst, flow):
+    return {(i, j): flow for i in range(1, 2 * inst.n + 1)
+            for j in range(1, 2 * inst.n + 1) if i != j}
+
+
+TWO_PATH_FIXTURES = [(seed, 3, flow) for seed in (1, 5, 9) for flow in (0.5, 0.1)]
+TWO_PATH_FIXTURES += [(0, 4, 0.1), (1, 5, 0.1), (5, 5, 0.1)]
+
+
+@pytest.mark.parametrize("seed,n,flow", TWO_PATH_FIXTURES)
+def test_two_path_checks_each_request_set_once(seed, n, flow, monkeypatch):
+    inst = preprocess(random_instance(seed, n=n, fleet_size=2))
+    flows = _all_pair_flows(inst, flow)
+    # each candidate set checked on its own, as a reference
+    expected = []
+    for node_set in cuts._candidate_sets(flows, inst):
+        requests = frozenset(inst.request_of(v) for v in node_set)
+        if (cuts._outflow(flows, node_set) < 2.0 - cuts.VIOLATION_TOL
+                and not cuts._single_vehicle_feasible(inst, requests)):
+            expected.append(f"{cuts.TWO_PATH}({','.join(map(str, sorted(node_set)))})")
+    searches = []
+    search = oracle.feasible_routes
+
+    def counted(inst, group):
+        searches.append(tuple(group))
+        return search(inst, group)
+
+    monkeypatch.setattr(oracle, "feasible_routes", counted)
+    found = cuts.separate_two_path(flows, inst)
+    assert [c.name for c in found] == expected[:cuts.MAX_CUTS_PER_ROUND]
+    assert len(searches) == len(set(searches))
+    assert [c for c in cuts.separate_all(flows, inst) if c.name.startswith(cuts.TWO_PATH)] == found
+
+
+def test_two_path_rows_unchanged_on_a_fixture_with_cuts():
+    inst = preprocess(random_instance(5, n=5, fleet_size=2))
+    found = cuts.separate_two_path(_all_pair_flows(inst, 0.1), inst)
+    assert [c.name for c in found] == [
+        "TwoPath(2,3)", "TwoPath(2,8)", "TwoPath(3,7)", "TwoPath(4,5)",
+        "TwoPath(4,10)", "TwoPath(5,9)", "TwoPath(7,8)", "TwoPath(9,10)"]
+    for cut in found:
+        nodes = {int(v) for v in cut.name[len(cuts.TWO_PATH) + 1:-1].split(",")}
+        assert (cut.sense, cut.rhs, cut.arc_coefs) == (GE, 2.0, cuts.crossing_arcs(inst, nodes))
+
+
 def test_rounded_capacity_rhs_formula():
     from dataclasses import replace
 

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from rdarp import bcp, oracle
 from rdarp.errors import RouteInfeasible
-from rdarp.fixtures import random_instance
-from rdarp.instance import preprocess
+from rdarp.fixtures import benchmark_like_instance, random_instance
+from rdarp.instance import edarp_transform, preprocess
 from rdarp.lp import solve_lp
 from rdarp.master import (
     ColumnPool,
@@ -14,6 +18,7 @@ from rdarp.master import (
     OPTIMAL_STATUS,
     INFEASIBLE_STATUS,
     RestrictedMaster,
+    _insertion_routes,
     big_cost,
     build_rlmp,
     column_generation,
@@ -120,6 +125,80 @@ def test_cg_detects_infeasibility_with_tight_cap():
     pool2 = ColumnPool(inst)
     seed_pool(pool2, inst)
     assert column_generation(inst, pool2, "cost", eps_risk=1.5).status == OPTIMAL_STATUS
+
+
+def _battery_instances():
+    """The instances of the benchmark's battery, cost and equity mode."""
+    for seed in range(50):
+        base = preprocess(random_instance(seed, n=2 + seed % 3, fleet_size=1 + seed % 2))
+        yield base
+        yield preprocess(edarp_transform(base))
+
+
+def _check_insertion_routes(inst):
+    """The insertion routes are valid calibrated routes that serve each
+    request at most once on at most ``fleet_size`` vehicles; returns the
+    requests they serve."""
+    seqs = _insertion_routes(inst)
+    assert len(seqs) <= inst.fleet_size
+    served = [v for seq in seqs for v in seq if inst.is_pickup(v)]
+    assert len(served) == len(set(served))
+    for seq in seqs:
+        route, reason = oracle.replay_route(inst, seq)
+        assert route is not None, reason
+        oracle.validate_route(inst, route)
+    return sorted(served)
+
+
+def test_insertion_routes_cover_every_request_on_root_n14():
+    inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    assert _check_insertion_routes(inst) == list(inst.pickups())
+    pool = ColumnPool(inst)
+    assert seed_pool(pool, inst) == []
+    # the round trips, then every insertion route (each serves several requests)
+    assert [col.sequence for col in pool.columns[inst.n:]] == _insertion_routes(inst)
+
+
+def test_insertion_routes_are_valid_on_battery_instances():
+    covered = 0
+    for inst in _battery_instances():
+        covered += _check_insertion_routes(inst) == list(inst.pickups())
+    assert covered > 0
+
+
+def test_insertion_routes_do_not_depend_on_the_hash_seed():
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    root = str(Path(__file__).resolve().parent.parent)
+    script = (
+        "from tests.test_master import _battery_instances\n"
+        "from rdarp.fixtures import benchmark_like_instance\n"
+        "from rdarp.instance import preprocess\n"
+        "from rdarp.master import _insertion_routes\n"
+        "print(_insertion_routes(preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))\n"
+        "for inst in _battery_instances():\n"
+        "    print(_insertion_routes(inst))\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "123"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=root, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0] == repr(_insertion_routes(
+        preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))
+
+
+def test_seed_pool_adds_no_insertion_route_when_a_round_trip_is_infeasible():
+    inst = random_instance(0, n=3, fleet_size=1)
+    # request 3 must be picked up at time 0, which no trip from the depot meets
+    blocked = replace(inst, late=tuple(0.0 if k == 3 else v for k, v in enumerate(inst.late)))
+    assert any(len(seq) > 4 for seq in _insertion_routes(blocked))
+    pool = ColumnPool(blocked)
+    assert seed_pool(pool, blocked) == [3]
+    assert [col.sequence for col in pool.columns] == [(0, 1, 4, 7), (0, 2, 5, 7)]
 
 
 def test_extra_row_coefficients(two_rider_chain):
