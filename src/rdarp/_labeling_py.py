@@ -1,4 +1,4 @@
-"""Pure-Python labeling engine: the semantic reference for pricing.
+"""Forward labeling for the pricing subproblem (``pricing.solve_pricing``).
 
 Forward labeling from the origin depot, cheapest reduced cost first. A popped
 label is extended only to the nodes its state admits by precedence

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from . import cuts as cuts_mod
 from . import oracle
-from .instance import Instance
+from .instance import EDARP, Instance
 from .lp import GE, LE
 from .master import (
     ARTIFICIAL_TOL,
@@ -27,7 +27,7 @@ from .master import (
     fractional,
     seed_pool,
 )
-from .pricing import COST, PricingRestrictions
+from .pricing import COST, RISK, PricingRestrictions
 
 INF = math.inf
 PRUNE_TOL = 1e-6
@@ -70,7 +70,20 @@ class SolveOptions:
     time_limit: float | None = None
     cut_families: tuple[str, ...] = cuts_mod.FAMILIES
     use_heuristic_pricing: bool = True
-    engine: str | None = None
+
+
+CAPS = ("eps_risk", "eps_cost", "eps_dt")
+
+
+def enforced_cap(inst: Instance, mode: str) -> str:
+    """The one cap of ``CAPS`` a solve in ``mode`` enforces: the cost cap
+    ``eps_cost`` on the risk objective; on the cost objective the cap on
+    ``inst.exposure_measure`` (``Instance.measure_cap``), which is the
+    detour-rate cap ``eps_dt`` on an EDARP instance and the exposure cap
+    ``eps_risk`` otherwise."""
+    if mode == RISK:
+        return "eps_cost"
+    return "eps_dt" if inst.mode == EDARP else "eps_risk"
 
 
 def _pair_candidates(inst: Instance, msol: MasterSolution):
@@ -149,14 +162,20 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     it bars to zero and pricing emits none. Cuts are separated at the root
     until none are violated, then frozen.
 
-    Raises ``ValueError`` on a negative cap, before any LP is built: its
+    Raises ``ValueError``, before any LP is built, on a negative cap (its
     master rows carry no artificial, so the master LP itself would be
-    infeasible.
+    infeasible) and on a finite cap other than ``enforced_cap``, which the
+    solve would ignore.
     """
     opts = options or SolveOptions()
-    for name in ("eps_risk", "eps_cost", "eps_dt"):
-        if getattr(opts, name) < 0:
-            raise ValueError(f"{name} must be nonnegative, got {getattr(opts, name)}")
+    enforced = enforced_cap(inst, mode)
+    for name in CAPS:
+        value = getattr(opts, name)
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if value < INF and name != enforced:
+            raise ValueError(f"a {mode} solve on this {inst.mode} instance enforces only "
+                             f"{enforced}, not {name}={value}")
     cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
     t_start = time.perf_counter()
     deadline = None if opts.time_limit is None else t_start + opts.time_limit
@@ -180,7 +199,6 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
             restrictions=node.restrictions,
             use_heuristic_pricing=opts.use_heuristic_pricing,
             deadline=deadline,
-            engine=opts.engine,
         )
 
     root = BranchNode(0, next(counter), -INF)

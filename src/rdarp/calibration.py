@@ -17,8 +17,8 @@ exceed the sequence's minimum peak detour rate (``oracle.mmr_schedule``), so
 EDARP detour-rate caps and the EDARP risk objective are certified only over
 calibrated schedules.
 
-The pure-Python pricing engine and the oracle's fixed-sequence replay share
-these semantics; the compiled engine mirrors them and is tested for equality.
+Pricing (``_labeling_py``) and the oracle's fixed-sequence replay share these
+semantics.
 
 ``extend`` is the labeling algorithm's unit of work, so its common case has a
 path of its own. Most accepted steps choose no delay; on this zero-delay path

@@ -29,6 +29,7 @@ from .instance import (
     parse_realworld,
     preprocess,
 )
+from .pricing import COST
 
 INF = math.inf
 
@@ -154,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-heuristic-pricing", action="store_true")
     sp.add_argument("--certify-risk", action="store_true",
                     help="re-minimize peak risk at the optimal cost")
-    sp.add_argument("--engine", choices=["py", "cy"], default=None)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pareto", help="exact bi-objective front")
@@ -164,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="per-point time limit in seconds")
     sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES)
     sp.add_argument("--no-heuristic-pricing", action="store_true")
-    sp.add_argument("--engine", choices=["py", "cy"], default=None)
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.add_argument("--json", dest="json_out", default=None)
 
@@ -194,40 +193,37 @@ def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None
         eps_risk=eps_risk, eps_cost=eps_cost, eps_dt=eps_dt,
         time_limit=time_limit, cut_families=args.cuts,
         use_heuristic_pricing=not args.no_heuristic_pricing,
-        engine=args.engine,
     )
 
 
-def _ignored_caps(args, inst: Instance) -> list[str]:
-    """Messages for the finite caps this solve would not enforce: a cost cap
-    binds only the risk objective, an exposure cap only the cost objective on
-    an instance that is not EDARP, a detour-rate cap only the cost objective
-    on an EDARP one (``Instance.measure_cap``)."""
-    edarp = inst.mode == EDARP
-    caps = [
-        (args.eps_cost, args.mode == "risk", "--eps-cost caps cost only with --mode risk"),
-        (args.eps_risk, args.mode == "cost" and not edarp,
-         "--eps-risk caps exposure only with --mode cost on an instance that is not EDARP"),
-        (args.eps_dt, args.mode == "cost" and edarp,
-         "--eps-dt caps detour rates only with --mode cost on an EDARP instance (--edarp)"),
-    ]
-    return [message for value, applies, message in caps if value < INF and not applies]
+_CAP_USE = {
+    "eps_cost": "--eps-cost caps cost only with --mode risk",
+    "eps_risk": "--eps-risk caps exposure only with --mode cost on an instance that is not EDARP",
+    "eps_dt": "--eps-dt caps detour rates only with --mode cost on an EDARP instance (--edarp)",
+}
+
+
+def _reject_ignored_caps(args, inst: Instance, mode: str) -> bool:
+    """Report each finite cap flag a ``mode`` solve on ``inst`` would not
+    enforce (``bcp.enforced_cap``); returns whether there was one."""
+    enforced = bcp.enforced_cap(inst, mode)
+    ignored = [message for name, message in _CAP_USE.items()
+               if getattr(args, name, INF) < INF and name != enforced]
+    for message in ignored:
+        print(f"error: {message}", file=sys.stderr)
+    return bool(ignored)
 
 
 def cmd_solve(args) -> int:
     inst = _prepare(args)
-    ignored = _ignored_caps(args, inst)
-    for message in ignored:
-        print(f"error: {message}", file=sys.stderr)
-    if ignored:
+    if _reject_ignored_caps(args, inst, args.mode):
         return EXIT_USAGE
     inst = preprocess(inst)
     rep = bcp.solve(inst, args.mode, _solve_options(
         args, args.eps_risk, args.eps_cost, args.eps_dt, args.time_limit))
     if args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost":
         certified = bcp.solve(inst, "risk", _solve_options(
-            args, eps_cost=rep.objective + 1e-6, eps_dt=args.eps_dt,
-            time_limit=args.time_limit))
+            args, eps_cost=rep.objective + 1e-6, time_limit=args.time_limit))
         if certified.status == master.OPTIMAL_STATUS:
             rep = bcp.SolveReport(
                 rep.status, rep.objective, rep.bound, rep.gap, certified.routes,
@@ -255,9 +251,12 @@ def pareto_csv(points: list[master.ParetoPoint]) -> str:
 
 def cmd_pareto(args) -> int:
     inst = preprocess(_prepare(args))
+    # the sweep steps the cap on the exposure measure: detour rates on EDARP
+    swept = bcp.enforced_cap(inst, COST)
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, _solve_options(args, eps_risk, eps_cost, INF, time_limit))
+    def solve_fn(mode, eps, eps_cost, time_limit):
+        return bcp.solve(inst, mode, _solve_options(
+            args, eps_cost=eps_cost, time_limit=time_limit, **{swept: eps}))
 
     points = master.pareto_front(solve_fn, step=args.step,
                                  time_limit_per_point=args.time_limit)
@@ -285,6 +284,8 @@ def cmd_pareto(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = preprocess(_prepare(args))
+    if _reject_ignored_caps(args, inst, COST):
+        return EXIT_USAGE
     doc = json.loads(Path(args.solution).read_text())
     cap = inst.measure_cap(args.eps_risk, args.eps_dt)
     try:

@@ -373,7 +373,6 @@ def column_generation(
     restrictions: PricingRestrictions | None = None,
     use_heuristic_pricing: bool = True,
     deadline: float | None = None,
-    engine: str | None = None,
 ) -> CGResult:
     """Alternate master LP solves and pricing until no negative column exists.
 
@@ -415,7 +414,7 @@ def column_generation(
         added = 0
         for heuristic in pricing_modes:
             cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                                 restrictions=restrictions, engine=engine)
+                                 restrictions=restrictions)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break

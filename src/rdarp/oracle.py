@@ -99,7 +99,7 @@ def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakd
     return ExposureBreakdown(cumulative, exposure)
 
 
-def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> ExposureBreakdown:
+def validate_route(inst: Instance, route: Route) -> ExposureBreakdown:
     """Check every route invariant; raises RouteInfeasible listing each
     violated inequality with its two sides."""
     seq, sched = route.sequence, route.schedule
@@ -125,31 +125,31 @@ def validate_route(inst: Instance, route: Route, tol: float = SCHED_TOL) -> Expo
     load = 0.0
     for p, node in enumerate(seq):
         t = sched[p]
-        if t < inst.early[node] - tol or t > inst.late[node] + tol:
+        if t < inst.early[node] - SCHED_TOL or t > inst.late[node] + SCHED_TOL:
             violations.append((node, "time window", t, inst.early[node] if t < inst.early[node] else inst.late[node]))
         if p > 0:
             prev = seq[p - 1]
             lower = sched[p - 1] + inst.service[prev] + inst.t(prev, node)
-            if t < lower - tol:
+            if t < lower - SCHED_TOL:
                 violations.append((node, "start before arrival", t, lower))
         load += inst.load[node]
-        if load < -tol or load > inst.capacity + tol:
+        if load < -SCHED_TOL or load > inst.capacity + SCHED_TOL:
             violations.append((node, "capacity", load, inst.capacity))
     for i in inst.pickups():
         if i not in seen:
             continue
         ride = sched[seen[i + inst.n]] - (sched[seen[i]] + inst.service[i])
-        if ride > inst.max_ride[i - 1] + tol:
+        if ride > inst.max_ride[i - 1] + SCHED_TOL:
             violations.append((i, "max ride time", ride, inst.max_ride[i - 1]))
-        if ride < inst.direct_time(i) - tol:
+        if ride < inst.direct_time(i) - SCHED_TOL:
             violations.append((i, "ride below direct time", ride, inst.direct_time(i)))
     breakdown = exposure_from_schedule(inst, seq, sched)
-    if breakdown.cumulative[-1] > inst.q_max + tol:
+    if breakdown.cumulative[-1] > inst.q_max + SCHED_TOL:
         violations.append((seq[-1], "cumulative risk cap", breakdown.cumulative[-1], inst.q_max))
     if inst.mode == EDARP:
         onboard = onboard_times(inst, seq, sched)
         for i, h in breakdown.exposure.items():
-            if abs(h - onboard[i]) > tol:
+            if abs(h - onboard[i]) > SCHED_TOL:
                 violations.append((i, "equity exposure must equal onboard time", h, onboard[i]))
     if violations:
         raise RouteInfeasible(violations)

@@ -2,11 +2,9 @@
 solved by forward labeling. Each emitted column carries the schedule the
 delay calibration (``rdarp.calibration``) commits for its sequence.
 
-The engine is selected at import: the compiled kernel (``rdarp._labeling_cy``)
-when built, otherwise the pure-Python reference (``ENGINE_NAME`` says which).
-A caller picks one per call with ``engine=``. The compiled kernel keeps rider
-sets as 64-bit masks, so instances with more than ``MASK_REQUESTS`` requests
-are priced by the Python engine.
+The labeling itself runs in ``rdarp._labeling_py``; this module maps master
+duals and branch restrictions to its terms and sets EDARP exposure on what it
+emits.
 """
 
 from __future__ import annotations
@@ -14,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import _labeling_py
-from .errors import RdarpError
 from .instance import EDARP, Instance
 from .oracle import Route, onboard_times
 
 DEFAULT_COLUMN_LIMIT = 200
-MASK_REQUESTS = 63  # most requests the compiled kernel's 64-bit rider masks hold
+ENGINE_NAME = "py"  # names _labeling_py in the run metadata perfbench/run.py records
 
 COST = "cost"
 RISK = "risk"
@@ -83,18 +80,6 @@ class PricingRestrictions:
         return True
 
 
-def _select_engine():
-    try:
-        from . import _labeling_cy as engine
-
-        return engine, "cy"
-    except ImportError:
-        return _labeling_py, "py"
-
-
-_ENGINE, ENGINE_NAME = _select_engine()
-
-
 def solve_pricing(
     inst: Instance,
     duals: DualValues,
@@ -103,35 +88,22 @@ def solve_pricing(
     limit: int = DEFAULT_COLUMN_LIMIT,
     restrictions: PricingRestrictions | None = None,
     trace=None,
-    engine: str | None = None,
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, best
     first. A heuristic run weakens dominance (drops the served-set inclusion)
-    and must be confirmed by an exact run before declaring LP optimality. In
-    the Python engine a heuristic run stops once ``limit`` columns are
-    complete, so it returns the first ones found, not the best; the compiled
-    engine's heuristic run is still exhaustive. An exact run is exhaustive in
-    both, so its best column is the minimum reduced cost.
+    and must be confirmed by an exact run before declaring LP optimality. It
+    stops once ``limit`` columns are complete, so it returns the first ones
+    found, not the best. An exact run is exhaustive, so its best column is the
+    minimum reduced cost.
 
     In equity mode each column's exposure is read off its emitted schedule
     (drop-off minus pick-up start of service), so it equals the onboard time
-    exactly whichever engine priced it."""
+    exactly, not the labels' step-by-step sum of it."""
     if mode not in (COST, RISK):
         raise ValueError(f"mode must be {COST!r} or {RISK!r}")
     duals.validate_signs()
     restrictions = restrictions or PricingRestrictions()
-    if engine is None:
-        eng = _ENGINE if inst.n <= MASK_REQUESTS else _labeling_py
-    elif engine == "py":
-        eng = _labeling_py
-    elif engine == "cy":
-        if inst.n > MASK_REQUESTS:
-            raise RdarpError(f"the compiled pricing engine handles at most {MASK_REQUESTS} "
-                             f"requests, got {inst.n}; use the py engine")
-        from . import _labeling_cy as eng  # type: ignore[no-redef]
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    cols = eng.run_labeling(inst, duals, mode, heuristic, limit, restrictions, trace)
+    cols = _labeling_py.run_labeling(inst, duals, mode, heuristic, limit, restrictions, trace)
     if inst.mode == EDARP:
         cols = [replace(c, exposure=onboard_times(inst, c.sequence, c.schedule)) for c in cols]
     return cols

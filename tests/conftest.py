@@ -70,19 +70,3 @@ def reached_states(inst):
                     seen.setdefault(st.nodes, st)
                     st = cal.extend(inst, st, j)[0].state
     return list(seen.values())
-
-
-def engines():
-    out = ["py"]
-    try:
-        import rdarp._labeling_cy  # noqa: F401
-
-        out.append("cy")
-    except ImportError:
-        pass
-    return out
-
-
-@pytest.fixture(params=engines())
-def engine(request):
-    return request.param

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -146,6 +147,40 @@ def test_negative_cap_raises_before_any_lp(cap, monkeypatch):
     with pytest.raises(ValueError, match=cap):
         bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: -1.0}), pool=pool)
     assert len(pool) == 0
+
+
+@pytest.mark.parametrize("mode, edarp, cap", [
+    ("cost", False, "eps_cost"),  # a cost cap binds only the risk objective
+    ("risk", False, "eps_risk"),  # the risk objective takes no exposure cap
+    ("risk", True, "eps_dt"),     # nor a detour-rate cap
+    ("cost", True, "eps_risk"),   # an EDARP instance caps detour rates
+    ("cost", False, "eps_dt"),    # only an EDARP instance has detour rates
+])
+def test_a_cap_the_solve_would_not_enforce_raises_before_any_lp(mode, edarp, cap, monkeypatch):
+    from rdarp import master
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a master LP was built")
+
+    monkeypatch.setattr(master, "build_rlmp", no_lp)
+    inst = random_instance(0, n=2, fleet_size=1)
+    inst = preprocess(edarp_transform(inst) if edarp else inst)
+    assert bcp.enforced_cap(inst, mode) != cap
+    pool = ColumnPool(inst)
+    with pytest.raises(ValueError, match=f"not {cap}="):
+        bcp.solve(inst, mode, bcp.SolveOptions(**{cap: 1.0}), pool=pool)
+    assert len(pool) == 0
+
+
+def test_time_limit_holds_on_the_wall_clock():
+    """Pricing is not interrupted, so a limit is checked between column
+    generation iterations; the overrun stays within 10% + 1 s."""
+    inst = preprocess(benchmark_like_instance(1, n=22, fleet_size=2))
+    start = time.perf_counter()
+    rep = bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=2.0))
+    elapsed = time.perf_counter() - start
+    assert rep.status == "TimeLimit"
+    assert elapsed <= 1.1 * 2.0 + 1.0
 
 
 def test_infeasible_instance_reports_root():

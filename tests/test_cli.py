@@ -124,17 +124,33 @@ def test_pareto_output_byte_stable(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_pareto_csv_matches_brute_force_front(tmp_path):
+def _run_cli_in_child(*argv):
+    """Run the CLI in a child process whose wait is bounded, for commands
+    that may never return."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "rdarp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("edarp", [False, True], ids=["rdarp", "edarp"])
+def test_pareto_csv_matches_brute_force_front(tmp_path, edarp):
     import math
 
+    from rdarp.instance import edarp_transform
     from rdarp.oracle import brute_force_solve
 
     inst = random_instance(4, n=2, fleet_size=2)
     path = tmp_path / "fixture2.json"
     path.write_text(emit_realworld(inst))
     out = tmp_path / "front.csv"
-    rc = cli.run(["pareto", str(path), "--step", "0.5", "--out", str(out)])
-    assert rc == 0
+    if edarp:
+        # a sweep that steps a cap the solve ignores never ends
+        inst = edarp_transform(inst)
+        proc = _run_cli_in_child("pareto", str(path), "--edarp", "--step", "0.5", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert cli.run(["pareto", str(path), "--step", "0.5", "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "epsilon_risk,cost,max_risk,n_routes"
     got = [(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows[1:]]
@@ -144,7 +160,8 @@ def test_pareto_csv_matches_brute_force_front(tmp_path):
     for cap in caps:
         bf = brute_force_solve(inst, eps_risk=cap)
         if bf.status == "Optimal":
-            peak = max((h for r in bf.routes for h in r.exposure.values()), default=0.0)
+            peak = max((inst.exposure_measure(i, h) for r in bf.routes
+                        for i, h in r.exposure.items()), default=0.0)
             solutions.append((round(bf.objective, 5), round(peak, 5)))
     front = sorted(
         (c, h) for c, h in set(solutions)
@@ -231,6 +248,30 @@ def test_solve_accepts_caps_that_apply(tmp_path):
                     str(tmp_path / "c.json")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--edarp", "--eps-risk", "0.001"],  # an EDARP instance caps detour rates
+    ["--eps-dt", "0.001"],               # only an EDARP instance has detour rates
+])
+def test_validate_rejects_a_cap_that_does_not_apply(tmp_path, args, capsys):
+    # the check would pass whatever the solution's exposure
+    path = str(FIXTURES / "rw-2.json")
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", path, *args[:-2], "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert cli.run(["validate", path, str(sol), *args]) == 1
+    assert args[-2] in capsys.readouterr().err
+
+
+def test_certify_risk_on_a_detour_rate_cap(tmp_path):
+    # the certifying risk solve takes the cost cap alone
+    path = str(FIXTURES / "rw-2.json")
+    out = tmp_path / "sol.json"
+    assert cli.run(["solve", path, "--edarp", "--eps-dt", "1.5", "--certify-risk",
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "Optimal" and doc["routes"]
+
+
 @pytest.mark.parametrize("command", ["solve", "pareto"])
 @pytest.mark.parametrize("limit", ["nan", "-1"])
 def test_rejects_a_time_limit_that_is_nan_or_negative(small_json, command, limit):
@@ -243,12 +284,8 @@ def test_pareto_rejects_a_step_that_is_not_positive(small_json, step):
 
 
 def test_pareto_rejects_a_nan_step(small_json):
-    # a sweep with a NaN step never ends, so it runs in a child process
-    # whose wait is bounded
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rdarp.cli", "pareto", str(small_json), "--step", "nan"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    # a sweep with a NaN step never ends
+    proc = _run_cli_in_child("pareto", str(small_json), "--step", "nan")
     assert proc.returncode == 1, proc.stderr
 
 

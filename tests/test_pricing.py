@@ -3,14 +3,11 @@ import json
 import math
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from rdarp import _labeling_py, pricing
 from rdarp import calibration as cal
 from rdarp._labeling_py import _Label, dominates
-from rdarp.errors import RdarpError
 from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
 from rdarp.oracle import Route, feasible_routes, mmr_schedule, validate_route
@@ -57,33 +54,32 @@ def test_arc_reduced_cost_modes():
     pre = preprocess(random_instance(0, n=2))
     banned = sorted(pre.banned_arcs)[0]
     d = pre.dropoff_of(1)
-    for engine in ("py", None):
-        for mode, xi in (("cost", 0.0), ("risk", -0.5)):
-            duals = DualValues(pi={i: 100.0 for i in pre.pickups()}, mu=-3.0, xi=xi,
-                               arc_adjust={banned: 1e6, (1, d): 2.5})
-            cols = solve_pricing(pre, duals, mode, limit=500, engine=engine)
-            assert cols
-            for c in cols:
-                expected = -duals.mu
-                for a, b in c.arcs():
-                    t = pre.t(a, b)
-                    expected += t if mode == "cost" else -xi * t
-                    if pre.is_pickup(a):
-                        expected -= duals.pi[a]
-                    expected -= duals.arc_adjust.get((a, b), 0.0)
-                assert c.reduced_cost == pytest.approx(expected)
-                assert banned not in c.arcs()
-            assert any((1, d) in c.arcs() for c in cols)
+    for mode, xi in (("cost", 0.0), ("risk", -0.5)):
+        duals = DualValues(pi={i: 100.0 for i in pre.pickups()}, mu=-3.0, xi=xi,
+                           arc_adjust={banned: 1e6, (1, d): 2.5})
+        cols = solve_pricing(pre, duals, mode, limit=500)
+        assert cols
+        for c in cols:
+            expected = -duals.mu
+            for a, b in c.arcs():
+                t = pre.t(a, b)
+                expected += t if mode == "cost" else -xi * t
+                if pre.is_pickup(a):
+                    expected -= duals.pi[a]
+                expected -= duals.arc_adjust.get((a, b), 0.0)
+            assert c.reduced_cost == pytest.approx(expected)
+            assert banned not in c.arcs()
+        assert any((1, d) in c.arcs() for c in cols)
 
 
-def test_zero_duals_yield_no_columns(engine):
+def test_zero_duals_yield_no_columns():
     inst = preprocess(random_instance(3, n=3))
-    assert solve_pricing(inst, DualValues(), "cost", engine=engine) == []
+    assert solve_pricing(inst, DualValues(), "cost") == []
 
 
-def test_huge_dual_covers_that_request(engine):
+def test_huge_dual_covers_that_request():
     inst = preprocess(random_instance(3, n=3))
-    cols = solve_pricing(inst, DualValues(pi={2: 500.0}), "cost", engine=engine)
+    cols = solve_pricing(inst, DualValues(pi={2: 500.0}), "cost")
     assert cols and 2 in cols[0].exposure
 
 
@@ -105,7 +101,7 @@ def test_extension_reject_reasons_carry_stage():
 
 
 @pytest.mark.parametrize("mode", ["cost", "risk"])
-def test_min_reduced_cost_matches_enumeration(mode, engine):
+def test_min_reduced_cost_matches_enumeration(mode):
     rng = random.Random(17)
     for seed in range(8):
         inst = preprocess(random_instance(seed, n=3))
@@ -121,7 +117,7 @@ def test_min_reduced_cost_matches_enumeration(mode, engine):
                             for i in range(inst.n_nodes) for j in range(1, inst.n_nodes)
                             if i != j and inst.arc_allowed(i, j) and arc_rng.random() < 1 / 3}
         best = enumerate_min_rc(inst, duals, mode)
-        cols = solve_pricing(inst, duals, mode, limit=500, engine=engine)
+        cols = solve_pricing(inst, duals, mode, limit=500)
         if best and best[0] < -1e-6:
             assert cols, (seed, best)
             assert cols[0].reduced_cost == pytest.approx(best[0], abs=1e-6)
@@ -129,9 +125,9 @@ def test_min_reduced_cost_matches_enumeration(mode, engine):
             assert cols == []
 
 
-def test_dominance_pruning_preserves_minimum(engine):
+def test_dominance_pruning_preserves_minimum():
     """Pruned and unpruned runs agree on the best reduced cost: simulated by
-    comparing the engine against exhaustive enumeration on random duals."""
+    comparing pricing against exhaustive enumeration on random duals."""
     rng = random.Random(5)
     for trial in range(25):
         inst = preprocess(random_instance(trial % 12, n=2 + trial % 2))
@@ -140,7 +136,7 @@ def test_dominance_pruning_preserves_minimum(engine):
             rho={i: -rng.uniform(0.0, 3.0) for i in inst.pickups()},
         )
         best = enumerate_min_rc(inst, duals, "cost")
-        cols = solve_pricing(inst, duals, "cost", limit=1000, engine=engine)
+        cols = solve_pricing(inst, duals, "cost", limit=1000)
         lab_best = cols[0].reduced_cost if cols else 0.0
         enum_best = best[0] if best and best[0] < -1e-6 else 0.0
         assert lab_best == pytest.approx(enum_best, abs=1e-6)
@@ -158,33 +154,17 @@ def test_dominates_reflexive_and_cost_condition():
     assert not dominates(worse, l1, False)
 
 
-def test_emitted_columns_pass_oracle(engine):
+def test_emitted_columns_pass_oracle():
     rng = random.Random(11)
     for seed in (2, 5, 9):
         inst = preprocess(random_instance(seed, n=4))
         duals = DualValues(pi={i: rng.uniform(40.0, 120.0) for i in inst.pickups()},
                            rho={i: -rng.uniform(0.0, 1.0) for i in inst.pickups()})
-        for col in solve_pricing(inst, duals, "cost", limit=300, engine=engine):
+        for col in solve_pricing(inst, duals, "cost", limit=300):
             route = Route(col.sequence, col.schedule, col.cost, col.exposure, col.q_terminal)
             validate_route(inst, route)
             lp = mmr_schedule(inst, col.sequence)
             assert max(col.exposure.values(), default=0.0) == pytest.approx(lp[1], abs=1e-6)
-
-
-def test_engines_agree_on_best_column(engine):
-    if engine == "py":
-        pytest.skip("comparison runs once, from the compiled side")
-    rng = random.Random(23)
-    for seed in range(10):
-        inst = preprocess(random_instance(seed, n=3))
-        duals = DualValues(pi={i: rng.uniform(0.0, 150.0) for i in inst.pickups()},
-                           rho={i: -rng.uniform(0.0, 2.0) for i in inst.pickups()})
-        py = solve_pricing(inst, duals, "cost", limit=50, engine="py")
-        cy = solve_pricing(inst, duals, "cost", limit=50, engine="cy")
-        assert bool(py) == bool(cy)
-        if py:
-            assert py[0].reduced_cost == pytest.approx(cy[0].reduced_cost, abs=1e-7)
-            assert py[0].sequence == cy[0].sequence
 
 
 def test_restrictions_filter_emissions():
@@ -203,19 +183,18 @@ def test_restrictions_filter_emissions():
     assert {c.sequence for c in restricted} == {c.sequence for c in all_cols} - {target}
 
 
-def test_trace_emits_lines(engine):
+def test_trace_emits_lines():
     inst = preprocess(random_instance(1, n=2))
     lines = []
-    solve_pricing(inst, DualValues(pi={1: 300.0, 2: 300.0}), "cost",
-                  engine=engine, trace=lines.append)
+    solve_pricing(inst, DualValues(pi={1: 300.0, 2: 300.0}), "cost", trace=lines.append)
     assert lines and all("rc=" in ln and "Q=" in ln for ln in lines)
 
 
-def test_edarp_columns_satisfy_onboard_identity(engine):
+def test_edarp_columns_satisfy_onboard_identity():
     inst = preprocess(edarp_transform(random_instance(4, n=3, window=50.0)))
     duals = DualValues(pi={i: 200.0 for i in inst.pickups()},
                        rho={i: -0.5 for i in inst.pickups()})
-    cols = solve_pricing(inst, duals, "cost", limit=200, engine=engine)
+    cols = solve_pricing(inst, duals, "cost", limit=200)
     assert cols
     for col in cols:
         pos = {node: k for k, node in enumerate(col.sequence)}
@@ -267,15 +246,14 @@ def _golden_cases():
 
 @pytest.mark.parametrize("heuristic", [False, True], ids=["exact", "heuristic"])
 def test_pricing_output_matches_golden(heuristic):
-    """The Python engine's columns (order, sequences, reduced costs) and its
+    """Pricing's columns (order, sequences, reduced costs) and its
     trace-line count for four fixed dual vectors on three instances, as
-    recorded in ``pricing_golden.json`` from the engine that tried every node
+    recorded in ``pricing_golden.json`` from the labeling that tried every node
     after each label and compared each new label with its whole store."""
     for name, inst, mode, duals in _golden_cases():
         want = GOLDEN[f"{name}/{'heuristic' if heuristic else 'exact'}"]
         lines = []
-        cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                             trace=lines.append, engine="py")
+        cols = solve_pricing(inst, duals, mode, heuristic=heuristic, trace=lines.append)
         assert [list(c.sequence) for c in cols] == [seq for seq, _ in want["columns"]], name
         assert [c.reduced_cost for c in cols] == pytest.approx(
             [rc for _, rc in want["columns"]], rel=1e-12, abs=1e-9), name
@@ -288,31 +266,13 @@ def test_heuristic_run_stops_at_limit():
     duals = DualValues(pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0,
                        rho={i: -rng.uniform(0.0, 1.5) for i in inst.pickups()})
     full_lines, lines = [], []
-    full = solve_pricing(inst, duals, "cost", heuristic=True, trace=full_lines.append, engine="py")
-    cols = solve_pricing(inst, duals, "cost", heuristic=True, limit=5, trace=lines.append, engine="py")
+    full = solve_pricing(inst, duals, "cost", heuristic=True, trace=full_lines.append)
+    cols = solve_pricing(inst, duals, "cost", heuristic=True, limit=5, trace=lines.append)
     assert len(full) > 5
     assert len(cols) == 5
     rcs = [c.reduced_cost for c in cols]
     assert rcs == sorted(rcs) and rcs[-1] < -1e-6
     assert len(lines) < len(full_lines)  # the run stopped before exhausting the labels
-    exact = solve_pricing(inst, duals, "cost", limit=5, engine="py")
+    exact = solve_pricing(inst, duals, "cost", limit=5)
     assert exact[0].reduced_cost <= rcs[0]
 
-
-def test_wide_instances_stay_out_of_the_compiled_engine(monkeypatch):
-    """The compiled kernel keeps rider sets as 64-bit masks: the automatic
-    choice prices more than 63 requests with the Python engine, and an
-    explicit request for the compiled one is refused."""
-    calls = []
-
-    def stub(name):
-        return SimpleNamespace(run_labeling=lambda inst, *args: calls.append((name, inst.n)) or [])
-
-    monkeypatch.setattr(pricing, "_ENGINE", stub("cy"))
-    monkeypatch.setattr(_labeling_py, "run_labeling", stub("py").run_labeling)
-    wide = random_instance(0, n=64)
-    for inst in (random_instance(0, n=63), wide):
-        assert solve_pricing(inst, DualValues()) == []
-    assert calls == [("cy", 63), ("py", 64)]
-    with pytest.raises(RdarpError, match="at most 63"):
-        solve_pricing(wide, DualValues(), engine="cy")

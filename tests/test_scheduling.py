@@ -152,7 +152,7 @@ def test_extend_never_changes_a_state(monkeypatch, base, edarp):
     monkeypatch.setattr(cal, "_forced_repair", repair)
     duals = DualValues(pi={i: 300.0 for i in inst.pickups()},
                        rho={i: -0.5 for i in inst.pickups()})
-    assert solve_pricing(inst, duals, "cost", limit=10_000, engine="py")
+    assert solve_pricing(inst, duals, "cost", limit=10_000)
     for st, before in seen:
         assert _snapshot(st) == before, st.nodes
     assert paths["zero"] and paths["delay"]
