@@ -6,6 +6,14 @@ label is extended only to the nodes its state admits by precedence
 undominated labels in a store sorted by reduced cost (``_Store``), so a new
 label is compared only with the labels on the side where dominance can hold.
 
+Before ``extend``, a look-ahead (``calibration.stranded``) skips a node after
+which some onboard rider could no longer reach their drop-off in time. It is
+exact: under the triangle inequality no continuation reaches the drop-off
+sooner than directly, and a rider's latest drop-off start only shrinks along
+a path, so no feasible route takes a skipped step. It saves the ``extend``
+calls that would fail on ride time and the labels that lead only to dead
+ends.
+
 An exact run is exhaustive. A heuristic run weakens dominance and stops as
 soon as ``limit`` columns are complete, counting only columns with reduced
 cost below -1e-6 that pass the branch restrictions (Desaulniers, Desrosiers
@@ -171,7 +179,7 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
         st = label.state
         eta = st.current
         for j in cal.successors(inst, st):
-            if (eta, j) in banned:
+            if (eta, j) in banned or cal.stranded(inst, st, j):
                 continue
             ext, _reason = cal.extend(inst, st, j)
             if ext is None:

@@ -164,10 +164,13 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
 
     Raises ``ValueError``, before any LP is built, on a negative cap (its
     master rows carry no artificial, so the master LP itself would be
-    infeasible) and on a finite cap other than ``enforced_cap``, which the
-    solve would ignore.
+    infeasible), on a finite cap other than ``enforced_cap``, which the
+    solve would ignore, and on a negative or NaN ``time_limit`` (a NaN
+    deadline never passes).
     """
     opts = options or SolveOptions()
+    if opts.time_limit is not None and not opts.time_limit >= 0:
+        raise ValueError(f"time_limit must be nonnegative, got {opts.time_limit}")
     enforced = enforced_cap(inst, mode)
     for name in CAPS:
         value = getattr(opts, name)

@@ -18,7 +18,12 @@ EDARP detour-rate caps and the EDARP risk objective are certified only over
 calibrated schedules.
 
 Pricing (``_labeling_py``) and the oracle's fixed-sequence replay share these
-semantics.
+semantics. Before extending, pricing drops the steps ``stranded`` flags: those
+after which an onboard rider's drop-off, reached directly at the earliest,
+would start later than its dynamic window ``do_b`` allows. ``extend`` would
+reject every continuation of such a step, since the triangle inequality makes
+no detour faster and ``do_b`` never grows, so the look-ahead removes no
+feasible route; ``extend`` itself still checks everything.
 
 ``extend`` is the labeling algorithm's unit of work, so its common case has a
 path of its own. Most accepted steps choose no delay; on this zero-delay path
@@ -39,6 +44,7 @@ from .instance import EDARP, Instance
 
 TOL = 1e-9
 INF = math.inf
+STRANDED_MARGIN = 1e-6  # ``stranded``'s slack over a drop-off's latest start
 
 DUMMY = 0  # virtual ever-onboard rider used in equity mode
 
@@ -132,6 +138,39 @@ def successors(inst: Instance, st: PathState) -> list[int]:
     else:
         out.append(inst.end_depot)
     return out
+
+
+def stranded(inst: Instance, st: PathState, j: int) -> bool:
+    """Whether a step from ``st`` to ``j`` leaves some real onboard rider,
+    other than the one dropped at ``j``, unable to reach their drop-off by
+    its latest start ``do_b``.
+
+    ``j``'s earliest start is the ``a_new`` of ``extend``, and the rider's
+    drop-off can start no earlier than a direct trip from ``j`` allows
+    (``Instance.validate`` enforces the triangle inequality with service
+    times). ``do_b`` never grows along a path, and ``extend`` rejects a
+    drop-off later than it, so no feasible route takes a stranding step. The
+    margin covers tolerance dust summed over the remaining hops.
+    """
+    onboard = st.onboard
+    if not onboard:
+        return False
+    eta = st.nodes[-1]
+    a = st.a_cur + inst.service[eta] + inst.travel[eta][j]
+    early_j = inst.early[j]
+    if a < early_j:
+        a = early_j
+    reach = a + inst.service[j]
+    t_j = inst.travel[j]
+    n = inst.n
+    do_b = st.do_b
+    dropped = j - n
+    for o in onboard:
+        if o == DUMMY or o == dropped:
+            continue
+        if reach + t_j[o + n] > do_b[o] + STRANDED_MARGIN:
+            return True
+    return False
 
 
 def extend(inst: Instance, st: PathState, j: int):

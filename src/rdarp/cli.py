@@ -119,17 +119,50 @@ def report_to_json(inst: Instance, rep: bcp.SolveReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def routes_from_json(doc: dict) -> list[oracle.Route]:
+def routes_from_json(doc, n_nodes: int) -> list[oracle.Route]:
+    """The routes of a solution document for an instance of ``n_nodes``
+    nodes. Raises ``ParseError`` when the document is not an object, a route
+    lacks a field, or a field does not hold what a route needs (a sequence
+    entry that is not one of the instance's node indices, or a start time
+    that is not finite)."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a solution must be a JSON object, not {type(doc).__name__}")
+    entries = doc.get("routes", [])
+    if not isinstance(entries, list):
+        raise ParseError(f'"routes" must be a list, not {type(entries).__name__}')
     routes = []
-    for r in doc.get("routes", []):
-        routes.append(oracle.Route(
-            sequence=tuple(int(v) for v in r["sequence"]),
-            schedule=tuple(float(v) for v in r["schedule"]),
-            cost=float(r["cost"]),
-            exposure={int(k): float(v) for k, v in r["H"].items()},
-            q_terminal=float(r["Q"]),
-        ))
+    for idx, r in enumerate(entries):
+        if not isinstance(r, dict):
+            raise ParseError(f"route {idx} must be a JSON object, not {type(r).__name__}")
+        try:
+            routes.append(oracle.Route(
+                sequence=tuple(_node_index(v, n_nodes) for v in r["sequence"]),
+                schedule=tuple(_start_time(v) for v in r["schedule"]),
+                cost=float(r["cost"]),
+                exposure={int(k): float(v) for k, v in r["H"].items()},
+                q_terminal=float(r["Q"]),
+            ))
+        except KeyError as exc:
+            raise ParseError(f"route {idx} has no {exc} field") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"route {idx}: {exc}") from None
     return routes
+
+
+def _start_time(value) -> float:
+    # every check on a NaN time passes, so a NaN schedule would validate
+    time = float(value)
+    if not math.isfinite(time):
+        raise ValueError(f"schedule entry {value!r} is not a finite number")
+    return time
+
+
+def _node_index(value, n_nodes: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"sequence entry {value!r} is not an integer")
+    if not 0 <= value < n_nodes:
+        raise ValueError(f"sequence entry {value} is not a node index (0 to {n_nodes - 1})")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,7 +322,7 @@ def cmd_validate(args) -> int:
     doc = json.loads(Path(args.solution).read_text())
     cap = inst.measure_cap(args.eps_risk, args.eps_dt)
     try:
-        oracle.validate_solution(inst, routes_from_json(doc), cap)
+        oracle.validate_solution(inst, routes_from_json(doc, inst.n_nodes), cap)
     except RouteInfeasible as exc:
         for node, desc, lhs, rhs in exc.violations:
             print(f"node {node}: {desc}: {lhs:.6g} vs {rhs:.6g}", file=sys.stderr)

@@ -172,6 +172,22 @@ def test_a_cap_the_solve_would_not_enforce_raises_before_any_lp(mode, edarp, cap
     assert len(pool) == 0
 
 
+@pytest.mark.parametrize("limit", [-1.0, math.nan], ids=["negative", "nan"])
+def test_a_bad_time_limit_raises_before_any_lp(limit, monkeypatch):
+    # a NaN deadline never passes, so the limit would be silently ignored
+    from rdarp import master
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a master LP was built")
+
+    monkeypatch.setattr(master, "build_rlmp", no_lp)
+    inst = preprocess(random_instance(0, n=2, fleet_size=1))
+    pool = ColumnPool(inst)
+    with pytest.raises(ValueError, match="time_limit"):
+        bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=limit), pool=pool)
+    assert len(pool) == 0
+
+
 def test_time_limit_holds_on_the_wall_clock():
     """Pricing is not interrupted, so a limit is checked between column
     generation iterations; the overrun stays within 10% + 1 s."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -260,6 +261,46 @@ def test_validate_rejects_a_cap_that_does_not_apply(tmp_path, args, capsys):
     capsys.readouterr()
     assert cli.run(["validate", path, str(sol), *args]) == 1
     assert args[-2] in capsys.readouterr().err
+
+
+def _drop_h(doc):
+    del doc["routes"][0]["H"]
+    return doc
+
+
+def _letter_in_sequence(doc):
+    doc["routes"][0]["sequence"][1] = "x"
+    return doc
+
+
+def _node_out_of_range(doc):
+    doc["routes"][0]["sequence"][1] = -1  # would index the end depot
+    return doc
+
+
+def _nan_start_time(doc):
+    doc["routes"][0]["schedule"][1] = math.nan  # every check on it would pass
+    return doc
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_drop_h, "route 0 has no 'H' field"),
+    (_letter_in_sequence, "sequence entry 'x' is not an integer"),
+    (_node_out_of_range, "sequence entry -1 is not a node index (0 to 7)"),
+    (_nan_start_time, "schedule entry nan is not a finite number"),
+    (lambda doc: doc["routes"], "a solution must be a JSON object, not list"),
+], ids=["route-without-H", "non-integer-node", "unknown-node", "nan-start-time",
+        "top-level-list"])
+def test_validate_reports_a_malformed_solution_as_a_usage_error(
+        tmp_path, small_json, capsys, malform, message):
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--out", str(sol)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(json.loads(sol.read_text()))))
+    capsys.readouterr()
+    assert cli.run(["validate", str(small_json), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_certify_risk_on_a_detour_rate_cap(tmp_path):

@@ -216,6 +216,31 @@ def test_successors_are_the_nodes_precedence_admits(equity):
         assert cal.successors(inst, st) == admitted, st.nodes
 
 
+@pytest.mark.parametrize("equity", [False, True])
+@pytest.mark.parametrize("seed, window", [(0, 120.0), (1, 30.0)])
+def test_no_feasible_route_takes_a_stranding_step(seed, window, equity):
+    """``stranded`` never fires on a step of a feasible route, and it does
+    fire on some candidate pricing would otherwise extend to. On the tight
+    instance some drop-offs start less than a service time before their
+    latest start."""
+    inst = random_instance(seed, n=4, window=window)
+    if equity:
+        inst = edarp_transform(inst)
+    steps = 0
+    for size in range(1, inst.n + 1):
+        for group in itertools.combinations(range(1, inst.n + 1), size):
+            for route in feasible_routes(inst, group):
+                st = cal.initial_state(inst)
+                for j in route.sequence[1:]:
+                    assert not cal.stranded(inst, st, j), (route.sequence, j)
+                    st = cal.extend(inst, st, j)[0].state
+                    steps += 1
+    assert steps > 50
+    pruned = [(st.nodes, j) for st in reached_states(inst)
+              for j in cal.successors(inst, st) if cal.stranded(inst, st, j)]
+    assert pruned
+
+
 GOLDEN = json.loads((Path(__file__).parent / "pricing_golden.json").read_text())
 
 
@@ -248,8 +273,10 @@ def _golden_cases():
 def test_pricing_output_matches_golden(heuristic):
     """Pricing's columns (order, sequences, reduced costs) and its
     trace-line count for four fixed dual vectors on three instances, as
-    recorded in ``pricing_golden.json`` from the labeling that tried every node
-    after each label and compared each new label with its whole store."""
+    recorded in ``pricing_golden.json``. The columns are those of the labeling
+    that tried every node after each label and compared each new label with
+    its whole store; the counts are those of the labeling that skips stranding
+    steps (``calibration.stranded``), which stores fewer labels."""
     for name, inst, mode, duals in _golden_cases():
         want = GOLDEN[f"{name}/{'heuristic' if heuristic else 'exact'}"]
         lines = []
