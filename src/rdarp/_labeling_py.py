@@ -14,10 +14,25 @@ a path, so no feasible route takes a skipped step. It saves the ``extend``
 calls that would fail on ride time and the labels that lead only to dead
 ends.
 
-An exact run is exhaustive. A heuristic run weakens dominance and stops as
-soon as ``limit`` columns are complete, counting only columns with reduced
-cost below -1e-6 that pass the branch restrictions (Desaulniers, Desrosiers
-& Solomon 2002); either run returns its columns sorted by reduced cost.
+Each column's exposure is built as it will be emitted: the labels' sums in
+RDARP, the onboard times read off the schedule in equity mode (EDARP). Under
+a finite ``cap`` on the exposure measure, a column over it (``oracle.over_cap``)
+is never emitted. Labels are pruned on the cap too, as a resource
+(Irnich & Desaulniers 2005): when a drop-off empties the vehicle, the riders
+it finalizes (the associated ones and the one dropped) are out of reach of
+any later delay, so their exposures are final. The label is dropped when one
+of them is over the cap by more than ``cap_slack`` of every request, which is
+at least the emission tolerance of any route. Onboard and associated riders
+never prune: a later wait can delay earlier pick-ups and lower their
+exposure. ``dominates`` does not compare finalized riders' exposures, which
+is sound because an over-cap label is dropped before it can dominate. With
+an infinite cap none of this runs.
+
+An exact run is exhaustive over the routes the restrictions allow and the
+cap admits. A heuristic run weakens dominance and stops as soon as ``limit``
+columns are complete, counting only columns with reduced cost below -1e-6
+that pass the branch restrictions and the cap (Desaulniers, Desrosiers &
+Solomon 2002); either run returns its columns sorted by reduced cost.
 """
 
 from __future__ import annotations
@@ -25,12 +40,14 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 
 from . import calibration as cal
 from .calibration import DUMMY, PathState
-from .instance import Instance
-from .oracle import route_cost
+from .instance import EDARP, Instance
+from .oracle import cap_slack, onboard_times, over_cap, route_cost
 
+INF = math.inf
 TOL = 1e-9
 NEGATIVE_TOL = 1e-6
 
@@ -108,6 +125,9 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     served/open/associated set inclusion, per-open drop-off windows, and
     per-member delay buffers and accrued exposures. Heuristic mode drops the
     served-set inclusion, which discards more labels but loses completeness.
+    Finalized riders' exposures are not compared: under a cap, a label with
+    one of them over it is dropped before it is stored (``run_labeling``), so
+    it never dominates a label whose routes the cap admits.
     """
     s1, s2 = l1.state, l2.state
     if l1.rcost > l2.rcost + TOL:
@@ -144,11 +164,15 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     return True
 
 
-def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, trace):
+def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, trace, cap):
     from .pricing import Column
 
     n = inst.n
     end = inst.end_depot
+    edarp = inst.mode == EDARP
+    capped = cap < INF
+    # a finalized rider prunes only beyond the widest emission tolerance
+    prune_slack = cap_slack(inst, inst.pickups()) + TOL if capped else 0.0
     banned = set(inst.banned_arcs) | set(restrictions.banned_arcs)
     rho = duals.rho
     xi = duals.xi
@@ -184,6 +208,11 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
             ext, _reason = cal.extend(inst, st, j)
             if ext is None:
                 continue
+            if capped and n < j < end and all(o == DUMMY for o in ext.state.onboard):
+                h = ext.state.h  # the vehicle empties: these exposures are final
+                if any(inst.exposure_measure(x, h[x] - prune_slack) > cap
+                       for x in (*st.assoc, j - n)):
+                    continue
             rcost = label.rcost + arc_cost(eta, j)
             for x, dh in ext.delta_h.items():
                 r = rho.get(x)
@@ -191,18 +220,20 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
                     rcost -= r * dh
             if j == end:
                 if rcost < -NEGATIVE_TOL and ext.state.served:
-                    seq = ext.state.nodes
-                    if restrictions.allows(seq, list(zip(seq[:-1], seq[1:]))):
-                        col = Column(
-                            sequence=seq, schedule=ext.state.times,
-                            cost=route_cost(inst, seq),
-                            exposure=ext.state.request_h(),
-                            q_terminal=ext.state.q_cum, reduced_cost=rcost,
-                        )
-                        finished.append((rcost, next(counter), col))
-                        if heuristic and len(finished) >= limit:
-                            queue.clear()  # a heuristic run ends here
-                            break
+                    seq, times = ext.state.nodes, ext.state.times
+                    if not restrictions.allows(seq, list(zip(seq[:-1], seq[1:]))):
+                        continue
+                    exposure = onboard_times(inst, seq, times) if edarp else ext.state.request_h()
+                    if over_cap(inst, exposure, cap):
+                        continue
+                    col = Column(
+                        sequence=seq, schedule=times, cost=route_cost(inst, seq),
+                        exposure=exposure, q_terminal=ext.state.q_cum, reduced_cost=rcost,
+                    )
+                    finished.append((rcost, next(counter), col))
+                    if heuristic and len(finished) >= limit:
+                        queue.clear()  # a heuristic run ends here
+                        break
                 continue
             new = _Label(ext.state, rcost, next(counter))
             if not stores[j].insert(new, heuristic):

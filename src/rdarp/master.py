@@ -118,11 +118,13 @@ class MasterSolution:
         return flows
 
 
-def _add_lambda(model: LinearModel, meta: dict, col: oracle.Route) -> int:
+def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Route) -> int:
     """Add the variable of the pool's next column (index ``len(meta["lam"])``),
-    fixed to zero when the node's restrictions bar the route."""
+    fixed to zero when the node's restrictions bar the route or some rider's
+    exposure measure is over ``meta["cap"]`` (``oracle.over_cap``)."""
     k = len(meta["lam"])
-    allowed = meta["restrictions"].allows(col.sequence, col.arcs())
+    allowed = (meta["restrictions"].allows(col.sequence, col.arcs())
+               and not oracle.over_cap(inst, col.exposure, meta["cap"]))
     j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0,
                       obj=col.cost if meta["mode"] == COST else 0.0)
     meta["lam"].append(j)
@@ -172,13 +174,22 @@ def build_rlmp(
     A branch node's ``restrictions`` act here by fixing to zero the λ of
     every pool column they bar (``_add_lambda``), and in pricing, which
     emits no barred column; its branching rows come in ``extra_rows``.
+
+    In cost mode each request rides in exactly one route, so the cap on the
+    exposure measure (``Instance.measure_cap``) holds route by route: every
+    pool column with a rider over it (``oracle.over_cap``) is fixed to zero
+    too, whether it was seeded, priced under another cap or shared. The
+    per-request cap rows stay, though they are then implied. In risk mode the
+    peak is a variable and no column is fixed for it.
     """
     model = LinearModel(f"rlmp-{mode}")
     big = big_cost(inst)
+    risk_cap = inst.measure_cap(eps_risk, eps_dt)
     meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big,
-                  "restrictions": restrictions or PricingRestrictions()}
+                  "restrictions": restrictions or PricingRestrictions(),
+                  "cap": risk_cap if mode == COST else INF}
     for col in pool.columns:
-        _add_lambda(model, meta, col)
+        _add_lambda(inst, model, meta, col)
     peak = model.add_var("peak", lb=0.0, obj=1.0) if mode == RISK else None
     meta["art"] = {i: model.add_var(f"art{i}", lb=0.0, obj=big) for i in inst.pickups()}
     meta["xart"] = {r: model.add_var(f"xart{r}", lb=0.0, obj=big)
@@ -187,7 +198,6 @@ def build_rlmp(
     # (row key, name, sense, rhs, coefficients of non-column variables)
     specs = [(("part", i), f"part{i}", EQ, 1.0, {meta["art"][i]: 1.0}) for i in inst.pickups()]
     specs.append(("fleet", "fleet", LE, float(inst.fleet_size), {}))
-    risk_cap = inst.measure_cap(eps_risk, eps_dt)
     if mode == RISK:
         specs += [(("risk", i), f"risk{i}", LE, 0.0, {peak: -1.0}) for i in inst.pickups()]
         if eps_cost < INF:
@@ -270,7 +280,7 @@ class RestrictedMaster:
 
         model, meta = self.model, self.meta
         for col in self.pool.columns[len(meta["lam"]):]:
-            j = _add_lambda(model, meta, col)
+            j = _add_lambda(self.inst, model, meta, col)
             for key, v in _column_coefs(self.inst, meta, col):
                 model.rows[meta["row"][key]].append((j, v))
         sol, self.warm = solve_lp_warm(model, self.warm)
@@ -379,9 +389,11 @@ def column_generation(
     Each round prices heuristically first (when enabled) and confirms with an
     exact run when the heuristic adds nothing. The returned objective is a
     valid lower bound for the node's integer problem over the routes
-    ``restrictions`` allows, which bind both the master and pricing.
-    Infeasibility is reported only after exact pricing is exhausted with
-    artificials still active.
+    ``restrictions`` allows and, in cost mode, the cap on the exposure
+    measure (``Instance.measure_cap``) admits: both bind the master
+    (``build_rlmp``) and pricing (``solve_pricing``'s ``cap``). In risk mode
+    pricing gets no cap. Infeasibility is reported only after exact pricing
+    is exhausted with artificials still active.
 
     The pool must hold the columns to start from. ``seed_pool`` fills it with
     round trips and one cheapest-insertion solution; when that solution
@@ -392,6 +404,7 @@ def column_generation(
     pricing_modes = (True, False) if use_heuristic_pricing else (False,)
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
                                extra_rows, restrictions)
+    cap = rmaster.meta["cap"]
     while True:
         iterations += 1
         sol, meta = rmaster.solve()
@@ -414,7 +427,7 @@ def column_generation(
         added = 0
         for heuristic in pricing_modes:
             cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                                 restrictions=restrictions)
+                                 restrictions=restrictions, cap=cap)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break

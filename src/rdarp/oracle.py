@@ -99,15 +99,48 @@ def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakd
     return ExposureBreakdown(cumulative, exposure)
 
 
+def cap_slack(inst: Instance, riders) -> float:
+    """The exposure tolerance of a route carrying ``riders`` (in exposure
+    units, not measure units).
+
+    It admits schedules rounded to 6 decimals: each start of service may be
+    off by SCHED_TOL / 2, so each overlap by SCHED_TOL, and an exposure sums
+    at most every co-rider's risk (and, in equity mode, the onboard time)
+    over such overlaps."""
+    return SCHED_TOL * (2.0 + sum(abs(inst.risk[i]) for i in riders))
+
+
+def over_cap(inst: Instance, exposure: dict[int, float], cap: float) -> list[tuple[int, float]]:
+    """The one rule for "over the cap": each ``(request, measure)`` of a
+    route's ``exposure`` whose measure (``Instance.exposure_measure``: the
+    detour rate in equity mode) exceeds ``cap`` by more than the route's
+    ``cap_slack``. Empty when ``cap`` is infinite."""
+    if cap == INF:
+        return []
+    slack = cap_slack(inst, exposure)
+    out = []
+    for i, h in exposure.items():
+        measure = inst.exposure_measure(i, h)
+        if measure > cap + inst.exposure_measure(i, slack):
+            out.append((i, measure))
+    return out
+
+
 def validate_route(inst: Instance, route: Route) -> ExposureBreakdown:
     """Check every route invariant; raises RouteInfeasible listing each
-    violated inequality with its two sides."""
+    violated inequality with its two sides. A start time that is not a
+    finite number is rejected before any other check, since no comparison
+    with it means anything."""
     seq, sched = route.sequence, route.schedule
     violations = []
     if not seq or seq[0] != 0 or seq[-1] != inst.end_depot:
         raise RouteInfeasible([(seq[0] if seq else -1, "route must run depot to depot", 0, 0)])
     if len(sched) != len(seq):
         raise RouteInfeasible([(-1, "schedule length mismatch", len(sched), len(seq))])
+    bad = [(node, "start time not finite", t, 0) for node, t in zip(seq, sched)
+           if not math.isfinite(t)]
+    if bad:
+        raise RouteInfeasible(bad)
     seen = {}
     for p, node in enumerate(seq):
         if node in seen:
@@ -161,16 +194,13 @@ def validate_solution(inst: Instance, routes, cap: float) -> None:
     routes' sequences visit each request exactly once and fit the fleet, no
     route lists exposure for a request it does not visit, and each
     request's exposure measure (``Instance.exposure_measure``: the detour
-    rate in equity mode) is at most ``cap``. Raises RouteInfeasible listing
-    every violation as (node, description, lhs, rhs).
+    rate in equity mode) is at most ``cap`` by the rule of ``over_cap``.
+    Raises RouteInfeasible listing every violation as (node, description,
+    lhs, rhs).
 
     The cap is checked on the exposure recomputed from each route's own
     sequence and schedule (``exposure_from_schedule``), never on the route's
-    stored exposure, and only for routes that pass ``validate_route``. Its
-    tolerance admits schedules rounded to 6 decimals: each start of service
-    may be off by SCHED_TOL / 2, so each overlap by SCHED_TOL, and an
-    exposure sums at most every co-rider's risk (and, in equity mode, the
-    onboard time) over such overlaps."""
+    stored exposure, and only for routes that pass ``validate_route``."""
     violations = []
     served: dict[int, int] = {}
     cap_name = "detour rate cap" if inst.mode == EDARP else "exposure cap"
@@ -185,11 +215,8 @@ def validate_solution(inst: Instance, routes, cap: float) -> None:
         except RouteInfeasible as exc:
             violations.extend(exc.violations)
             continue
-        slack = SCHED_TOL * (2.0 + sum(abs(inst.risk[i]) for i in exposure))
-        for i, h in exposure.items():
-            measure = inst.exposure_measure(i, h)
-            if measure > cap + inst.exposure_measure(i, slack):
-                violations.append((i, cap_name, measure, cap))
+        for i, measure in over_cap(inst, exposure, cap):
+            violations.append((i, cap_name, measure, cap))
     for i in inst.pickups():
         if served.get(i, 0) != 1:
             violations.append((i, "times the request is served", served.get(i, 0), 1))
@@ -375,8 +402,9 @@ def brute_force_solve(
     calibrated schedules (each sequence carries its ``replay_route``
     schedule, as the solver's columns do).
 
-    ``eps_risk`` caps each request's exposure (detour rate in equity mode);
-    ``objective`` is "cost" or "risk" (peak exposure / detour rate)."""
+    ``eps_risk`` caps each request's exposure (detour rate in equity mode)
+    by the rule of ``over_cap``; ``objective`` is "cost" or "risk" (peak
+    exposure / detour rate)."""
     if inst.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force guarded to n <= {BRUTE_FORCE_LIMIT}")
     if objective not in ("cost", "risk"):
@@ -391,10 +419,10 @@ def brute_force_solve(
             return option_cache[key]
         candidates = []
         for route in feasible_routes(inst, key):
-            measure = {i: inst.exposure_measure(i, h) for i, h in route.exposure.items()}
-            if any(v > eps_risk + 1e-9 for v in measure.values()):
+            if over_cap(inst, route.exposure, eps_risk):
                 continue
-            peak = max(measure.values(), default=0.0)
+            peak = max((inst.exposure_measure(i, h) for i, h in route.exposure.items()),
+                       default=0.0)
             candidates.append((route.cost, peak, route))
         candidates.sort(key=lambda c: (c[0], c[1], c[2].sequence))
         frontier: list[tuple[float, float, Route]] = []

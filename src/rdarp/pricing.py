@@ -3,18 +3,19 @@ solved by forward labeling. Each emitted column carries the schedule the
 delay calibration (``rdarp.calibration``) commits for its sequence.
 
 The labeling itself runs in ``rdarp._labeling_py``; this module maps master
-duals and branch restrictions to its terms and sets EDARP exposure on what it
-emits.
+duals, branch restrictions and the per-rider cap to its terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 from . import _labeling_py
-from .instance import EDARP, Instance
-from .oracle import Route, onboard_times
+from .instance import Instance
+from .oracle import Route
 
+INF = math.inf
 DEFAULT_COLUMN_LIMIT = 200
 ENGINE_NAME = "py"  # names _labeling_py in the run metadata perfbench/run.py records
 
@@ -88,22 +89,27 @@ def solve_pricing(
     limit: int = DEFAULT_COLUMN_LIMIT,
     restrictions: PricingRestrictions | None = None,
     trace=None,
+    cap: float = INF,
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, best
     first. A heuristic run weakens dominance (drops the served-set inclusion)
     and must be confirmed by an exact run before declaring LP optimality. It
     stops once ``limit`` columns are complete, so it returns the first ones
     found, not the best. An exact run is exhaustive, so its best column is the
-    minimum reduced cost.
+    minimum reduced cost over the routes the restrictions allow and the cap
+    admits.
 
-    In equity mode each column's exposure is read off its emitted schedule
-    (drop-off minus pick-up start of service), so it equals the onboard time
-    exactly, not the labels' step-by-step sum of it."""
+    ``cap`` bounds every rider's exposure measure (``Instance.exposure_measure``:
+    the detour rate in equity mode). No column over it by the rule of
+    ``oracle.over_cap`` is emitted, and labels whose finalized riders are
+    already over it are dropped (``_labeling_py``). It is an argument of each
+    call, never state kept between calls; the default ``INF`` prices without
+    a cap. In equity mode each column's exposure is read off its emitted
+    schedule (drop-off minus pick-up start of service), so it equals the
+    onboard time exactly, not the labels' step-by-step sum of it."""
     if mode not in (COST, RISK):
         raise ValueError(f"mode must be {COST!r} or {RISK!r}")
     duals.validate_signs()
     restrictions = restrictions or PricingRestrictions()
-    cols = _labeling_py.run_labeling(inst, duals, mode, heuristic, limit, restrictions, trace)
-    if inst.mode == EDARP:
-        cols = [replace(c, exposure=onboard_times(inst, c.sequence, c.schedule)) for c in cols]
-    return cols
+    return _labeling_py.run_labeling(inst, duals, mode, heuristic, limit, restrictions,
+                                     trace, cap)

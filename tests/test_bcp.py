@@ -6,7 +6,7 @@ import pytest
 from rdarp import bcp, oracle
 from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import edarp_transform, preprocess
-from rdarp.master import ColumnPool, pareto_front
+from rdarp.master import ColumnPool, column_generation, pareto_front, seed_pool
 
 INF = math.inf
 
@@ -225,6 +225,22 @@ def test_edarp_solve_detour_caps():
         for r in rep.routes:
             for i, h in r.exposure.items():
                 assert h / inst.detour_weight[i - 1] <= eps + 1e-6
+
+
+def test_a_cap_enforced_route_by_route_closes_the_root():
+    """Pricing emits no route over the cap and the master uses none, so the
+    root bound of this capped solve is the optimum. The master's cap rows
+    alone hold the cap only on average over the routes, a weaker bound."""
+    inst = preprocess(benchmark_like_instance(4, n=10, fleet_size=3))
+    pool = ColumnPool(inst)
+    seed_pool(pool, inst)
+    root = column_generation(inst, pool, "cost", eps_risk=2.0)
+    rep = bcp.solve(inst, "cost", bcp.SolveOptions(eps_risk=2.0))
+    assert rep.status == "Optimal"
+    assert rep.objective == pytest.approx(172.19218, abs=1e-5)
+    assert root.bound == pytest.approx(rep.objective, abs=1e-6)
+    assert rep.nodes_explored == 1
+    oracle.validate_solution(inst, rep.routes, 2.0)
 
 
 def _check_time_limited(inst, rep, full):

@@ -79,6 +79,18 @@ def test_rlmp_infinite_cap_omits_risk_rows(two_rider_chain):
     assert [model.row_names[meta["row"][("risk", i)]] for i in (1, 2)] == ["risk1", "risk2"]
 
 
+def test_rlmp_fixes_over_cap_columns_in_cost_mode_only(two_rider_chain):
+    pool = ColumnPool(two_rider_chain)
+    shared = make_column(two_rider_chain, (0, 1, 2, 3, 4, 5))
+    pool.add(shared)
+    pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))
+    cap = max(shared.exposure.values()) / 2
+    model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=cap)
+    assert [model.ub[j] for j in meta["lam"]] == [0.0, INF]
+    model, meta = build_rlmp(pool, two_rider_chain, "risk", eps_cost=100.0)
+    assert [model.ub[j] for j in meta["lam"]] == [INF, INF]
+
+
 def test_cg_single_request_converges_in_one_round():
     inst = preprocess(random_instance(0, n=1, fleet_size=1))
     pool = ColumnPool(inst)

@@ -14,6 +14,7 @@ from rdarp.oracle import (
     exposure_from_schedule,
     feasible_routes,
     mmr_schedule,
+    over_cap,
     replay_route,
     validate_route,
     validate_solution,
@@ -340,3 +341,31 @@ def test_validate_solution_caps_the_detour_rate_in_edarp():
     validate_solution(inst, routes, cap=1.0)
     violations = _violations(inst, routes, cap=rate / 2)
     assert (1, "detour rate cap", rate, rate / 2) in violations
+
+
+def test_validate_solution_rejects_start_times_that_are_not_finite():
+    # every window, arrival and ride check is a comparison that NaN fails
+    inst = random_instance(4, n=3, fleet_size=2)
+    routes = brute_force_solve(inst).routes
+    validate_solution(inst, routes, cap=INF)
+    blank = [replace(r, schedule=(math.nan,) * len(r.schedule)) for r in routes]
+    for cap in (INF, 0.001):
+        violations = _violations(inst, blank, cap)
+        assert {v[1] for v in violations} == {"start time not finite"}
+        assert len(violations) == sum(len(r.sequence) for r in routes)
+    one = replace(routes[0], schedule=routes[0].schedule[:-1] + (math.inf,))
+    assert _violations(inst, [one, *routes[1:]]) == [
+        (inst.end_depot, "start time not finite", math.inf, 0)]
+
+
+def test_over_cap_admits_the_validators_tolerance_and_no_more():
+    inst = corridor_instance()
+    (route,) = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    h = route.exposure[1]
+    slack = 1e-6 * (2.0 + sum(abs(inst.risk[i]) for i in route.exposure))
+    assert over_cap(inst, route.exposure, INF) == []
+    assert over_cap(inst, route.exposure, h) == []
+    assert over_cap(inst, route.exposure, h - 0.9 * slack) == []
+    assert over_cap(inst, route.exposure, h - 1.1 * slack) == [(1, h), (2, route.exposure[2])]
+    validate_solution(inst, [route], cap=h - 0.9 * slack)
+    assert len(_violations(inst, [route], cap=h - 1.1 * slack)) == 2

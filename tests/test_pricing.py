@@ -10,7 +10,7 @@ from rdarp import calibration as cal
 from rdarp._labeling_py import _Label, dominates
 from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
-from rdarp.oracle import Route, feasible_routes, mmr_schedule, validate_route
+from rdarp.oracle import Route, cap_slack, feasible_routes, mmr_schedule, over_cap, validate_route
 from rdarp.pricing import (
     Column,
     DualValues,
@@ -22,27 +22,35 @@ from tests.conftest import reached_states
 INF = math.inf
 
 
-def enumerate_min_rc(inst, duals, mode):
-    """Exhaustive minimum reduced cost over all feasible routes."""
-    best = None
+def all_routes(inst):
+    """Every route ``feasible_routes`` yields, over every request group."""
     n = inst.n
     for size in range(1, n + 1):
         for group in itertools.combinations(range(1, n + 1), size):
-            for route in feasible_routes(inst, group):
-                seq = route.sequence
-                if any(a in inst.banned_arcs for a in route.arcs()):
-                    continue
-                rc = -duals.mu
-                for a, b in zip(seq[:-1], seq[1:]):
-                    t = inst.t(a, b)
-                    rc += (-duals.xi * t) if mode == "risk" else t
-                    if inst.is_pickup(a):
-                        rc -= duals.pi.get(a, 0.0)
-                    rc -= duals.arc_adjust.get((a, b), 0.0)
-                for i, h in route.exposure.items():
-                    rc -= duals.rho.get(i, 0.0) * h
-                if best is None or rc < best[0]:
-                    best = (rc, seq)
+            yield from feasible_routes(inst, group)
+
+
+def enumerate_min_rc(inst, duals, mode, cap=INF):
+    """Exhaustive minimum reduced cost over all feasible routes with no
+    rider over ``cap`` (``oracle.over_cap``)."""
+    best = None
+    for route in all_routes(inst):
+        seq = route.sequence
+        if any(a in inst.banned_arcs for a in route.arcs()):
+            continue
+        if over_cap(inst, route.exposure, cap):
+            continue
+        rc = -duals.mu
+        for a, b in zip(seq[:-1], seq[1:]):
+            t = inst.t(a, b)
+            rc += (-duals.xi * t) if mode == "risk" else t
+            if inst.is_pickup(a):
+                rc -= duals.pi.get(a, 0.0)
+            rc -= duals.arc_adjust.get((a, b), 0.0)
+        for i, h in route.exposure.items():
+            rc -= duals.rho.get(i, 0.0) * h
+        if best is None or rc < best[0]:
+            best = (rc, seq)
     return best
 
 
@@ -140,6 +148,56 @@ def test_dominance_pruning_preserves_minimum():
         lab_best = cols[0].reduced_cost if cols else 0.0
         enum_best = best[0] if best and best[0] < -1e-6 else 0.0
         assert lab_best == pytest.approx(enum_best, abs=1e-6)
+
+
+@pytest.mark.parametrize("equity", [False, True], ids=["rdarp", "edarp"])
+def test_capped_exact_pricing_matches_enumeration(equity):
+    """Under a cap on the exposure measure, exact pricing's best column is
+    the best route with no rider over the cap, and no column either run
+    emits is over it. Caps are rider measures of feasible routes, scaled just
+    below, at and above; a capped call leaves no trace on the next one."""
+    rng = random.Random(41 + equity)
+    binding = 0
+    for s in range(20):
+        inst = random_instance(s, n=3 + s % 3, fleet_size=2, window=90.0)
+        inst = preprocess(edarp_transform(inst) if equity else inst)
+        measures = sorted({inst.exposure_measure(i, h)
+                           for route in all_routes(inst) for i, h in route.exposure.items()})
+        cap = rng.choice(measures) * rng.choice((0.999999, 1.0, 1.5))
+        duals = DualValues(
+            pi={i: rng.uniform(0.0, 120.0) for i in inst.pickups()}, mu=-1.0,
+            rho={i: -rng.uniform(0.0, 1.5) for i in inst.pickups() if rng.random() < 0.5},
+        )
+        free = solve_pricing(inst, duals, "cost", limit=1000)
+        best = enumerate_min_rc(inst, duals, "cost", cap)
+        want = best[0] if best and best[0] < -1e-6 else 0.0
+        cols = solve_pricing(inst, duals, "cost", limit=1000, cap=cap)
+        assert (cols[0].reduced_cost if cols else 0.0) == pytest.approx(want, abs=1e-6), s
+        heuristic = solve_pricing(inst, duals, "cost", heuristic=True, limit=5, cap=cap)
+        assert not any(over_cap(inst, c.exposure, cap) for c in cols + heuristic), s
+        if {c.sequence for c in cols} != {c.sequence for c in free}:
+            binding += 1
+        again = solve_pricing(inst, duals, "cost", limit=1000)
+        assert [c.sequence for c in again] == [c.sequence for c in free]
+    assert binding >= 5
+
+
+def test_emission_applies_the_routes_own_tolerance():
+    """Labels are pruned only beyond the tolerance of every request together
+    (``cap_slack`` of all of them); a column is emitted only within its own
+    route's, narrower one. A route over the cap by less than the first and
+    more than the second is priced but not emitted."""
+    inst = preprocess(random_instance(2, n=4))
+    duals = DualValues(pi={i: 400.0 for i in inst.pickups()})
+    free = solve_pricing(inst, duals, "cost", limit=1000)
+    col = next(c for c in free if len(c.requests) == 2 and max(c.exposure.values()) > 0)
+    widest, own = cap_slack(inst, inst.pickups()), cap_slack(inst, col.exposure)
+    assert widest > own
+    cap = max(col.exposure.values()) - (widest + own) / 2
+    assert over_cap(inst, col.exposure, cap)
+    capped = solve_pricing(inst, duals, "cost", limit=1000, cap=cap)
+    assert col.sequence not in {c.sequence for c in capped}
+    assert capped and not any(over_cap(inst, c.exposure, cap) for c in capped)
 
 
 def test_dominates_reflexive_and_cost_condition():
