@@ -1,18 +1,27 @@
 """Forward labeling for the pricing subproblem (``pricing.solve_pricing``).
 
 Forward labeling from the origin depot, cheapest reduced cost first. A popped
-label is extended only to the nodes its state admits by precedence
-(``calibration.successors``), in ascending order. Each node keeps its
-undominated labels in a store sorted by reduced cost (``_Store``), so a new
-label is compared only with the labels on the side where dominance can hold.
+label is extended to its state's children in the solve's
+``calibration.ExpansionCache``: the nodes its state admits by precedence
+(``calibration.successors``), in ascending order, less the arcs the instance
+bans and the steps ``calibration.stranded`` flags, each with the state
+``extend`` builds. Each node keeps its undominated labels in a store sorted
+by reduced cost (``_Store``), so a new label is compared only with the labels
+on the side where dominance can hold.
 
-Before ``extend``, a look-ahead (``calibration.stranded``) skips a node after
-which some onboard rider could no longer reach their drop-off in time. It is
-exact: under the triangle inequality no continuation reaches the drop-off
-sooner than directly, and a rider's latest drop-off start only shrinks along
-a path, so no feasible route takes a skipped step. It saves the ``extend``
-calls that would fail on ride time and the labels that lead only to dead
-ends.
+The look-ahead ``stranded`` skips a node after which some onboard rider
+could no longer reach their drop-off in time. It is exact: under the
+triangle inequality no continuation reaches the drop-off sooner than
+directly, and a rider's latest drop-off start only shrinks along a path, so
+no feasible route takes a skipped step. It saves the ``extend`` calls that
+would fail on ride time and the labels that lead only to dead ends.
+
+Children depend on the state alone, so the cache computes them once per
+solve, for up to ``calibration.EXPANSION_CAP`` child states. What depends on
+the call is checked on every call, for cached and computed children alike:
+the branch restrictions' banned arcs, the cap prune below, and the reduced
+cost under the call's duals. Labels, their order and the columns are those
+of a run that extends every state afresh.
 
 Each column's exposure is built as it will be emitted: the labels' sums in
 RDARP, the onboard times read off the schedule in equity mode (EDARP). Under
@@ -42,8 +51,7 @@ import heapq
 import itertools
 import math
 
-from . import calibration as cal
-from .calibration import DUMMY, PathState
+from .calibration import DUMMY, ExpansionCache, PathState
 from .instance import EDARP, Instance
 from .oracle import cap_slack, onboard_times, over_cap, route_cost
 
@@ -164,7 +172,8 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     return True
 
 
-def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, trace, cap):
+def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, trace, cap,
+                 cache: ExpansionCache):
     from .pricing import Column
 
     n = inst.n
@@ -173,7 +182,7 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
     capped = cap < INF
     # a finalized rider prunes only beyond the widest emission tolerance
     prune_slack = cap_slack(inst, inst.pickups()) + TOL if capped else 0.0
-    banned = set(inst.banned_arcs) | set(restrictions.banned_arcs)
+    banned = restrictions.banned_arcs  # the instance's own bans are the cache's
     rho = duals.rho
     xi = duals.xi
     pi = duals.pi
@@ -191,7 +200,7 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
         return value
 
     counter = itertools.count()
-    root = _Label(cal.initial_state(inst), -duals.mu, next(counter))
+    root = _Label(cache.root, -duals.mu, next(counter))
     queue: list[tuple[float, int, _Label]] = [(root.rcost, root.counter, root)]
     stores: dict[int, _Store] = {i: _Store() for i in range(inst.n_nodes)}
     finished: list[tuple[float, int, Column]] = []
@@ -202,11 +211,8 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
             continue
         st = label.state
         eta = st.current
-        for j in cal.successors(inst, st):
-            if (eta, j) in banned or cal.stranded(inst, st, j):
-                continue
-            ext, _reason = cal.extend(inst, st, j)
-            if ext is None:
+        for j, ext in cache.children(st):
+            if (eta, j) in banned:
                 continue
             if capped and n < j < end and all(o == DUMMY for o in ext.state.onboard):
                 h = ext.state.h  # the vehicle empties: these exposures are final

@@ -156,11 +156,12 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
           pool: ColumnPool | None = None) -> SolveReport:
     """Certified minimum (cost or peak exposure) via branch-cut-and-price.
 
-    The column pool is shared tree-wide. A node's branching rows enter the
-    master; its restriction record (``BranchNode.restrictions``) is passed
-    once to ``column_generation``, where the master fixes every pool column
-    it bars to zero and pricing emits none. Cuts are separated at the root
-    until none are violated, then frozen.
+    The column pool, and with it the expansion cache pricing reads
+    (``ColumnPool.expansions``), is shared tree-wide. A node's branching
+    rows enter the master; its restriction record (``BranchNode.restrictions``)
+    is passed once to ``column_generation``, where the master fixes every
+    pool column it bars to zero and pricing emits none. Cuts are separated
+    at the root until none are violated, then frozen.
 
     Raises ``ValueError``, before any LP is built, on a negative cap (its
     master rows carry no artificial, so the master LP itself would be

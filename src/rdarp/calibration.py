@@ -25,6 +25,13 @@ reject every continuation of such a step, since the triangle inequality makes
 no detour faster and ``do_b`` never grows, so the look-ahead removes no
 feasible route; ``extend`` itself still checks everything.
 
+A state after ``extend`` depends only on its node sequence, never on duals,
+so a solve expands each state once: an ``ExpansionCache``, owned by the
+solve's column pool, keeps each state's accepted extensions for every later
+pricing run (resource extension functions; Irnich & Desaulniers 2005). It
+holds at most ``EXPANSION_CAP`` child states, about 1 MB, and past that
+computes expansions without storing them.
+
 ``extend`` is the labeling algorithm's unit of work, so its common case has a
 path of its own. Most accepted steps choose no delay; on this zero-delay path
 no committed position shifts, so only pairs of onboard riders accrue, each by
@@ -45,6 +52,7 @@ from .instance import EDARP, Instance
 TOL = 1e-9
 INF = math.inf
 STRANDED_MARGIN = 1e-6  # ``stranded``'s slack over a drop-off's latest start
+EXPANSION_CAP = 512  # child states one ``ExpansionCache`` holds
 
 DUMMY = 0  # virtual ever-onboard rider used in equity mode
 
@@ -171,6 +179,54 @@ def stranded(inst: Instance, st: PathState, j: int) -> bool:
         if reach + t_j[o + n] > do_b[o] + STRANDED_MARGIN:
             return True
     return False
+
+
+class ExpansionCache:
+    """One solve's tree of states: each state's accepted extensions,
+    computed once and shared by every pricing run over ``inst``.
+
+    ``children(st)`` is what a label at ``st`` may be extended to whatever
+    the duals, cap and branch restrictions: the ``(j, Extension)`` pairs, in
+    ascending ``j``, for every successor the instance does not ban, that
+    ``stranded`` does not flag and that ``extend`` accepts. Labeling starts
+    from ``root``, so the states of one run are those of the next and their
+    children are found by identity.
+
+    ``held`` counts the child states the cache holds, at most
+    ``EXPANSION_CAP`` (about 2 KB each), which bounds the memory a long tree
+    can add. Expansions are stored until the first one that does not fit;
+    from then on they are computed and not stored. So every stored state is
+    the root or a stored child, which the next run reaches again.
+    """
+
+    __slots__ = ("inst", "root", "held", "_children", "_full")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.root = initial_state(inst)
+        self.held = 0
+        self._children: dict[PathState, list[tuple[int, Extension]]] = {}
+        self._full = False
+
+    def children(self, st: PathState) -> list[tuple[int, Extension]]:
+        out = self._children.get(st)
+        if out is None:
+            inst = self.inst
+            banned = inst.banned_arcs
+            eta = st.nodes[-1]
+            out = []
+            for j in successors(inst, st):
+                if (eta, j) in banned or stranded(inst, st, j):
+                    continue
+                ext, _reason = extend(inst, st, j)
+                if ext is not None:
+                    out.append((j, ext))
+            if self._full or self.held + len(out) > EXPANSION_CAP:
+                self._full = True
+            else:
+                self._children[st] = out
+                self.held += len(out)
+        return out
 
 
 def extend(inst: Instance, st: PathState, j: int):

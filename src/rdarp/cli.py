@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 from . import __version__, bcp, cuts, master, oracle
 from .errors import (
@@ -229,11 +230,11 @@ def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None
     )
 
 
-_CAP_USE = {
+_CAP_USE = MappingProxyType({
     "eps_cost": "--eps-cost caps cost only with --mode risk",
     "eps_risk": "--eps-risk caps exposure only with --mode cost on an instance that is not EDARP",
     "eps_dt": "--eps-dt caps detour rates only with --mode cost on an EDARP instance (--edarp)",
-}
+})
 
 
 def _reject_ignored_caps(args, inst: Instance, mode: str) -> bool:

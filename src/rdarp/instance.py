@@ -361,40 +361,6 @@ def emit_realworld(inst: Instance) -> str:
 # Risk synthesis
 # ---------------------------------------------------------------------------
 
-PURPOSE_SCORES = (0.1, 0.2, 0.3)
-AGE_SCORES = (0.1, 0.2, 0.3)
-COUNTY_SCORES = (0.2, 0.3)
-
-
-@dataclass(frozen=True)
-class RiskProfile:
-    """Rider attributes mapped to additive score components.
-
-    Levels: purpose 0.1 (personal), 0.2 (work/school/errands), 0.3 (medical);
-    age 0.1 (18-44), 0.2 (44-65), 0.3 (65+); county 0.2 or 0.3 per local
-    prevalence. A zero profile marks a score-exempt rider.
-    """
-
-    purpose_score: float
-    age_score: float
-    county_score: float
-
-    def __post_init__(self):
-        if self.purpose_score == self.age_score == self.county_score == 0.0:
-            return
-        if self.purpose_score not in PURPOSE_SCORES:
-            raise ValidationError(f"purpose score {self.purpose_score} not in {PURPOSE_SCORES}")
-        if self.age_score not in AGE_SCORES:
-            raise ValidationError(f"age score {self.age_score} not in {AGE_SCORES}")
-        if self.county_score not in COUNTY_SCORES:
-            raise ValidationError(f"county score {self.county_score} not in {COUNTY_SCORES}")
-
-
-def assess_risk_score(profile: RiskProfile) -> float:
-    """Total score: the sum of the three components (0, or 0.4 to 0.9)."""
-    return profile.purpose_score + profile.age_score + profile.county_score
-
-
 def derive_benchmark_risk(inst: Instance) -> Instance:
     """Risk extension for benchmark instances: score equals passenger count."""
     risk = list(inst.risk)

@@ -9,6 +9,7 @@ solutions, duals, and pivot sequences. Dual sign convention for minimization:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -78,17 +79,6 @@ class LinearModel:
         self.rhs.append(float(rhs))
         self.rows.append(entries)
         return self.n_rows - 1
-
-    def dump(self) -> str:
-        """Fixed-layout text form, one variable/constraint per line, for
-        cross-checking against external solvers."""
-        out = [f"min {self.name}".rstrip()]
-        for j, name in enumerate(self.var_names):
-            out.append(f"var {name} lb={self.lb[j]!r} ub={self.ub[j]!r} obj={self.obj[j]!r}")
-        for r, name in enumerate(self.row_names):
-            terms = " ".join(f"{v!r}*{self.var_names[j]}" for j, v in self.rows[r])
-            out.append(f"row {name}: {terms} {self.senses[r]} {self.rhs[r]!r}")
-        return "\n".join(out) + "\n"
 
 
 @dataclass
@@ -319,33 +309,40 @@ def solve_lp_warm(model: LinearModel, warm) -> tuple[LpSolution, object]:
 
 
 def _certify(model: LinearModel, x: np.ndarray, y: np.ndarray, obj: float) -> None:
+    """Raise ``LpNumericalFailure`` unless ``x`` and ``y`` are primal
+    feasible, ``y`` has the sign its row's sense requires, and the primal and
+    dual objectives agree. The message names the first failing row (primal
+    before dual sign within a row), else the first variable whose reduced
+    cost has no bound to rest on, else the gap."""
     scale = 1.0 + max(1.0, float(np.max(np.abs(x)) if x.size else 1.0))
-    for r, entries in enumerate(model.rows):
-        lhs = sum(v * x[j] for j, v in entries)
-        rhs = model.rhs[r]
-        sense = model.senses[r]
-        if sense == LE and lhs > rhs + FEAS_TOL * scale:
-            raise LpNumericalFailure(f"row {model.row_names[r]}: primal infeasibility {lhs - rhs:.3g}")
-        if sense == GE and lhs < rhs - FEAS_TOL * scale:
-            raise LpNumericalFailure(f"row {model.row_names[r]}: primal infeasibility {rhs - lhs:.3g}")
-        if sense == EQ and abs(lhs - rhs) > FEAS_TOL * scale:
-            raise LpNumericalFailure(f"row {model.row_names[r]}: primal infeasibility {abs(lhs - rhs):.3g}")
-        if sense == LE and y[r] > DUAL_TOL:
-            raise LpNumericalFailure(f"row {model.row_names[r]}: dual sign {y[r]:.3g} on <= row")
-        if sense == GE and y[r] < -DUAL_TOL:
-            raise LpNumericalFailure(f"row {model.row_names[r]}: dual sign {y[r]:.3g} on >= row")
+    tol = FEAS_TOL * scale
+    coo = np.fromiter(chain.from_iterable(chain.from_iterable(model.rows)), dtype=float).reshape(-1, 2)
+    cols, vals = coo[:, 0].astype(np.intp), coo[:, 1]
+    row_of = np.repeat(np.arange(model.n_rows), [len(entries) for entries in model.rows])
+    lhs = np.bincount(row_of, weights=vals * x[cols], minlength=model.n_rows)
+    rhs = np.array(model.rhs, dtype=float)
+    senses = np.array(model.senses)
+    le, ge, eq = senses == LE, senses == GE, senses == EQ
+    primal = (le & (lhs > rhs + tol)) | (ge & (lhs < rhs - tol)) | (eq & (np.abs(lhs - rhs) > tol))
+    sign = (le & (y > DUAL_TOL)) | (ge & (y < -DUAL_TOL))
+    failing = np.flatnonzero(primal | sign)
+    if failing.size:
+        r = int(failing[0])
+        name, sense = model.row_names[r], model.senses[r]
+        if primal[r]:
+            excess = {LE: lhs[r] - rhs[r], GE: rhs[r] - lhs[r]}.get(sense, abs(lhs[r] - rhs[r]))
+            raise LpNumericalFailure(f"row {name}: primal infeasibility {excess:.3g}")
+        raise LpNumericalFailure(f"row {name}: dual sign {y[r]:.3g} on {sense} row")
     # Strong duality including reduced-cost contributions of variables at bounds.
-    dual_obj = float(y @ np.array(model.rhs))
-    d = np.array(model.obj, dtype=float)
-    for r, entries in enumerate(model.rows):
-        for j, v in entries:
-            d[j] -= v * y[r]
-    for j in range(model.n_vars):
-        if d[j] > OPT_TOL or model.ub[j] == model.lb[j]:
-            dual_obj += d[j] * model.lb[j]
-        elif d[j] < -OPT_TOL:
-            if not np.isfinite(model.ub[j]):
-                raise LpNumericalFailure(f"variable {model.var_names[j]}: negative reduced cost, no upper bound")
-            dual_obj += d[j] * model.ub[j]
+    d = np.array(model.obj, dtype=float) - np.bincount(cols, weights=vals * y[row_of],
+                                                       minlength=model.n_vars)
+    lb, ub = np.array(model.lb, dtype=float), np.array(model.ub, dtype=float)
+    at_lb = (d > OPT_TOL) | (ub == lb)
+    at_ub = ~at_lb & (d < -OPT_TOL)
+    unbounded = np.flatnonzero(at_ub & ~np.isfinite(ub))
+    if unbounded.size:
+        name = model.var_names[int(unbounded[0])]
+        raise LpNumericalFailure(f"variable {name}: negative reduced cost, no upper bound")
+    dual_obj = float(y @ rhs) + float(d[at_lb] @ lb[at_lb]) + float(d[at_ub] @ ub[at_ub])
     if abs(obj - dual_obj) > DUAL_TOL * (1.0 + abs(obj)):
         raise LpNumericalFailure(f"duality gap {obj - dual_obj:.3g}")

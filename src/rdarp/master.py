@@ -30,12 +30,17 @@ def fractional(value: float) -> bool:
 
 class ColumnPool:
     """Deduplicated routes keyed by node sequence; every insert re-validates
-    the route against the oracle."""
+    the route against the oracle.
+
+    The pool also owns the solve's ``calibration.ExpansionCache``: every
+    node, cut round and shared sweep that prices with this pool extends
+    each state it reaches once."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.columns: list[oracle.Route] = []
         self._index: dict[tuple[int, ...], int] = {}
+        self.expansions = cal.ExpansionCache(inst)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -135,8 +140,8 @@ def _column_coefs(inst: Instance, meta: dict, col: oracle.Route):
     """Every nonzero ``(row key, coefficient)`` of a column in the master.
 
     Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("risk", i)`` the
-    per-request exposure measure (detour rate in equity mode), ``"cost"`` the
-    cost cap, ``("x", r)`` extra row ``r``.
+    per-request exposure measure (detour rate in equity mode) under the risk
+    objective's peak, ``"cost"`` the cost cap, ``("x", r)`` extra row ``r``.
     """
     rows = meta["row"]
     for i in col.requests:
@@ -178,9 +183,10 @@ def build_rlmp(
     In cost mode each request rides in exactly one route, so the cap on the
     exposure measure (``Instance.measure_cap``) holds route by route: every
     pool column with a rider over it (``oracle.over_cap``) is fixed to zero
-    too, whether it was seeded, priced under another cap or shared. The
-    per-request cap rows stay, though they are then implied. In risk mode the
-    peak is a variable and no column is fixed for it.
+    too, whether it was seeded, priced under another cap or shared. That
+    implies every per-request cap row, so cost mode has none. In risk mode
+    the peak is a variable, bounded below by one such row per request, and
+    no column is fixed for it.
     """
     model = LinearModel(f"rlmp-{mode}")
     big = big_cost(inst)
@@ -202,8 +208,6 @@ def build_rlmp(
         specs += [(("risk", i), f"risk{i}", LE, 0.0, {peak: -1.0}) for i in inst.pickups()]
         if eps_cost < INF:
             specs.append(("cost", "costcap", LE, eps_cost, {}))
-    elif risk_cap < INF:
-        specs += [(("risk", i), f"risk{i}", LE, risk_cap, {}) for i in inst.pickups()]
     for r, row in enumerate(extra_rows):
         own = {meta["xart"][r]: 1.0} if row.sense == GE else {}
         specs.append((("x", r), f"x{r}:{row.name}", row.sense, row.rhs, own))
@@ -427,7 +431,7 @@ def column_generation(
         added = 0
         for heuristic in pricing_modes:
             cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                                 restrictions=restrictions, cap=cap)
+                                 restrictions=restrictions, cap=cap, cache=pool.expansions)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break

@@ -3,7 +3,8 @@ solved by forward labeling. Each emitted column carries the schedule the
 delay calibration (``rdarp.calibration``) commits for its sequence.
 
 The labeling itself runs in ``rdarp._labeling_py``; this module maps master
-duals, branch restrictions and the per-rider cap to its terms.
+duals, branch restrictions and the per-rider cap to its terms, and passes on
+the solve's ``calibration.ExpansionCache``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _labeling_py
+from .calibration import ExpansionCache
 from .instance import Instance
 from .oracle import Route
 
@@ -90,6 +92,7 @@ def solve_pricing(
     restrictions: PricingRestrictions | None = None,
     trace=None,
     cap: float = INF,
+    cache: ExpansionCache | None = None,
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, best
     first. A heuristic run weakens dominance (drops the served-set inclusion)
@@ -106,10 +109,22 @@ def solve_pricing(
     call, never state kept between calls; the default ``INF`` prices without
     a cap. In equity mode each column's exposure is read off its emitted
     schedule (drop-off minus pick-up start of service), so it equals the
-    onboard time exactly, not the labels' step-by-step sum of it."""
+    onboard time exactly, not the labels' step-by-step sum of it.
+
+    ``cache`` is the solve's ``calibration.ExpansionCache`` over ``inst``
+    (``ColumnPool.expansions``); a call without one builds a fresh cache for
+    itself. It holds the dual-independent work, each state's accepted
+    extensions, for up to ``calibration.EXPANSION_CAP`` child states. The
+    duals, ``restrictions``, ``cap``, ``heuristic`` and ``limit`` act per
+    call, so a shared cache returns exactly the columns a fresh one would.
+    A cache built for another instance raises ``ValueError``."""
     if mode not in (COST, RISK):
         raise ValueError(f"mode must be {COST!r} or {RISK!r}")
     duals.validate_signs()
     restrictions = restrictions or PricingRestrictions()
+    if cache is None:
+        cache = ExpansionCache(inst)
+    elif cache.inst is not inst and cache.inst != inst:
+        raise ValueError("the expansion cache was built for another instance")
     return _labeling_py.run_labeling(inst, duals, mode, heuristic, limit, restrictions,
-                                     trace, cap)
+                                     trace, cap, cache)

@@ -5,8 +5,6 @@ import pytest
 from rdarp.errors import InfeasibleRequestError, ParseError, ValidationError
 from rdarp.fixtures import random_instance
 from rdarp.instance import (
-    RiskProfile,
-    assess_risk_score,
     compute_qmax,
     derive_benchmark_risk,
     edarp_transform,
@@ -74,16 +72,6 @@ def test_benchmark_risk_equals_load():
     for i in derived.pickups():
         assert derived.risk[i] == derived.load[i]
         assert derived.risk[i + derived.n] == -derived.load[i]
-
-
-def test_risk_profile_scores():
-    assert assess_risk_score(RiskProfile(0.3, 0.3, 0.3)) == pytest.approx(0.9)
-    assert assess_risk_score(RiskProfile(0.1, 0.1, 0.2)) == pytest.approx(0.4)
-    assert assess_risk_score(RiskProfile(0.0, 0.0, 0.0)) == 0.0
-    with pytest.raises(ValidationError):
-        RiskProfile(0.15, 0.1, 0.2)
-    with pytest.raises(ValidationError):
-        RiskProfile(0.1, 0.4, 0.2)
 
 
 def test_compute_qmax():

@@ -117,9 +117,112 @@ def test_adding_valid_rows_never_decreases_objective(rhs, costs, cut_rhs):
     assert cut.objective >= base.objective - 1e-9
 
 
-def test_dump_round_layout():
-    m = LinearModel("demo")
-    x = m.add_var("x", lb=0, ub=2, obj=1.5)
-    m.add_row("row", {x: 2.0}, LE, 3.0)
-    text = m.dump()
-    assert "var x" in text and "row row:" in text and "<= 3.0" in text
+def certify_by_loops(model, x, y, obj):
+    """``lp._certify`` written row by row and variable by variable: the
+    reference the vectorized check must agree with. Returns the failure
+    message, or None."""
+    from rdarp.lp import DUAL_TOL, FEAS_TOL, OPT_TOL
+
+    scale = 1.0 + max(1.0, float(np.max(np.abs(x)) if x.size else 1.0))
+    for r, entries in enumerate(model.rows):
+        lhs = sum(v * x[j] for j, v in entries)
+        rhs, sense, name = model.rhs[r], model.senses[r], model.row_names[r]
+        if sense == LE and lhs > rhs + FEAS_TOL * scale:
+            return f"row {name}: primal infeasibility {lhs - rhs:.3g}"
+        if sense == GE and lhs < rhs - FEAS_TOL * scale:
+            return f"row {name}: primal infeasibility {rhs - lhs:.3g}"
+        if sense == EQ and abs(lhs - rhs) > FEAS_TOL * scale:
+            return f"row {name}: primal infeasibility {abs(lhs - rhs):.3g}"
+        if sense == LE and y[r] > DUAL_TOL:
+            return f"row {name}: dual sign {y[r]:.3g} on <= row"
+        if sense == GE and y[r] < -DUAL_TOL:
+            return f"row {name}: dual sign {y[r]:.3g} on >= row"
+    dual_obj = float(y @ np.array(model.rhs))
+    d = np.array(model.obj, dtype=float)
+    for r, entries in enumerate(model.rows):
+        for j, v in entries:
+            d[j] -= v * y[r]
+    for j in range(model.n_vars):
+        if d[j] > OPT_TOL or model.ub[j] == model.lb[j]:
+            dual_obj += d[j] * model.lb[j]
+        elif d[j] < -OPT_TOL:
+            if not np.isfinite(model.ub[j]):
+                return f"variable {model.var_names[j]}: negative reduced cost, no upper bound"
+            dual_obj += d[j] * model.ub[j]
+    if abs(obj - dual_obj) > DUAL_TOL * (1.0 + abs(obj)):
+        return f"duality gap {obj - dual_obj:.3g}"
+    return None
+
+
+def test_certify_agrees_with_the_loop_reference():
+    """On solved random LPs and on perturbed copies of their solutions, the
+    vectorized certificate passes exactly when the loop reference does and
+    names the same first failure: primal rows of each sense, dual signs,
+    rows failing both (primal is named), an unbounded reduced cost and the
+    duality gap all occur."""
+    from rdarp.errors import LpNumericalFailure
+    from rdarp.lp import _certify
+
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for _ in range(60):
+        m = LinearModel()
+        n_vars = int(rng.integers(2, 7))
+        for j in range(n_vars):
+            ub = float(rng.choice([np.inf, 3.0, 0.0])) if j else np.inf
+            m.add_var(f"v{j}", ub=ub, obj=float(rng.uniform(-2.0, 5.0)))
+        m.add_row("cover", {j: 1.0 for j in range(n_vars)}, GE, 1.0)
+        for r in range(int(rng.integers(1, 5))):
+            coefs = {j: float(rng.uniform(-1.0, 3.0)) for j in range(n_vars) if rng.random() < 0.6}
+            m.add_row(f"r{r}", coefs, str(rng.choice([LE, GE, EQ])), float(rng.uniform(0.0, 4.0)))
+        m.add_row("cap", {j: 1.0 for j in range(n_vars)}, LE, 10.0)
+        try:
+            sol = solve_lp(m)
+        except LpNumericalFailure:
+            continue
+        if sol.status != "Optimal":
+            continue
+        for trial in range(7):
+            x, y, obj, costs = sol.x.copy(), sol.duals.copy(), sol.objective, list(m.obj)
+            what = rng.integers(4) if trial else None  # the first trial is the solution
+            if what == 0:
+                x[rng.integers(n_vars)] += rng.uniform(-1.0, 1.0)
+            elif what == 1:
+                y[rng.integers(m.n_rows)] += rng.uniform(-1.0, 1.0)
+            elif what == 2:
+                obj += rng.uniform(-1.0, 1.0)
+            elif what == 3:
+                m.obj[rng.integers(n_vars)] -= 50.0
+            want = certify_by_loops(m, x, y, obj)
+            try:
+                _certify(m, x, y, obj)
+                got = None
+            except LpNumericalFailure as exc:
+                got = str(exc)
+            m.obj = costs
+            assert got == want
+            kinds.add(failure_kind(m, want))
+    assert kinds == {None, ("primal", LE), ("primal", GE), ("primal", EQ), ("sign", LE),
+                     ("sign", GE), ("unbounded", None), ("gap", None)}
+    # a row failing both checks is named for its primal infeasibility
+    m = LinearModel()
+    v = m.add_var("v", obj=1.0)
+    m.add_row("le", {v: 1.0}, LE, 1.0)
+    m.add_row("ge", {v: 1.0}, GE, 3.0)
+    x, y = np.array([2.0]), np.array([0.5, -0.5])
+    want = certify_by_loops(m, x, y, 2.0)
+    assert want == "row le: primal infeasibility 1"
+    with pytest.raises(LpNumericalFailure) as failure:
+        _certify(m, x, y, 2.0)
+    assert str(failure.value) == want
+
+
+def failure_kind(model, message):
+    """(check, sense of the failing row) of a certificate message."""
+    if message is None:
+        return None
+    if message.startswith("row "):
+        name = message[4:message.index(":")]
+        check = "primal" if "primal" in message else "sign"
+        return check, model.senses[model.row_names.index(name)]
+    return ("unbounded" if message.startswith("variable ") else "gap"), None

@@ -70,12 +70,17 @@ def test_rlmp_empty_pool_uses_artificials(two_rider_chain):
 
 
 def test_rlmp_infinite_cap_omits_risk_rows(two_rider_chain):
+    """Cost mode has no per-request cap rows, capped or not: the cap holds
+    route by route through the fixed columns. The risk objective keeps one
+    row per request under its peak."""
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
-    model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=INF)
-    assert not any(key[0] == "risk" for key in meta["row"] if isinstance(key, tuple))
-    assert all(not name.startswith("risk") for name in model.row_names)
-    model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=10.0)
+    for eps_risk in (INF, 10.0):
+        model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=eps_risk)
+        assert not any(key[0] == "risk" for key in meta["row"] if isinstance(key, tuple))
+        assert all(not name.startswith("risk") for name in model.row_names)
+    assert meta["cap"] == 10.0
+    model, meta = build_rlmp(pool, two_rider_chain, "risk")
     assert [model.row_names[meta["row"][("risk", i)]] for i in (1, 2)] == ["risk1", "risk2"]
 
 
@@ -227,16 +232,19 @@ def test_edarp_risk_rows_bound_detour_rates():
     inst = preprocess(edarp_transform(random_instance(4, n=2, window=60.0)))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    model, meta = build_rlmp(pool, inst, "cost", eps_risk=1.0, eps_dt=4.0)
     # the detour-rate cap applies in EDARP; the exposure cap does not
+    _, meta = build_rlmp(pool, inst, "cost", eps_risk=1.0, eps_dt=4.0)
+    assert meta["cap"] == 4.0
+    model, meta = build_rlmp(pool, inst, "risk", eps_cost=1000.0)
     for i in inst.pickups():
         r = meta["row"][("risk", i)]
         assert model.row_names[r] == f"risk{i}"
-        assert (model.senses[r], model.rhs[r]) == ("<=", 4.0)
-        # coefficient is exposure over the floored direct time
+        assert (model.senses[r], model.rhs[r]) == ("<=", 0.0)
+        # coefficient is exposure over the floored direct time, less the peak
         expected = {f"l{k}": col.exposure[i] / inst.detour_weight[i - 1]
                     for k, col in enumerate(pool.columns) if col.exposure.get(i)}
         assert expected
+        expected["peak"] = -1.0
         assert {model.var_names[j]: v for j, v in model.rows[r]} == expected
 
 
@@ -275,7 +283,9 @@ def test_appended_columns_match_a_fresh_build(mode, caps):
     assert ("costcap" in fresh.row_names) == (mode == "risk")
     coefs = _row_coefficients(model)
     appended = {f"l{k}" for k in range(seeded, len(pool))}
-    for prefix in ("part", "fleet", "risk", "x0:", "x1:"):
+    # the cost-mode cap rows would be implied, so only the risk objective has them
+    assert any(name.startswith("risk") for name in coefs) == (mode == "risk")
+    for prefix in ("part", "fleet", "x0:", "x1:") + (("risk",) if mode == "risk" else ()):
         assert any(appended & set(row) for name, row in coefs.items() if name.startswith(prefix))
     assert coefs == _row_coefficients(fresh)
     assert {model.var_names[j]: (model.lb[j], model.ub[j], model.obj[j]) for j in range(model.n_vars)} \

@@ -361,3 +361,104 @@ def test_heuristic_run_stops_at_limit():
     exact = solve_pricing(inst, duals, "cost", limit=5)
     assert exact[0].reduced_cost <= rcs[0]
 
+
+def _priced(cols):
+    """Everything a column carries, to the bit."""
+    return [(c.sequence, c.schedule, c.reduced_cost, c.cost, c.exposure, c.q_terminal)
+            for c in cols]
+
+
+def _counting_extend(monkeypatch):
+    calls = [0]
+    real = cal.extend
+
+    def extend(inst, st, j):
+        calls[0] += 1
+        return real(inst, st, j)
+
+    monkeypatch.setattr(cal, "extend", extend)
+    return calls
+
+
+@pytest.mark.parametrize("equity", [False, True], ids=["rdarp", "edarp"])
+def test_a_shared_expansion_cache_prices_as_a_fresh_one(monkeypatch, equity):
+    """A run of pricing calls through one cache returns exactly the columns
+    of uncached calls: cost and risk mode, exact and heuristic runs, a
+    finite cap, and a branch ban on an arc the cache has already expanded.
+    A repeated call extends no state again."""
+    base = random_instance(2, n=4, window=120.0)
+    inst = preprocess(edarp_transform(base) if equity else base)
+    rng = random.Random(41)
+
+    def duals(xi=0.0):
+        return DualValues(pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0,
+                          rho={i: -rng.uniform(0.0, 1.5) for i in inst.pickups()}, xi=xi)
+
+    first = duals()
+    fresh = solve_pricing(inst, first, "cost")
+    seq = fresh[0].sequence
+    assert len(seq) > 3
+    capped = sorted(inst.exposure_measure(i, h) for c in fresh for i, h in c.exposure.items())
+    calls = [
+        (first, "cost", {}),
+        (duals(), "cost", {"heuristic": True, "limit": 5}),
+        (duals(xi=-0.4), "risk", {}),
+        (duals(xi=-0.4), "risk", {"heuristic": True}),
+        (duals(), "cost", {"cap": capped[len(capped) // 2]}),
+        (first, "cost", {"restrictions": PricingRestrictions(banned_arcs=frozenset({seq[1:3]}))}),
+    ]
+    cache = cal.ExpansionCache(inst)
+    for k, (d, mode, kw) in enumerate(calls):
+        if "restrictions" in kw:
+            # the banned arc leaves a state whose children the cache holds
+            held = cache.held
+            after_first = dict(cache.children(cache.root))[seq[1]].state
+            assert seq[2] in dict(cache.children(after_first))
+            assert cache.held == held
+        cached = solve_pricing(inst, d, mode, cache=cache, **kw)
+        assert _priced(cached) == _priced(solve_pricing(inst, d, mode, **kw)), k
+        assert cached or mode == "risk", k
+    assert 0 < cache.held <= cal.EXPANSION_CAP
+    extends = _counting_extend(monkeypatch)
+    assert _priced(solve_pricing(inst, first, "cost", cache=cache)) == _priced(fresh)
+    assert extends[0] == 0
+
+
+def test_a_full_expansion_cache_keeps_its_cap_and_its_answers(monkeypatch):
+    """On an n=14 instance the cache fills: it never holds more child states
+    than its cap, later runs extend the states it could not keep, and every
+    answer stays that of an uncached call."""
+    from rdarp.fixtures import benchmark_like_instance
+
+    inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    cache = cal.ExpansionCache(inst)
+    extends = _counting_extend(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(4):
+        duals = DualValues(pi={i: rng.uniform(5.0, 20.0) for i in inst.pickups()}, mu=-5.0)
+        for heuristic in (True, False):
+            cached = solve_pricing(inst, duals, "cost", heuristic=heuristic, limit=50, cache=cache)
+            assert cache.held <= cal.EXPANSION_CAP
+            fresh = solve_pricing(inst, duals, "cost", heuristic=heuristic, limit=50)
+            assert _priced(cached) == _priced(fresh)
+    assert cache.held > cal.EXPANSION_CAP - inst.n_nodes  # no child list fits any more
+    # nothing unreachable is kept: each stored state is the root or a stored child
+    stored = cache._children
+    reachable = {id(cache.root)} | {id(ext.state) for kids in stored.values() for _, ext in kids}
+    assert all(id(st) in reachable for st in stored)
+    extends[0] = 0
+    solve_pricing(inst, duals, "cost", limit=50)
+    uncached = extends[0]
+    extends[0] = 0
+    solve_pricing(inst, duals, "cost", limit=50, cache=cache)
+    assert 0 < extends[0] < uncached
+
+
+def test_a_cache_of_another_instance_is_refused():
+    inst = preprocess(random_instance(2, n=3))
+    other = preprocess(random_instance(3, n=3))
+    with pytest.raises(ValueError, match="another instance"):
+        solve_pricing(inst, DualValues(), "cost", cache=cal.ExpansionCache(other))
+    equal = preprocess(random_instance(2, n=3))
+    assert equal is not inst
+    assert solve_pricing(inst, DualValues(), "cost", cache=cal.ExpansionCache(equal)) == []
