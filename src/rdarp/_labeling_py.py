@@ -37,11 +37,13 @@ exposure. ``dominates`` does not compare finalized riders' exposures, which
 is sound because an over-cap label is dropped before it can dominate. With
 an infinite cap none of this runs.
 
-An exact run is exhaustive over the routes the restrictions allow and the
-cap admits. A heuristic run weakens dominance and stops as soon as ``limit``
-columns are complete, counting only columns with reduced cost below -1e-6
-that pass the branch restrictions and the cap (Desaulniers, Desrosiers &
-Solomon 2002); either run returns its columns sorted by reduced cost.
+The branch restrictions are banned arcs alone, and no label is extended
+along one, so every completed route passes them and emission checks only the
+cap. An exact run is exhaustive over the routes that use no banned arc and
+that the cap admits. A heuristic run weakens dominance and stops as soon as
+``limit`` columns are complete, counting only columns with reduced cost
+below -1e-6 that pass the cap (Desaulniers, Desrosiers & Solomon 2002);
+either run returns its columns sorted by reduced cost.
 """
 
 from __future__ import annotations
@@ -227,8 +229,6 @@ def run_labeling(inst: Instance, duals, mode, heuristic, limit, restrictions, tr
             if j == end:
                 if rcost < -NEGATIVE_TOL and ext.state.served:
                     seq, times = ext.state.nodes, ext.state.times
-                    if not restrictions.allows(seq, list(zip(seq[:-1], seq[1:]))):
-                        continue
                     exposure = onboard_times(inst, seq, times) if edarp else ext.state.request_h()
                     if over_cap(inst, exposure, cap):
                         continue

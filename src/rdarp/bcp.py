@@ -1,5 +1,14 @@
 """Branch-cut-and-price tree: best-first search over column-generation
-relaxations with vehicle-count, pair-outflow, and single-arc branching."""
+relaxations, branching on the vehicle count and then on single arcs.
+
+Both rules keep pricing exact. A vehicle-count row's dual is route-constant
+and folds into ``DualValues.mu``. An arc is branched by banning it in one
+child, which pricing honours by never extending along it, and by an
+``arc(i,j)>=1`` row in the other, whose dual folds into the arc's cost
+(Lübbecke & Desrosiers 2005). The rules are complete: ``branch`` runs only on
+a master that is not ``MasterSolution.integral``, so some arc flow is
+fractional, and every arc flow is at most 1, so each ``arc>=1`` child fixes
+its arc to 1 and the tree is finite."""
 
 from __future__ import annotations
 
@@ -19,7 +28,6 @@ from .master import (
     ColumnPool,
     ExtraRow,
     INFEASIBLE_STATUS,
-    INTEGRALITY_TOL,
     MasterSolution,
     OPTIMAL_STATUS,
     TIME_LIMIT_STATUS,
@@ -69,7 +77,6 @@ class SolveOptions:
     eps_dt: float = INF
     time_limit: float | None = None
     cut_families: tuple[str, ...] = cuts_mod.FAMILIES
-    use_heuristic_pricing: bool = True
 
 
 CAPS = ("eps_risk", "eps_cost", "eps_dt")
@@ -86,35 +93,23 @@ def enforced_cap(inst: Instance, mode: str) -> str:
     return "eps_dt" if inst.mode == EDARP else "eps_risk"
 
 
-def _pair_candidates(inst: Instance, msol: MasterSolution):
-    """2-node subsets of the fractional support with outflow strictly inside
-    (1, 2), ranked by closeness to 1.5."""
-    flows = msol.arc_flows()
-    nodes = sorted({v for (i, j) in flows for v in (i, j) if 1 <= v <= 2 * inst.n})
-    best = None
-    for a, b in itertools.combinations(nodes, 2):
-        pair = {a, b}
-        out = sum(v for (i, j), v in flows.items() if i in pair and j not in pair)
-        if 1.0 + INTEGRALITY_TOL < out < 2.0 - INTEGRALITY_TOL:
-            score = abs(out - 1.5)
-            if best is None or score < best[0] - 1e-12:
-                best = (score, (a, b), out)
-    return best
-
-
-def _arc_candidate(msol: MasterSolution):
+def _most_fractional_arc(msol: MasterSolution) -> tuple[int, int]:
+    """The arc whose fractional flow is closest to 0.5, the first in arc
+    order among near ties; ``msol`` must have a fractional arc flow."""
     best = None
     for arc, v in sorted(msol.arc_flows().items()):
         if fractional(v):
             score = abs(v - 0.5)
             if best is None or score < best[0] - 1e-12:
-                best = (score, arc, v)
-    return best
+                best = (score, arc)
+    return best[1]
 
 
-def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode, BranchNode] | None:
-    """Two children per the rule hierarchy, or None when the LP is integral
-    (``MasterSolution.integral``)."""
+def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode, BranchNode] | None:
+    """Two children, or None when the LP is integral
+    (``MasterSolution.integral``): ``veh<=``/``veh>=`` rows on a fractional
+    vehicle count, else a ban on the most fractional arc and its
+    ``arc(i,j)>=1`` row."""
     if msol.integral:
         return None
 
@@ -128,15 +123,7 @@ def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> t
         lo, hi = math.floor(total), math.ceil(total)
         return (child(ExtraRow(f"veh<= {lo}", LE, float(lo), route_constant=1.0)),
                 child(ExtraRow(f"veh>={hi}", GE, float(hi), route_constant=1.0)))
-    pair = _pair_candidates(inst, msol)
-    if pair is not None:
-        _, (a, b), _ = pair
-        arcs = cuts_mod.crossing_arcs(inst, {a, b})
-        capped = node.restrictions.crossing_caps + ((frozenset(arc for arc, _ in arcs), 1),)
-        return (child(ExtraRow(f"out({a},{b})<=1", LE, 1.0, arc_coefs=arcs),
-                      replace(node.restrictions, crossing_caps=capped)),
-                child(ExtraRow(f"out({a},{b})>=2", GE, 2.0, arc_coefs=arcs)))
-    _, (i, j), _ = _arc_candidate(msol)
+    i, j = _most_fractional_arc(msol)
     banned = node.restrictions.banned_arcs | {(i, j)}
     return (child(restrictions=replace(node.restrictions, banned_arcs=banned)),
             child(ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),))))
@@ -145,11 +132,7 @@ def branch(inst: Instance, node: BranchNode, msol: MasterSolution, counter) -> t
 def incumbent_value(inst: Instance, routes: list[oracle.Route], mode: str) -> float:
     if mode == COST:
         return sum(r.cost for r in routes)
-    peak = 0.0
-    for r in routes:
-        for i, h in r.exposure.items():
-            peak = max(peak, inst.exposure_measure(i, h))
-    return peak
+    return oracle.peak_measure(inst, routes)
 
 
 def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
@@ -201,7 +184,6 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
             eps_risk=opts.eps_risk, eps_cost=opts.eps_cost, eps_dt=opts.eps_dt,
             extra_rows=tuple(cut_rows) + node.rows,
             restrictions=node.restrictions,
-            use_heuristic_pricing=opts.use_heuristic_pricing,
             deadline=deadline,
         )
 
@@ -266,7 +248,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         _, node, result = heapq.heappop(heap)
         if result.bound >= best_value - PRUNE_TOL:
             continue
-        children = branch(inst, node, result.solution, counter)
+        children = branch(node, result.solution, counter)
         if children is None:
             continue
         for child in children:

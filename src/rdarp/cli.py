@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 from types import MappingProxyType
 
@@ -186,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None)
     sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES,
                     help="comma list from {ipec,2pc,rc}; empty disables cuts")
-    sp.add_argument("--no-heuristic-pricing", action="store_true")
     sp.add_argument("--certify-risk", action="store_true",
                     help="re-minimize peak risk at the optimal cost")
     sp.add_argument("--out", default=None)
@@ -197,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None,
                     help="per-point time limit in seconds")
     sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES)
-    sp.add_argument("--no-heuristic-pricing", action="store_true")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.add_argument("--json", dest="json_out", default=None)
 
@@ -226,7 +225,6 @@ def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None
     return bcp.SolveOptions(
         eps_risk=eps_risk, eps_cost=eps_cost, eps_dt=eps_dt,
         time_limit=time_limit, cut_families=args.cuts,
-        use_heuristic_pricing=not args.no_heuristic_pricing,
     )
 
 
@@ -253,11 +251,16 @@ def cmd_solve(args) -> int:
     if _reject_ignored_caps(args, inst, args.mode):
         return EXIT_USAGE
     inst = preprocess(inst)
+    t_start = time.perf_counter()
     rep = bcp.solve(inst, args.mode, _solve_options(
         args, args.eps_risk, args.eps_cost, args.eps_dt, args.time_limit))
-    if args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost":
+    # the certifying risk solve gets what the cost solve left of --time-limit
+    remaining = (None if args.time_limit is None
+                 else args.time_limit - (time.perf_counter() - t_start))
+    if (args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost"
+            and (remaining is None or remaining > 0)):
         certified = bcp.solve(inst, "risk", _solve_options(
-            args, eps_cost=rep.objective + 1e-6, time_limit=args.time_limit))
+            args, eps_cost=rep.objective + 1e-6, time_limit=remaining))
         if certified.status == master.OPTIMAL_STATUS:
             rep = bcp.SolveReport(
                 rep.status, rep.objective, rep.bound, rep.gap, certified.routes,

@@ -128,7 +128,7 @@ def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Rout
     fixed to zero when the node's restrictions bar the route or some rider's
     exposure measure is over ``meta["cap"]`` (``oracle.over_cap``)."""
     k = len(meta["lam"])
-    allowed = (meta["restrictions"].allows(col.sequence, col.arcs())
+    allowed = (meta["restrictions"].allows(col.arcs())
                and not oracle.over_cap(inst, col.exposure, meta["cap"]))
     j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0,
                       obj=col.cost if meta["mode"] == COST else 0.0)
@@ -385,13 +385,12 @@ def column_generation(
     eps_dt: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
     restrictions: PricingRestrictions | None = None,
-    use_heuristic_pricing: bool = True,
     deadline: float | None = None,
 ) -> CGResult:
     """Alternate master LP solves and pricing until no negative column exists.
 
-    Each round prices heuristically first (when enabled) and confirms with an
-    exact run when the heuristic adds nothing. The returned objective is a
+    Each round prices heuristically first and confirms with an exact run
+    when the heuristic adds nothing. The returned objective is a
     valid lower bound for the node's integer problem over the routes
     ``restrictions`` allows and, in cost mode, the cap on the exposure
     measure (``Instance.measure_cap``) admits: both bind the master
@@ -405,7 +404,6 @@ def column_generation(
     artificials, which shortens the opening rounds whose duals carry the
     big-M penalty."""
     iterations = 0
-    pricing_modes = (True, False) if use_heuristic_pricing else (False,)
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
                                extra_rows, restrictions)
     cap = rmaster.meta["cap"]
@@ -429,7 +427,7 @@ def column_generation(
             return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
 
         added = 0
-        for heuristic in pricing_modes:
+        for heuristic in (True, False):
             cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
                                  restrictions=restrictions, cap=cap, cache=pool.expansions)
             added = sum(1 for col in cols if pool.add(col))

@@ -126,6 +126,14 @@ def over_cap(inst: Instance, exposure: dict[int, float], cap: float) -> list[tup
     return out
 
 
+def peak_measure(inst: Instance, routes) -> float:
+    """The largest exposure measure (``Instance.exposure_measure``: the
+    detour rate in equity mode) over the riders of ``routes``; 0.0 when they
+    carry none. It is the risk objective's value of a route set."""
+    return max((inst.exposure_measure(i, h) for r in routes for i, h in r.exposure.items()),
+               default=0.0)
+
+
 def validate_route(inst: Instance, route: Route) -> ExposureBreakdown:
     """Check every route invariant; raises RouteInfeasible listing each
     violated inequality with its two sides. A start time that is not a
@@ -421,9 +429,7 @@ def brute_force_solve(
         for route in feasible_routes(inst, key):
             if over_cap(inst, route.exposure, eps_risk):
                 continue
-            peak = max((inst.exposure_measure(i, h) for i, h in route.exposure.items()),
-                       default=0.0)
-            candidates.append((route.cost, peak, route))
+            candidates.append((route.cost, peak_measure(inst, (route,)), route))
         candidates.sort(key=lambda c: (c[0], c[1], c[2].sequence))
         frontier: list[tuple[float, float, Route]] = []
         for cand in candidates:
@@ -460,12 +466,7 @@ def brute_force_solve(
                     chosen.append(pick[2])
                     total += pick[0]
                 if chosen is not None and total <= eps_cost + 1e-9:
-                    achieved = max(
-                        max((inst.exposure_measure(i, h) for i, h in r.exposure.items()),
-                            default=0.0)
-                        for r in chosen
-                    )
-                    key = (achieved, total)
+                    key = (peak_measure(inst, chosen), total)
                     routes = chosen
                     break
             if key is None:

@@ -62,25 +62,17 @@ class Column(Route):
 
 @dataclass(frozen=True)
 class PricingRestrictions:
-    """A branch node's restrictions: the one record of what its subtree
-    forbids.
+    """A branch node's restrictions: the arcs its subtree bans.
 
-    Pricing enforces it by never extending along a banned arc and by emitting
-    only sequences ``allows`` accepts; the master enforces it by fixing to
-    zero every pool column ``allows`` rejects (``master.build_rlmp``).
+    Pricing enforces them by never extending along a banned arc, so no
+    column it emits uses one; the master fixes to zero every pool column
+    ``allows`` rejects (``master.build_rlmp``).
     """
 
     banned_arcs: frozenset[tuple[int, int]] = frozenset()
-    # (arc set, max crossings): a route crossing the set more often is barred
-    crossing_caps: tuple[tuple[frozenset[tuple[int, int]], int], ...] = ()
 
-    def allows(self, sequence, arcs) -> bool:
-        if not self.banned_arcs.isdisjoint(arcs):
-            return False
-        for arc_set, cap in self.crossing_caps:
-            if sum(1 for a in arcs if a in arc_set) > cap:
-                return False
-        return True
+    def allows(self, arcs) -> bool:
+        return self.banned_arcs.isdisjoint(arcs)
 
 
 def solve_pricing(
@@ -99,8 +91,9 @@ def solve_pricing(
     and must be confirmed by an exact run before declaring LP optimality. It
     stops once ``limit`` columns are complete, so it returns the first ones
     found, not the best. An exact run is exhaustive, so its best column is the
-    minimum reduced cost over the routes the restrictions allow and the cap
-    admits.
+    minimum reduced cost over the routes that use no banned arc and that the
+    cap admits; an ``arc>=1`` branching row's dual reaches it as an arc cost
+    (``DualValues.arc_adjust``).
 
     ``cap`` bounds every rider's exposure measure (``Instance.exposure_measure``:
     the detour rate in equity mode). No column over it by the rule of

@@ -79,7 +79,7 @@ def test_branching_bounds_monotone():
             continue
         counter = itertools.count(100)
         root = bcp.BranchNode(0, 0, res.bound)
-        children = bcp.branch(inst, root, res.solution, counter)
+        children = bcp.branch(root, res.solution, counter)
         assert children is not None
         for child in children:
             child_res = column_generation(
@@ -106,7 +106,7 @@ def test_restriction_record_fixes_barred_pool_columns():
     col, _ = max(root.solution.columns_used, key=lambda item: item[1])
     banned = col.arcs()[1]  # an arc between two request nodes
     restrictions = PricingRestrictions(banned_arcs=frozenset({banned}))
-    assert not restrictions.allows(col.sequence, col.arcs())
+    assert not restrictions.allows(col.arcs())
     res = column_generation(inst, pool, "cost", restrictions=restrictions)
     assert res.status == "Optimal"
     assert all(banned not in used.arcs() for used, _ in res.solution.columns_used)
@@ -127,11 +127,39 @@ def test_vehicle_branch_rule_floor_ceil():
     col2 = oracle.Route((0, 2, 4, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {2: 0.0}, 0.0)
     msol = MasterSolution(objective=3.0, duals=DualValues(), artificial_total=0.0,
                           columns_used=[(col, 1.25), (col2, 1.25)])
-    inst = preprocess(random_instance(0, n=2, fleet_size=3))
     node = bcp.BranchNode(0, 0, 0.0)
-    left, right = bcp.branch(inst, node, msol, itertools.count(1))
+    left, right = bcp.branch(node, msol, itertools.count(1))
     assert left.rows[-1].sense == "<=" and left.rows[-1].rhs == 2.0
     assert right.rows[-1].sense == ">=" and right.rows[-1].rhs == 3.0
+
+
+def test_arc_branch_rule_bans_the_most_fractional_arc():
+    import itertools
+
+    from rdarp.master import MasterSolution
+    from rdarp.pricing import DualValues, PricingRestrictions
+
+    def route(seq):
+        return oracle.Route(seq, tuple(float(k) for k in range(len(seq))), 5.0,
+                            {1: 0.0, 2: 0.0}, 0.0)
+
+    # one vehicle in all; flows (0,1) 0.7, (2,1) 0.3, (2,3) 0.2, (2,4) 0.5, ...
+    msol = MasterSolution(objective=5.0, duals=DualValues(), artificial_total=0.0,
+                          columns_used=[(route((0, 1, 2, 4, 3, 5)), 0.5),
+                                        (route((0, 1, 2, 3, 4, 5)), 0.2),
+                                        (route((0, 2, 1, 3, 4, 5)), 0.3)])
+    assert msol.vehicle_count() == pytest.approx(1.0) and not msol.integral
+    kept = bcp.ExtraRow("veh<= 1", "<=", 1.0, route_constant=1.0)
+    node = bcp.BranchNode(1, 0, 0.0, rows=(kept,),
+                          restrictions=PricingRestrictions(frozenset({(1, 4)})))
+    banned, forced = bcp.branch(node, msol, itertools.count(1))
+    assert banned.rows == (kept,)
+    assert banned.restrictions == PricingRestrictions(frozenset({(1, 4), (2, 4)}))
+    assert forced.rows[:-1] == (kept,)
+    row = forced.rows[-1]
+    assert (row.name, row.sense, row.rhs, row.arc_coefs, row.route_constant) == (
+        "arc(2,4)>=1", ">=", 1.0, (((2, 4), 1.0),), 0.0)
+    assert forced.restrictions == node.restrictions
 
 
 @pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])

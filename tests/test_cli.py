@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,41 @@ def test_certify_risk_on_a_detour_rate_cap(tmp_path):
                     "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["status"] == "Optimal" and doc["routes"]
+
+
+@pytest.mark.parametrize("spent", [3.0, 10.0], ids=["time-left", "time-used-up"])
+def test_certify_risk_gets_only_the_time_the_cost_solve_left(tmp_path, small_json,
+                                                             monkeypatch, spent):
+    # each solve takes `spent` seconds on the clock the CLI reads
+    from types import SimpleNamespace
+
+    from rdarp import bcp
+
+    clock = [0.0]
+    limits = []
+    real_solve = bcp.solve
+
+    def solve(inst, mode, options):
+        limits.append((mode, options.time_limit))
+        rep = real_solve(inst, mode, replace(options, time_limit=None))
+        clock[0] += spent
+        return rep
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(bcp, "solve", solve)
+    out = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--certify-risk", "--time-limit", "8",
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "Optimal"
+    if spent < 8.0:
+        assert limits == [("cost", 8.0), ("risk", 8.0 - spent)]
+    else:  # the limit is used up: the cost solve's routes stand
+        assert limits == [("cost", 8.0)]
+        monkeypatch.undo()
+        alone = tmp_path / "alone.json"
+        assert cli.run(["solve", str(small_json), "--out", str(alone)]) == 0
+        assert doc["routes"] == json.loads(alone.read_text())["routes"]
 
 
 @pytest.mark.parametrize("command", ["solve", "pareto"])

@@ -15,6 +15,7 @@ from rdarp.oracle import (
     feasible_routes,
     mmr_schedule,
     over_cap,
+    peak_measure,
     replay_route,
     validate_route,
     validate_solution,
@@ -341,6 +342,14 @@ def test_validate_solution_caps_the_detour_rate_in_edarp():
     validate_solution(inst, routes, cap=1.0)
     violations = _violations(inst, routes, cap=rate / 2)
     assert (1, "detour rate cap", rate, rate / 2) in violations
+
+
+def test_peak_measure_is_the_largest_rider_measure():
+    inst = edarp_transform(corridor_instance())
+    routes = _corridor_routes(inst, (0, 1, 2, 3, 4, 5))
+    rates = [inst.exposure_measure(i, h) for r in routes for i, h in r.exposure.items()]
+    assert peak_measure(inst, routes) == max(rates) > 0.0
+    assert peak_measure(inst, []) == 0.0
 
 
 def test_validate_solution_rejects_start_times_that_are_not_finite():

@@ -30,13 +30,14 @@ def all_routes(inst):
             yield from feasible_routes(inst, group)
 
 
-def enumerate_min_rc(inst, duals, mode, cap=INF):
-    """Exhaustive minimum reduced cost over all feasible routes with no
-    rider over ``cap`` (``oracle.over_cap``)."""
+def enumerate_min_rc(inst, duals, mode, cap=INF, banned=frozenset(), routes=None):
+    """Exhaustive minimum reduced cost over all feasible routes (``routes``,
+    by default ``all_routes(inst)``) that use no arc of ``banned`` and have
+    no rider over ``cap`` (``oracle.over_cap``)."""
     best = None
-    for route in all_routes(inst):
+    for route in all_routes(inst) if routes is None else routes:
         seq = route.sequence
-        if any(a in inst.banned_arcs for a in route.arcs()):
+        if any(a in inst.banned_arcs or a in banned for a in route.arcs()):
             continue
         if over_cap(inst, route.exposure, cap):
             continue
@@ -225,20 +226,32 @@ def test_emitted_columns_pass_oracle():
             assert max(col.exposure.values(), default=0.0) == pytest.approx(lp[1], abs=1e-6)
 
 
-def test_restrictions_filter_emissions():
-    inst = preprocess(random_instance(3, n=2))
-    duals = DualValues(pi={i: 400.0 for i in inst.pickups()})
-    all_cols = solve_pricing(inst, duals, "cost", limit=100)
-    assert all_cols
-    target = all_cols[0].sequence
-    # capping the target's own arcs one below their count bans the target only
-    target_arcs = frozenset(zip(target[:-1], target[1:]))
-    caps = ((target_arcs, len(target_arcs) - 1),)
-    restricted = solve_pricing(
-        inst, duals, "cost", limit=100,
-        restrictions=PricingRestrictions(crossing_caps=caps),
-    )
-    assert {c.sequence for c in restricted} == {c.sequence for c in all_cols} - {target}
+def test_exact_pricing_matches_enumeration_under_bans_and_arc_duals():
+    """Under a branch node's banned arcs and the nonnegative arc duals of
+    ``arc(i,j)>=1`` rows, exact pricing's best column is the brute-force
+    minimum over the routes that use no banned arc."""
+    rng = random.Random(13)
+    binding = 0
+    for s in range(100):
+        inst = preprocess(random_instance(s, n=4 + s % 2, fleet_size=2, window=90.0))
+        routes = list(all_routes(inst))
+        used = sorted({a for route in routes for a in route.arcs()})
+        banned = frozenset(rng.sample(used, rng.randint(1, 3)))
+        duals = DualValues(
+            pi={i: rng.uniform(0.0, 120.0) for i in inst.pickups()}, mu=-1.0,
+            arc_adjust={a: rng.uniform(0.0, 30.0) for a in rng.sample(used, rng.randint(0, 2))},
+        )
+        best = enumerate_min_rc(inst, duals, "cost", banned=banned, routes=routes)
+        cols = solve_pricing(inst, duals, "cost", limit=1000,
+                             restrictions=PricingRestrictions(banned_arcs=banned))
+        if best and best[0] < -1e-6:
+            assert cols and cols[0].reduced_cost == pytest.approx(best[0], abs=1e-6), s
+        else:
+            assert cols == [], s
+        assert not any(banned.intersection(c.arcs()) for c in cols), s
+        if enumerate_min_rc(inst, duals, "cost", routes=routes) != best:
+            binding += 1
+    assert binding >= 10
 
 
 def test_trace_emits_lines():
