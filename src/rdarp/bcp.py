@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -40,6 +41,8 @@ from .pricing import COST, RISK, PricingRestrictions
 INF = math.inf
 PRUNE_TOL = 1e-6
 MAX_CUT_ROUNDS = 20
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,11 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     pool column it bars to zero and pricing emits none. Cuts are separated
     at the root until none are violated, then frozen.
 
+    Unless the root is infeasible, every node whose column generation ran
+    logs one progress line at DEBUG on the ``rdarp.bcp`` logger: its depth
+    and bound, the incumbent, the gap between the incumbent and the tree's
+    lower bound, the open nodes, the pool's columns and the elapsed time.
+
     Raises ``ValueError``, before any LP is built, on a negative cap (its
     master rows carry no artificial, so the master LP itself would be
     infeasible), on a finite cap other than ``enforced_cap``, which the
@@ -214,6 +222,17 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     best_value = INF
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
+    def log_node(depth: int, result: CGResult, pending: float = INF):
+        """The progress line of a node whose column generation returned
+        ``result``; ``pending`` is the bound of a sibling not yet solved."""
+        if log.isEnabledFor(logging.DEBUG):
+            lower = min([r.bound for _, _, r in heap] + [pending, best_value])
+            gap = max(0.0, (best_value - lower) / max(abs(best_value), 1e-9)) \
+                if incumbent is not None else INF
+            log.debug("node depth=%d bound=%.6f incumbent=%.6f gap=%.6f open=%d columns=%d "
+                      "elapsed=%.3fs", depth, result.bound, best_value, gap, len(heap),
+                      len(pool), time.perf_counter() - t_start)
+
     def take_incumbent(msol: MasterSolution) -> bool:
         """Take an integral, artificial-free master as incumbent when it
         improves on the one held. Returns whether the master was integral
@@ -242,6 +261,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         heapq.heappush(heap, (node.sort_key(), node, result))
 
     offer(root, res)
+    log_node(0, res)
     timed_out = res.status == TIME_LIMIT_STATUS
 
     while heap and not timed_out:
@@ -251,7 +271,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         children = branch(node, result.solution, counter)
         if children is None:
             continue
-        for child in children:
+        for k, child in enumerate(children):
             if deadline is not None and time.perf_counter() > deadline:
                 timed_out = True
                 heapq.heappush(heap, (child.sort_key(), child, result))
@@ -264,12 +284,10 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                 timed_out = True
                 take_incumbent(child_res.solution)
                 heapq.heappush(heap, (child.sort_key(), child, result))
-                continue
-            if child_res.status == INFEASIBLE_STATUS:
-                continue
-            if child_res.bound >= best_value - PRUNE_TOL:
-                continue
-            offer(child, child_res)
+            elif (child_res.status != INFEASIBLE_STATUS
+                  and child_res.bound < best_value - PRUNE_TOL):
+                offer(child, child_res)
+            log_node(child.depth, child_res, result.bound if k + 1 < len(children) else INF)
 
     open_bounds = [result.bound for _, _, result in heap]
     best_bound = min(open_bounds + [best_value]) if (open_bounds or incumbent is not None) else INF

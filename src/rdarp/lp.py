@@ -83,12 +83,16 @@ class LinearModel:
 
 @dataclass
 class LpSolution:
+    """``basic[j]`` says whether model variable ``j`` is in the final basis
+    (all false unless optimal); a basic variable may sit at a bound."""
+
     status: str
     objective: float
     x: np.ndarray
     duals: np.ndarray
     var_names: list[str]
     row_names: list[str]
+    basic: np.ndarray
 
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -296,14 +300,17 @@ def solve_lp_warm(model: LinearModel, warm) -> tuple[LpSolution, object]:
     sx = _Simplex(model)
     status, x, y, obj = sx.solve(warm)
     n = model.n_vars
+    basic = np.zeros(n, dtype=bool)
     if status == OPTIMAL:
         _certify(model, x[:n], y, obj)
+        basic[sx.basis[sx.basis < n]] = True
         return (
-            LpSolution(OPTIMAL, obj, x[:n].copy(), y.copy(), model.var_names, model.row_names),
+            LpSolution(OPTIMAL, obj, x[:n].copy(), y.copy(), model.var_names, model.row_names, basic),
             sx.warm_data(),
         )
     return (
-        LpSolution(status, np.nan, x[:n].copy(), np.zeros(model.n_rows), model.var_names, model.row_names),
+        LpSolution(status, np.nan, x[:n].copy(), np.zeros(model.n_rows), model.var_names,
+                   model.row_names, basic),
         None,
     )
 

@@ -170,11 +170,13 @@ def build_rlmp(
 ) -> tuple[LinearModel, dict]:
     """Assemble the restricted master LP over the pool.
 
-    Partitioning rows carry artificial variables so the model is always
-    feasible; >= extra rows get artificials as well. In equity mode the
-    per-request rows bound detour rates instead of raw exposures. Column
-    coefficients come only from ``_column_coefs``; ``meta["row"]`` maps each
-    row key to its row index.
+    Partitioning rows carry artificial variables at cost ``big_cost``, and
+    >= extra rows get them as well, so the master is feasible before the
+    pool covers every request; ``RestrictedMaster`` fixes them at zero once
+    an LP no longer uses them. In equity mode the per-request rows bound
+    detour rates instead of raw exposures. Column coefficients come only
+    from ``_column_coefs``; ``meta["row"]`` maps each row key to its row
+    index.
 
     A branch node's ``restrictions`` act here by fixing to zero the λ of
     every pool column they bar (``_add_lambda``), and in pricing, which
@@ -264,11 +266,26 @@ class CGResult:
     iterations: int
 
 
+def artificial_total(sol, meta: dict) -> float:
+    """The summed value of a solved master's artificials."""
+    return sum(float(sol.x[v]) for v in (*meta["art"].values(), *meta["xart"].values()))
+
+
 class RestrictedMaster:
-    """Master LP over a growing pool, resolved warm from the last basis.
+    """One node's master LP over a growing pool, resolved warm from the last
+    basis.
 
     Columns enter only through ``_column_coefs``: ``build_rlmp`` writes the
     pool at construction, ``solve`` appends the columns added since.
+
+    The artificials serve only to reach a feasible master. The first LP
+    whose artificials sum to at most ``ARTIFICIAL_TOL`` fixes every one of
+    them to zero, at objective 0, for the rest of the node: the pool only
+    grows and the rows and restrictions stay, so the master stays feasible.
+    A degenerate basis that keeps an artificial basic at zero would hand
+    pricing duals of order ``big_cost``; such an LP is re-solved warm at once,
+    so the duals returned are always those of the master without
+    artificials, which are optimal duals of the master over the routes.
     """
 
     def __init__(self, pool: ColumnPool, inst: Instance, mode, eps_risk, eps_cost,
@@ -278,6 +295,7 @@ class RestrictedMaster:
         self.model, self.meta = build_rlmp(pool, inst, mode, eps_risk, eps_cost,
                                            eps_dt, extra_rows, restrictions)
         self.warm = None
+        self.artificials_fixed = False
 
     def solve(self):
         from .lp import solve_lp_warm
@@ -288,6 +306,15 @@ class RestrictedMaster:
             for key, v in _column_coefs(self.inst, meta, col):
                 model.rows[meta["row"][key]].append((j, v))
         sol, self.warm = solve_lp_warm(model, self.warm)
+        if (not self.artificials_fixed and sol.status == OPTIMAL
+                and artificial_total(sol, meta) <= ARTIFICIAL_TOL):
+            self.artificials_fixed = True
+            arts = [*meta["art"].values(), *meta["xart"].values()]
+            for v in arts:
+                model.ub[v] = model.obj[v] = 0.0
+            meta["big"] = 0.0  # the artificials' objective coefficient from now on
+            if sol.basic[arts].any():
+                sol, self.warm = solve_lp_warm(model, self.warm)
         return sol, meta
 
 
@@ -357,9 +384,9 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
     First each request's single-request round trip. When all of them are
     feasible, the routes of one cheapest-insertion solution follow
     (``_insertion_routes``): they serve requests together on at most
-    ``inst.fleet_size`` vehicles, so the first master LPs need less of the
-    big-M artificials. Every route is replayed by ``oracle.replay_route`` and
-    validated by ``ColumnPool.add``.
+    ``inst.fleet_size`` vehicles; when they serve every request, the first
+    master LP needs no artificial. Every route is replayed by
+    ``oracle.replay_route`` and validated by ``ColumnPool.add``.
     """
     bad = []
     for i in inst.pickups():
@@ -396,13 +423,15 @@ def column_generation(
     measure (``Instance.measure_cap``) admits: both bind the master
     (``build_rlmp``) and pricing (``solve_pricing``'s ``cap``). In risk mode
     pricing gets no cap. Infeasibility is reported only after exact pricing
-    is exhausted with artificials still active.
+    is exhausted with artificials still active; from the first master LP
+    that needs none, they are fixed at zero (``RestrictedMaster``), so
+    pricing gets the duals of the master over the routes alone.
 
     The pool must hold the columns to start from. ``seed_pool`` fills it with
     round trips and one cheapest-insertion solution; when that solution
     covers every request on the fleet, the first master is feasible without
-    artificials, which shortens the opening rounds whose duals carry the
-    big-M penalty."""
+    artificials, so pricing gets the master's own duals from the first
+    round on."""
     iterations = 0
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
                                extra_rows, restrictions)
@@ -413,11 +442,12 @@ def column_generation(
         if sol.status != OPTIMAL:
             raise RdarpError(f"master LP unexpectedly {sol.status}")
         duals = extract_duals(inst, sol, meta)
-        art_total = sum(float(sol.x[v]) for v in (*meta["art"].values(), *meta["xart"].values()))
+        art_total = artificial_total(sol, meta)
         lam_vals = [float(sol.x[j]) for j in meta["lam"]]
         msol = MasterSolution(
-            # artificial activity is certified tiny at optimality; strip its
-            # big-M contribution so bounds are not inflated by tolerance dust
+            # strip the artificials' objective term: big-M times their value
+            # while they are free, which converged is tolerance dust that
+            # would inflate the bound; nothing once they are fixed at zero
             objective=float(sol.objective) - meta["big"] * art_total,
             duals=duals,
             artificial_total=art_total,

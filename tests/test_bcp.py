@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import time
 
 import pytest
@@ -61,6 +63,28 @@ def test_determinism():
     assert a.objective == b.objective
     assert a.nodes_explored == b.nodes_explored
     assert [r.sequence for r in a.routes] == [r.sequence for r in b.routes]
+
+
+def test_each_node_logs_one_progress_line_at_debug(caplog):
+    inst = preprocess(random_instance(41, n=4, fleet_size=2))
+    with caplog.at_level(logging.INFO, logger="rdarp.bcp"):
+        quiet = bcp.solve(inst, "cost")
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="rdarp.bcp"):
+        rep = bcp.solve(inst, "cost")
+    assert rep.nodes_explored == quiet.nodes_explored == 3
+    lines = [r.getMessage() for r in caplog.records]
+    assert all(r.name == "rdarp.bcp" and r.levelno == logging.DEBUG for r in caplog.records)
+    assert len(lines) == rep.nodes_explored
+    pattern = re.compile(r"node depth=(\d+) bound=(\S+) incumbent=(\S+) gap=(\S+) open=(\d+) "
+                         r"columns=(\d+) elapsed=([0-9.]+)s")
+    fields = [pattern.fullmatch(line).groups() for line in lines]
+    assert [int(f[0]) for f in fields] == [0, 1, 1]
+    assert float(fields[-1][2]) == pytest.approx(rep.objective)
+    assert float(fields[-1][3]) == 0.0
+    assert int(fields[-1][5]) == rep.columns
+    elapsed = [float(f[6]) for f in fields]
+    assert elapsed == sorted(elapsed)
 
 
 def test_branching_bounds_monotone():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdarp.lp import EQ, GE, LE, LinearModel, solve_lp
+from rdarp.lp import EQ, GE, LE, LinearModel, solve_lp, solve_lp_warm
 
 
 def dual(sol, name):
@@ -95,6 +95,40 @@ def test_deterministic_resolve():
     s1, s2 = solve_lp(m1), solve_lp(m2)
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.duals, s2.duals)
+
+
+def basic_in_warm_data(sol, warm):
+    """Whether ``sol.basic`` names exactly the model variables among the
+    basis labels of ``warm``."""
+    listed = {k for kind, k in warm[0] if kind == "v"}
+    return set(np.flatnonzero(sol.basic)) == listed
+
+
+def test_a_basic_variable_fixed_at_zero_certifies_and_stays_basic():
+    """One column covers both rows, so one of the two penalty variables is
+    basic at zero. Fixed at zero, it stays in the basis of the warm
+    re-solve, which ``_certify`` accepts with that row's dual at 0."""
+    m = LinearModel()
+    lam = m.add_var("l", obj=10.0)
+    pens = [m.add_var(f"a{i}", obj=100.0) for i in (1, 2)]
+    for i, a in enumerate(pens):
+        m.add_row(f"p{i}", {lam: 1.0, a: 1.0}, EQ, 1.0)
+    sol, warm = solve_lp_warm(m, None)
+    assert basic_in_warm_data(sol, warm)
+    assert sol.basic[lam] and sol.basic[pens].sum() == 1
+    stuck = pens[int(np.argmax(sol.basic[pens]))]
+    assert sorted(sol.duals) == pytest.approx([-90.0, 100.0])
+    for a in pens:
+        m.ub[a] = m.obj[a] = 0.0
+    sol, warm = solve_lp_warm(m, warm)  # certified, else LpNumericalFailure
+    assert sol.status == "Optimal" and sol.objective == pytest.approx(10.0)
+    assert basic_in_warm_data(sol, warm)
+    assert sol.basic[stuck] and sol.x[stuck] == 0.0
+    assert sol.duals[pens.index(stuck)] == pytest.approx(0.0)
+    assert sum(sol.duals) == pytest.approx(10.0)
+    infeasible = LinearModel()
+    infeasible.add_row("c", {infeasible.add_var("x", ub=1.0, obj=1.0): 1.0}, GE, 2.0)
+    assert not solve_lp(infeasible).basic.any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from rdarp import bcp, oracle
+from rdarp import bcp, lp, master, oracle
 from rdarp.errors import RouteInfeasible
 from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import edarp_transform, preprocess
 from rdarp.lp import solve_lp
 from rdarp.master import (
+    ARTIFICIAL_TOL,
     ColumnPool,
     ExtraRow,
     OPTIMAL_STATUS,
@@ -120,11 +121,27 @@ def test_cg_matches_brute_force_when_integral():
         assert res.objective <= bf.objective + 1e-6
 
 
-def test_cg_detects_infeasibility_with_tight_cap():
-    # pick-up deadlines force both riders onboard together, so every covering
-    # has peak exposure at least 1.0; a cap below that is infeasible
-    from dataclasses import replace
+def _record_master_lps(monkeypatch) -> list[tuple[bool, float]]:
+    """Patch the LP layer to record, for every master LP, whether its
+    artificials were free when it was solved and their total value."""
+    real = lp.solve_lp_warm
+    lps = []
 
+    def solve(model, warm):
+        sol, warm = real(model, warm)
+        arts = [j for j, name in enumerate(model.var_names) if name.startswith(("art", "xart"))]
+        lps.append((all(model.ub[j] == INF for j in arts), float(sum(sol.x[arts]))))
+        return sol, warm
+
+    monkeypatch.setattr(lp, "solve_lp_warm", solve)
+    return lps
+
+
+def test_cg_detects_infeasibility_with_tight_cap(monkeypatch):
+    """Pick-up deadlines force both riders onboard together, so every
+    covering has peak exposure at least 1.0 and a cap below that is
+    infeasible. Column generation says so only after an exact pricing run
+    adds nothing while every master still needs its artificials."""
     from tests.test_oracle import corridor_instance
 
     inst0 = replace(
@@ -137,11 +154,77 @@ def test_cg_detects_infeasibility_with_tight_cap():
     inst = preprocess(inst0)
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
+    lps = _record_master_lps(monkeypatch)
+    real_pricing = master.solve_pricing
+    calls = []  # (heuristic, pool size when pricing returned)
+
+    def pricing(*args, **kwargs):
+        cols = real_pricing(*args, **kwargs)
+        calls.append((kwargs["heuristic"], len(pool)))
+        return cols
+
+    monkeypatch.setattr(master, "solve_pricing", pricing)
     res = column_generation(inst, pool, "cost", eps_risk=0.5)
     assert res.status == INFEASIBLE_STATUS
+    assert lps and all(free and total > ARTIFICIAL_TOL for free, total in lps)
+    assert calls[-1] == (False, len(pool))
     pool2 = ColumnPool(inst)
     seed_pool(pool2, inst)
     assert column_generation(inst, pool2, "cost", eps_risk=1.5).status == OPTIMAL_STATUS
+
+
+def test_artificials_are_fixed_from_the_first_feasible_master_on(interlaced, monkeypatch):
+    """From an empty pool the first master needs its artificials. The first
+    LP without them fixes them at zero, and they stay fixed for every later
+    LP of the node."""
+    inst, _ = interlaced
+    pool = ColumnPool(inst)
+    lps = _record_master_lps(monkeypatch)
+    res = column_generation(inst, pool, "cost")
+    assert res.status == OPTIMAL_STATUS
+    assert res.objective == pytest.approx(oracle.brute_force_solve(inst).objective)
+    first = next(k for k, (_, total) in enumerate(lps) if total <= ARTIFICIAL_TOL)
+    assert 1 <= first < len(lps) - 1
+    assert all(free and total > ARTIFICIAL_TOL for free, total in lps[:first])
+    assert lps[first][0]
+    assert not any(free for free, _ in lps[first + 1:])
+
+
+def test_pricing_gets_the_masters_own_duals_once_it_is_feasible(monkeypatch):
+    """The first masters of this root are feasible without artificials, but
+    their degenerate bases keep artificials basic at zero, whose duals price
+    every request at ``big_cost``. Once a master LP of a node is feasible,
+    pricing must get duals of the master without artificials."""
+    inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    half_big = big_cost(inst) / 2
+    real_cg, real_extract = bcp.column_generation, master.extract_duals
+    feasible = []  # per node: whether one of its master LPs was feasible so far
+
+    def cg(*args, **kwargs):
+        feasible.append(False)
+        return real_cg(*args, **kwargs)
+
+    def extract(inst_, sol, meta):
+        arts = [*meta["art"].values(), *meta["xart"].values()]
+        feasible[-1] = feasible[-1] or float(sum(sol.x[arts])) <= ARTIFICIAL_TOL
+        return real_extract(inst_, sol, meta)
+
+    checked = []
+    real_pricing = master.solve_pricing
+
+    def pricing(inst_, duals, *args, **kwargs):
+        if feasible[-1]:
+            checked.append(max(abs(duals.mu), *map(abs, duals.pi.values())))
+        return real_pricing(inst_, duals, *args, **kwargs)
+
+    monkeypatch.setattr(bcp, "column_generation", cg)
+    monkeypatch.setattr(master, "extract_duals", extract)
+    monkeypatch.setattr(master, "solve_pricing", pricing)
+    rep = bcp.solve(inst, "cost")
+    assert rep.status == OPTIMAL_STATUS
+    assert rep.objective == pytest.approx(209.99090940409206, abs=1e-9)
+    assert checked and max(checked) < half_big
+    assert rep.columns < 804
 
 
 def _battery_instances():
@@ -183,18 +266,11 @@ def test_insertion_routes_are_valid_on_battery_instances():
     assert covered > 0
 
 
-def test_insertion_routes_do_not_depend_on_the_hash_seed():
+def _stdout_at_hash_seeds(script: str) -> list[str]:
+    """What ``script`` prints in a child process at ``PYTHONHASHSEED`` 0 and
+    at 123."""
     src = str(Path(oracle.__file__).resolve().parent.parent)
     root = str(Path(__file__).resolve().parent.parent)
-    script = (
-        "from tests.test_master import _battery_instances\n"
-        "from rdarp.fixtures import benchmark_like_instance\n"
-        "from rdarp.instance import preprocess\n"
-        "from rdarp.master import _insertion_routes\n"
-        "print(_insertion_routes(preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))\n"
-        "for inst in _battery_instances():\n"
-        "    print(_insertion_routes(inst))\n"
-    )
     outputs = []
     for hash_seed in ("0", "123"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -203,9 +279,37 @@ def test_insertion_routes_do_not_depend_on_the_hash_seed():
                               env=env, cwd=root, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_insertion_routes_do_not_depend_on_the_hash_seed():
+    outputs = _stdout_at_hash_seeds(
+        "from tests.test_master import _battery_instances\n"
+        "from rdarp.fixtures import benchmark_like_instance\n"
+        "from rdarp.instance import preprocess\n"
+        "from rdarp.master import _insertion_routes\n"
+        "print(_insertion_routes(preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))\n"
+        "for inst in _battery_instances():\n"
+        "    print(_insertion_routes(inst))\n"
+    )
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[0] == repr(_insertion_routes(
         preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))
+
+
+def test_a_whole_solve_does_not_depend_on_the_hash_seed():
+    outputs = _stdout_at_hash_seeds(
+        "from rdarp import bcp\n"
+        "from rdarp.fixtures import benchmark_like_instance\n"
+        "from rdarp.instance import preprocess\n"
+        "rep = bcp.solve(preprocess(benchmark_like_instance(0, n=14, fleet_size=3)), 'cost')\n"
+        "print(rep.status, repr(rep.objective), rep.columns)\n"
+        "print([r.sequence for r in rep.routes])\n"
+    )
+    assert outputs[0] == outputs[1]
+    status, objective, _ = outputs[0].split()[:3]
+    assert status == OPTIMAL_STATUS
+    assert float(objective) == pytest.approx(209.99090940409206, abs=1e-9)
 
 
 def test_seed_pool_adds_no_insertion_route_when_a_round_trip_is_infeasible():
