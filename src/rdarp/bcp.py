@@ -36,7 +36,7 @@ from .master import (
     fractional,
     seed_pool,
 )
-from .pricing import COST, RISK, PricingRestrictions
+from .pricing import COST, RISK
 
 INF = math.inf
 PRUNE_TOL = 1e-6
@@ -47,14 +47,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BranchNode:
-    """A tree node: its branching rows, which enter the master, and its
-    restriction record, which binds both the master and pricing."""
+    """A tree node: its branching rows, which enter the master, and the arcs
+    its subtree bans, which bind both the master and pricing."""
 
     depth: int
     counter: int
     bound: float
     rows: tuple[ExtraRow, ...] = ()
-    restrictions: PricingRestrictions = PricingRestrictions()
+    banned: frozenset[tuple[int, int]] = frozenset()
 
     def sort_key(self):
         return (self.bound, -self.depth, self.counter)
@@ -116,10 +116,10 @@ def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode,
     if msol.integral:
         return None
 
-    def child(row: ExtraRow | None = None, restrictions: PricingRestrictions | None = None):
+    def child(row: ExtraRow | None = None, ban: tuple[int, int] | None = None):
         return BranchNode(node.depth + 1, next(counter), msol.objective,
                           node.rows + (() if row is None else (row,)),
-                          restrictions or node.restrictions)
+                          node.banned if ban is None else node.banned | {ban})
 
     total = msol.vehicle_count()
     if fractional(total):
@@ -127,8 +127,7 @@ def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode,
         return (child(ExtraRow(f"veh<= {lo}", LE, float(lo), route_constant=1.0)),
                 child(ExtraRow(f"veh>={hi}", GE, float(hi), route_constant=1.0)))
     i, j = _most_fractional_arc(msol)
-    banned = node.restrictions.banned_arcs | {(i, j)}
-    return (child(restrictions=replace(node.restrictions, banned_arcs=banned)),
+    return (child(ban=(i, j)),
             child(ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),))))
 
 
@@ -144,9 +143,9 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
 
     The column pool, and with it the expansion cache pricing reads
     (``ColumnPool.expansions``), is shared tree-wide. A node's branching
-    rows enter the master; its restriction record (``BranchNode.restrictions``)
-    is passed once to ``column_generation``, where the master fixes every
-    pool column it bars to zero and pricing emits none. Cuts are separated
+    rows enter the master; its banned arcs (``BranchNode.banned``) are passed
+    once to ``column_generation``, where the master fixes every pool column
+    that uses one to zero and pricing emits none. Cuts are separated
     at the root until none are violated, then frozen.
 
     Unless the root is infeasible, every node whose column generation ran
@@ -191,7 +190,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
             inst, pool, mode,
             eps_risk=opts.eps_risk, eps_cost=opts.eps_cost, eps_dt=opts.eps_dt,
             extra_rows=tuple(cut_rows) + node.rows,
-            restrictions=node.restrictions,
+            banned=node.banned,
             deadline=deadline,
         )
 

@@ -17,7 +17,7 @@ exceed the sequence's minimum peak detour rate (``oracle.mmr_schedule``), so
 EDARP detour-rate caps and the EDARP risk objective are certified only over
 calibrated schedules.
 
-Pricing (``_labeling_py``) and the oracle's fixed-sequence replay share these
+Pricing (``rdarp.pricing``) and the oracle's fixed-sequence replay share these
 semantics. Before extending, pricing drops the steps ``stranded`` flags: those
 after which an onboard rider's drop-off, reached directly at the earliest,
 would start later than its dynamic window ``do_b`` allows. ``extend`` would
@@ -186,7 +186,7 @@ class ExpansionCache:
     computed once and shared by every pricing run over ``inst``.
 
     ``children(st)`` is what a label at ``st`` may be extended to whatever
-    the duals, cap and branch restrictions: the ``(j, Extension)`` pairs, in
+    the duals, cap and branch bans: the ``(j, Extension)`` pairs, in
     ascending ``j``, for every successor the instance does not ban, that
     ``stranded`` does not flag and that ``extend`` accepts. Labeling starts
     from ``root``, so the states of one run are those of the next and their

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from types import MappingProxyType
 
@@ -47,13 +48,14 @@ def load_instance(path: str, benchmark_risk: bool = True) -> Instance:
 
     Cordeau files carry no risk scores; by default each pick-up's score is set
     to its passenger count (disable with --raw-risk)."""
-    text = Path(path).read_text()
+    return _read_instance(Path(path).read_text(), Path(path).stem, benchmark_risk)
+
+
+def _read_instance(text: str, name: str, benchmark_risk: bool) -> Instance:
     if text.lstrip().startswith("{"):
-        return parse_realworld(text, name=Path(path).stem)
-    inst = parse_cordeau(text, name=Path(path).stem)
-    if benchmark_risk:
-        inst = derive_benchmark_risk(inst)
-    return inst
+        return parse_realworld(text, name=name)
+    inst = parse_cordeau(text, name=name)
+    return derive_benchmark_risk(inst) if benchmark_risk else inst
 
 
 def _parse_eps(value: str) -> float:
@@ -337,17 +339,19 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     text = Path(args.instance).read_text()
-    if text.lstrip().startswith("{"):
-        inst = parse_realworld(text, name=Path(args.instance).stem)
-        if inst.coords is None:
-            print("cannot emit Cordeau format without coordinates", file=sys.stderr)
-            return EXIT_USAGE
-        out = _emit_cordeau(inst)
-    else:
-        inst = parse_cordeau(text, name=Path(args.instance).stem)
-        if not args.raw_risk:
-            inst = derive_benchmark_risk(inst)
+    inst = _read_instance(text, Path(args.instance).stem, not args.raw_risk)
+    if not text.lstrip().startswith("{"):
         out = emit_realworld(inst) + "\n"
+    elif inst.coords is None:
+        print("cannot emit Cordeau format without coordinates", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        out = _emit_cordeau(inst)
+        lost = _cordeau_loss(inst, out, not args.raw_risk)
+        if lost:
+            print(f"error: the Cordeau format cannot hold this instance: {lost}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     Path(args.output).write_text(out)
     return EXIT_OK
 
@@ -363,6 +367,20 @@ def _emit_cordeau(inst: Instance) -> str:
             f"{inst.early[i]:g} {inst.late[i]:g}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _cordeau_loss(inst: Instance, text: str, benchmark_risk: bool) -> str | None:
+    """What of ``inst`` the Cordeau ``text`` loses when read back as
+    ``load_instance`` reads it: the first field, in ``Instance`` order, that
+    would change; None when none would. The format holds one max ride time,
+    no risk scores (``derive_benchmark_risk`` makes them from loads), no
+    ``q_max`` and no mode, and rounds coordinates to 3 decimals."""
+    try:
+        back = _read_instance(text, inst.name, benchmark_risk)
+    except (ParseError, ValidationError) as exc:
+        return f"the text would not load back ({exc})"
+    return next((f"{f.name} would change" for f in fields(Instance)
+                 if getattr(inst, f.name) != getattr(back, f.name)), None)
 
 
 def run(argv=None) -> int:

@@ -99,6 +99,7 @@ class Instance:
             raise ValidationError("instance has no requests")
         if self.fleet_size < 1:
             raise ValidationError("fleet size must be positive")
+        _check_finite(self)
         if self.service[0] != 0 or self.service[self.end_depot] != 0:
             raise ValidationError("depot service times must be zero")
         for i in range(m):
@@ -137,6 +138,28 @@ class Instance:
         """The cap on ``exposure_measure``: the detour-rate cap ``eps_dt`` in
         equity mode (EDARP), the exposure cap ``eps_risk`` otherwise."""
         return eps_dt if self.mode == EDARP else eps_risk
+
+
+def _check_finite(inst: Instance) -> None:
+    """Raise ValidationError on the first number that is NaN or infinite.
+    Only ``q_max``, which then caps nothing, and a window's ``late`` end,
+    which preprocessing tightens, may be +inf. No comparison with NaN holds,
+    so a NaN would pass every later check."""
+    def bad(v, name: str) -> bool:
+        return not (math.isfinite(v) or (v == INF and name in ("q_max", "late")))
+
+    for name in ("capacity", "q_max"):
+        if bad(getattr(inst, name), name):
+            raise ValidationError(f"{name} is not finite: {getattr(inst, name)}")
+    for name in ("service", "load", "risk", "early", "late", "max_ride", "detour_weight"):
+        for k, v in enumerate(getattr(inst, name) or ()):
+            if bad(v, name):
+                raise ValidationError(f"{name}[{k}] is not finite: {v}")
+    for name in ("coords", "travel"):
+        for i, row in enumerate(getattr(inst, name) or ()):
+            for j, v in enumerate(row):
+                if bad(v, name):
+                    raise ValidationError(f"{name}[{i}][{j}] is not finite: {v}")
 
 
 def _check_triangle(travel, service, tol: float = 1e-9) -> None:
@@ -262,38 +285,41 @@ def parse_realworld(text: str, name: str = "") -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"an instance must be a JSON object, not {type(doc).__name__}")
     for key in ("n", "K", "capacity", "mode", "nodes", "travel_time", "max_ride"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
-    n = int(doc["n"])
+    n = _json_number(int, doc["n"], "n")
     m = 2 * n + 2
-    nodes = doc["nodes"]
-    if len(nodes) != m:
-        raise ParseError(f"expected {m} nodes for n={n}, got {len(nodes)}")
-    flat = doc["travel_time"]
-    if len(flat) != m * m:
-        raise ParseError(f"travel_time must have {m * m} entries, got {len(flat)}")
-    if any(v is None for v in flat):
-        raise ParseError("travel_time has a missing entry")
-    if len(doc["max_ride"]) != n:
-        raise ParseError(f"max_ride must have {n} entries, got {len(doc['max_ride'])}")
+    nodes = _json_list(doc["nodes"], "nodes", m)
+    flat = _json_list(doc["travel_time"], "travel_time", m * m)
     mode = doc["mode"]
     if mode not in (RDARP, EDARP):
         raise ParseError(f"mode must be {RDARP!r} or {EDARP!r}, got {mode!r}")
 
     fields = {k: [0.0] * m for k in ("service", "load", "risk", "early", "late")}
     for idx, node in enumerate(nodes):
-        if int(node["id"]) != idx:
+        if not isinstance(node, dict):
+            raise ParseError(f"node {idx} must be a JSON object, not {type(node).__name__}")
+        for k in ("id", *fields):
+            if k not in node:
+                raise ParseError(f"node {idx} has no {k!r} field")
+        if _json_number(int, node["id"], f"node {idx}: id") != idx:
             raise ParseError(f"expected node id {idx}, got {node['id']}")
         for k in fields:
-            fields[k][idx] = float(node[k])
+            fields[k][idx] = _json_number(float, node[k], f"node {idx}: {k}")
 
-    travel = tuple(tuple(float(v) for v in flat[i * m:(i + 1) * m]) for i in range(m))
+    flat = [_json_number(float, v, f"travel_time entry {k}") for k, v in enumerate(flat)]
+    travel = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(m))
+    max_ride = tuple(_json_number(float, v, f"max_ride entry {k}")
+                     for k, v in enumerate(_json_list(doc["max_ride"], "max_ride", n)))
     coords = None
     if doc.get("coords") is not None:
-        if len(doc["coords"]) != m:
-            raise ParseError(f"coords must have {m} entries")
-        coords = tuple((float(x), float(y)) for x, y in doc["coords"])
+        coords = tuple(
+            tuple(_json_number(float, v, f"coords entry {k}")
+                  for v in _json_list(xy, f"coords entry {k}", 2))
+            for k, xy in enumerate(_json_list(doc["coords"], "coords", m)))
 
     detour_weight = None
     if mode == EDARP:
@@ -303,8 +329,8 @@ def parse_realworld(text: str, name: str = "") -> Instance:
 
     inst = Instance(
         n=n,
-        fleet_size=int(doc["K"]),
-        capacity=float(doc["capacity"]),
+        fleet_size=_json_number(int, doc["K"], "K"),
+        capacity=_json_number(float, doc["capacity"], "capacity"),
         q_max=INF,  # placeholder, fixed below
         service=tuple(fields["service"]),
         load=tuple(fields["load"]),
@@ -312,19 +338,38 @@ def parse_realworld(text: str, name: str = "") -> Instance:
         early=tuple(fields["early"]),
         late=tuple(fields["late"]),
         travel=travel,
-        max_ride=tuple(float(v) for v in doc["max_ride"]),
+        max_ride=max_ride,
         mode=mode,
         coords=coords,
         detour_weight=detour_weight,
         name=name or str(doc.get("name", "")),
     )
     if "q_max" in doc:
-        q_max = INF if doc["q_max"] is None else float(doc["q_max"])
+        q_max = INF if doc["q_max"] is None else _json_number(float, doc["q_max"], "q_max")
     else:
         q_max = compute_qmax(inst)
     inst = replace(inst, q_max=q_max)
     inst.validate()
     return inst
+
+
+def _json_number(convert, value, what: str):
+    """``convert(value)`` for ``convert`` ``int`` or ``float``; ParseError
+    naming ``what`` when ``value`` is no number."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} must be a number, got {value!r}") from None
+
+
+def _json_list(value, what: str, length: int) -> list:
+    """``value`` when it is a list of ``length`` entries, else ParseError
+    naming ``what``."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, not {type(value).__name__}")
+    if len(value) != length:
+        raise ParseError(f"{what} must have {length} entries, got {len(value)}")
+    return value
 
 
 def emit_realworld(inst: Instance) -> str:
@@ -376,7 +421,7 @@ def compute_qmax(inst: Instance) -> float:
         raise ValidationError("q_max requires at least one request")
     horizon = inst.late[inst.end_depot] - inst.early[0]
     mean_risk = sum(inst.risk[i] for i in inst.pickups()) / inst.n
-    return horizon * mean_risk
+    return horizon * mean_risk if mean_risk else 0.0  # 0.0 also over an endless horizon
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from . import oracle
 from .errors import RdarpError
 from .instance import Instance
 from .lp import EQ, GE, LE, OPTIMAL, LinearModel
-from .pricing import COST, RISK, DualValues, PricingRestrictions, solve_pricing
+from .pricing import COST, RISK, DualValues, solve_pricing
 
 INF = math.inf
 INTEGRALITY_TOL = 1e-6
@@ -125,10 +125,10 @@ class MasterSolution:
 
 def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Route) -> int:
     """Add the variable of the pool's next column (index ``len(meta["lam"])``),
-    fixed to zero when the node's restrictions bar the route or some rider's
-    exposure measure is over ``meta["cap"]`` (``oracle.over_cap``)."""
+    fixed to zero when the route uses an arc of ``meta["banned"]`` or some
+    rider's exposure measure is over ``meta["cap"]`` (``oracle.over_cap``)."""
     k = len(meta["lam"])
-    allowed = (meta["restrictions"].allows(col.arcs())
+    allowed = (meta["banned"].isdisjoint(col.arcs())
                and not oracle.over_cap(inst, col.exposure, meta["cap"]))
     j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0,
                       obj=col.cost if meta["mode"] == COST else 0.0)
@@ -166,7 +166,7 @@ def build_rlmp(
     eps_cost: float = INF,
     eps_dt: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
-    restrictions: PricingRestrictions | None = None,
+    banned: frozenset[tuple[int, int]] = frozenset(),
 ) -> tuple[LinearModel, dict]:
     """Assemble the restricted master LP over the pool.
 
@@ -178,9 +178,9 @@ def build_rlmp(
     from ``_column_coefs``; ``meta["row"]`` maps each row key to its row
     index.
 
-    A branch node's ``restrictions`` act here by fixing to zero the λ of
-    every pool column they bar (``_add_lambda``), and in pricing, which
-    emits no barred column; its branching rows come in ``extra_rows``.
+    A branch node's ``banned`` arcs act here by fixing to zero the λ of
+    every pool column that uses one (``_add_lambda``), and in pricing, which
+    emits no such column; its branching rows come in ``extra_rows``.
 
     In cost mode each request rides in exactly one route, so the cap on the
     exposure measure (``Instance.measure_cap``) holds route by route: every
@@ -194,7 +194,7 @@ def build_rlmp(
     big = big_cost(inst)
     risk_cap = inst.measure_cap(eps_risk, eps_dt)
     meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big,
-                  "restrictions": restrictions or PricingRestrictions(),
+                  "banned": banned,
                   "cap": risk_cap if mode == COST else INF}
     for col in pool.columns:
         _add_lambda(inst, model, meta, col)
@@ -281,7 +281,7 @@ class RestrictedMaster:
     The artificials serve only to reach a feasible master. The first LP
     whose artificials sum to at most ``ARTIFICIAL_TOL`` fixes every one of
     them to zero, at objective 0, for the rest of the node: the pool only
-    grows and the rows and restrictions stay, so the master stays feasible.
+    grows and the rows and bans stay, so the master stays feasible.
     A degenerate basis that keeps an artificial basic at zero would hand
     pricing duals of order ``big_cost``; such an LP is re-solved warm at once,
     so the duals returned are always those of the master without
@@ -289,11 +289,11 @@ class RestrictedMaster:
     """
 
     def __init__(self, pool: ColumnPool, inst: Instance, mode, eps_risk, eps_cost,
-                 eps_dt, extra_rows, restrictions):
+                 eps_dt, extra_rows, banned):
         self.pool = pool
         self.inst = inst
         self.model, self.meta = build_rlmp(pool, inst, mode, eps_risk, eps_cost,
-                                           eps_dt, extra_rows, restrictions)
+                                           eps_dt, extra_rows, banned)
         self.warm = None
         self.artificials_fixed = False
 
@@ -411,7 +411,7 @@ def column_generation(
     eps_cost: float = INF,
     eps_dt: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
-    restrictions: PricingRestrictions | None = None,
+    banned: frozenset[tuple[int, int]] = frozenset(),
     deadline: float | None = None,
 ) -> CGResult:
     """Alternate master LP solves and pricing until no negative column exists.
@@ -419,7 +419,7 @@ def column_generation(
     Each round prices heuristically first and confirms with an exact run
     when the heuristic adds nothing. The returned objective is a
     valid lower bound for the node's integer problem over the routes
-    ``restrictions`` allows and, in cost mode, the cap on the exposure
+    that use no arc of ``banned`` and that, in cost mode, the cap on the exposure
     measure (``Instance.measure_cap``) admits: both bind the master
     (``build_rlmp``) and pricing (``solve_pricing``'s ``cap``). In risk mode
     pricing gets no cap. Infeasibility is reported only after exact pricing
@@ -434,7 +434,7 @@ def column_generation(
     round on."""
     iterations = 0
     rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
-                               extra_rows, restrictions)
+                               extra_rows, banned)
     cap = rmaster.meta["cap"]
     while True:
         iterations += 1
@@ -459,7 +459,7 @@ def column_generation(
         added = 0
         for heuristic in (True, False):
             cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                                 restrictions=restrictions, cap=cap, cache=pool.expansions)
+                                 banned=banned, cap=cap, cache=pool.expansions)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break

@@ -308,15 +308,18 @@ def mmr_schedule(inst: Instance, sequence) -> tuple[Route, float] | None:
     return route, float(sol.objective)
 
 
-def _route(inst: Instance, st: cal.PathState) -> Route:
+def state_route(inst: Instance, st: cal.PathState, cls=Route, **extra) -> Route:
     """The route a calibration state that has reached the end depot stands
-    for: its sequence, calibrated schedule, arc cost, exposure (each rider's
-    onboard time in equity mode, read off the schedule as in pricing) and
-    cumulative risk."""
+    for, as a ``cls`` built with the further fields ``extra`` (pricing
+    emits ``pricing.Column``s through it): its sequence, calibrated
+    schedule, arc cost, exposure and cumulative risk. The exposure is the
+    state's accrued sum in RDARP; in equity mode it is each rider's onboard
+    time read off the schedule, so it equals that time exactly, not the
+    step-by-step sum of it."""
     exposure = onboard_times(inst, st.nodes, st.times) if inst.mode == EDARP else st.request_h()
-    return Route(
+    return cls(
         sequence=st.nodes, schedule=st.times, cost=route_cost(inst, st.nodes),
-        exposure=exposure, q_terminal=st.q_cum,
+        exposure=exposure, q_terminal=st.q_cum, **extra,
     )
 
 
@@ -326,11 +329,10 @@ def replay_route(inst: Instance, sequence) -> tuple[Route, str | None]:
     rejected, with the calibration's rejection reason.
 
     This is the same evaluation pricing labels perform, replayed over a fixed
-    sequence; emitted columns carry these schedules and exposures. The
+    sequence, and the route is built as pricing builds its columns
+    (``state_route``), so they carry the same schedules and exposures. The
     schedule is the calibrated one, which is feasible but not guaranteed to
-    reach the sequence's minimum peak (see ``calibration._argmin_peak``). In
-    equity mode the exposure is read off the schedule, so it equals each
-    rider's onboard time exactly, as in pricing.
+    reach the sequence's minimum peak (see ``calibration._argmin_peak``).
     """
     st = cal.initial_state(inst)
     for j in sequence[1:]:
@@ -338,7 +340,7 @@ def replay_route(inst: Instance, sequence) -> tuple[Route, str | None]:
         if ext is None:
             return None, reason
         st = ext.state
-    return _route(inst, st), None
+    return state_route(inst, st), None
 
 
 def feasible_routes(inst: Instance, group):
@@ -362,7 +364,7 @@ def feasible_routes(inst: Instance, group):
         if not remaining:
             ext, _ = cal.extend(inst, st, end)
             if ext is not None:
-                yield _route(inst, ext.state)
+                yield state_route(inst, ext.state)
             return
         for x in remaining:
             if x > n and x - n in remaining:

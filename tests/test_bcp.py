@@ -108,7 +108,7 @@ def test_branching_bounds_monotone():
         for child in children:
             child_res = column_generation(
                 inst, pool, "cost", eps_risk=9.0, extra_rows=child.rows,
-                restrictions=child.restrictions,
+                banned=child.banned,
             )
             if child_res.status == "Optimal":
                 assert child_res.bound >= res.bound - 1e-6
@@ -117,10 +117,9 @@ def test_branching_bounds_monotone():
 
 
 def test_restriction_record_fixes_barred_pool_columns():
-    # the record alone binds the master: pool columns it bars get no value,
-    # though they were priced before the restriction existed
+    # the bans alone bind the master: pool columns that use a banned arc get
+    # no value, though they were priced before the ban existed
     from rdarp.master import column_generation, seed_pool
-    from rdarp.pricing import PricingRestrictions
 
     inst = preprocess(random_instance(5, n=4, fleet_size=2))
     pool = ColumnPool(inst)
@@ -129,14 +128,12 @@ def test_restriction_record_fixes_barred_pool_columns():
     assert root.status == "Optimal"
     col, _ = max(root.solution.columns_used, key=lambda item: item[1])
     banned = col.arcs()[1]  # an arc between two request nodes
-    restrictions = PricingRestrictions(banned_arcs=frozenset({banned}))
-    assert not restrictions.allows(col.arcs())
-    res = column_generation(inst, pool, "cost", restrictions=restrictions)
+    res = column_generation(inst, pool, "cost", banned=frozenset({banned}))
     assert res.status == "Optimal"
     assert all(banned not in used.arcs() for used, _ in res.solution.columns_used)
     fresh = ColumnPool(inst)
     seed_pool(fresh, inst)
-    alone = column_generation(inst, fresh, "cost", restrictions=restrictions)
+    alone = column_generation(inst, fresh, "cost", banned=frozenset({banned}))
     assert res.bound == pytest.approx(alone.bound, abs=1e-6)
     assert res.bound >= root.bound - 1e-6
 
@@ -161,7 +158,7 @@ def test_arc_branch_rule_bans_the_most_fractional_arc():
     import itertools
 
     from rdarp.master import MasterSolution
-    from rdarp.pricing import DualValues, PricingRestrictions
+    from rdarp.pricing import DualValues
 
     def route(seq):
         return oracle.Route(seq, tuple(float(k) for k in range(len(seq))), 5.0,
@@ -175,15 +172,15 @@ def test_arc_branch_rule_bans_the_most_fractional_arc():
     assert msol.vehicle_count() == pytest.approx(1.0) and not msol.integral
     kept = bcp.ExtraRow("veh<= 1", "<=", 1.0, route_constant=1.0)
     node = bcp.BranchNode(1, 0, 0.0, rows=(kept,),
-                          restrictions=PricingRestrictions(frozenset({(1, 4)})))
+                          banned=frozenset({(1, 4)}))
     banned, forced = bcp.branch(node, msol, itertools.count(1))
     assert banned.rows == (kept,)
-    assert banned.restrictions == PricingRestrictions(frozenset({(1, 4), (2, 4)}))
+    assert banned.banned == frozenset({(1, 4), (2, 4)})
     assert forced.rows[:-1] == (kept,)
     row = forced.rows[-1]
     assert (row.name, row.sense, row.rhs, row.arc_coefs, row.route_constant) == (
         "arc(2,4)>=1", ">=", 1.0, (((2, 4), 1.0),), 0.0)
-    assert forced.restrictions == node.restrictions
+    assert forced.banned == node.banned
 
 
 @pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])

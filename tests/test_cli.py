@@ -175,15 +175,7 @@ def test_pareto_csv_matches_brute_force_front(tmp_path, edarp):
 
 def test_convert_roundtrip(tmp_path):
     cordeau = tmp_path / "toy.txt"
-    cordeau.write_text(
-        "1 2 480 3 30\n"
-        "0 0.0 0.0 0 0 0 480\n"
-        "1 3.0 4.0 2 1 10 40\n"
-        "2 6.0 8.0 2 1 20 60\n"
-        "3 0.0 4.0 2 -1 10 200\n"
-        "4 6.0 0.0 2 -1 20 200\n"
-        "5 0.0 0.0 0 0 0 480\n"
-    )
+    cordeau.write_text(TOY_CORDEAU)
     as_json = tmp_path / "toy.json"
     assert cli.run(["convert", str(cordeau), str(as_json)]) == 0
     inst = parse_realworld(as_json.read_text())
@@ -195,6 +187,36 @@ def test_convert_roundtrip(tmp_path):
     again = load_instance(str(back))
     assert again.n == inst.n
     assert again.travel == inst.travel
+
+
+TOY_CORDEAU = (
+    "1 2 480 3 30\n"
+    "0 0.0 0.0 0 0 0 480\n"
+    "1 3.0 4.0 2 1 10 40\n"
+    "2 6.0 8.0 2 1 20 60\n"
+    "3 0.0 4.0 2 -1 10 200\n"
+    "4 6.0 0.0 2 -1 20 200\n"
+    "5 0.0 0.0 0 0 0 480\n"
+)
+
+
+def test_convert_refuses_a_lossy_json_to_cordeau_conversion(tmp_path, capsys):
+    # rw-2's risk scores are not its loads, and request 2 rides under 22.5,
+    # not the 43.7 of request 1 that a Cordeau header would give every rider
+    out = tmp_path / "rw-2.txt"
+    assert cli.run(["convert", str(FIXTURES / "rw-2.json"), str(out)]) == 1
+    assert not out.exists()
+    assert "cannot hold this instance: risk would change" in capsys.readouterr().err
+    cordeau = tmp_path / "toy.txt"
+    cordeau.write_text(TOY_CORDEAU)
+    as_json = tmp_path / "toy.json"
+    assert cli.run(["convert", str(cordeau), str(as_json)]) == 0
+    doc = json.loads(as_json.read_text())
+    doc["max_ride"][1] = 25.0
+    as_json.write_text(json.dumps(doc))
+    assert cli.run(["convert", str(as_json), str(out)]) == 1
+    assert not out.exists()
+    assert "cannot hold this instance: max_ride would change" in capsys.readouterr().err
 
 
 def test_shipped_fixtures_roundtrip():
@@ -392,3 +414,70 @@ def test_infeasible_exit_code(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text(emit_realworld(inst))
     assert cli.run(["solve", str(path), "--eps-risk", "0.5"]) == 2
+
+
+def _drop_late(doc):
+    del doc["nodes"][2]["late"]
+    return doc
+
+
+def _n_as_word(doc):
+    doc["n"] = "two"
+    return doc
+
+
+def _nodes_as_number(doc):
+    doc["nodes"] = 5
+    return doc
+
+
+def _nan_early(doc):
+    doc["nodes"][1]["early"] = math.nan  # json writes NaN and reads it back
+    return doc
+
+
+def _nan_travel_time(doc):
+    doc["travel_time"][3] = math.nan
+    return doc
+
+
+def _infinite_max_ride(doc):
+    doc["max_ride"][0] = math.inf
+    return doc
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_drop_late, "node 2 has no 'late' field"),
+    (_n_as_word, "n must be a number, got 'two'"),
+    (_nodes_as_number, "nodes must be a list, not int"),
+    (_nan_early, "early[1] is not finite: nan"),
+    (_nan_travel_time, "travel[0][3] is not finite: nan"),
+    (_infinite_max_ride, "max_ride[0] is not finite: inf"),
+], ids=["node-without-late", "n-not-a-number", "nodes-not-a-list", "nan-early",
+        "nan-travel-time", "infinite-max-ride"])
+def test_solve_reports_a_malformed_instance_as_a_usage_error(
+        tmp_path, small_json, capsys, malform, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(json.loads(small_json.read_text()))))
+    assert cli.run(["solve", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_solve_rejects_a_nan_cordeau_coordinate(tmp_path, capsys):
+    path = tmp_path / "toy.txt"
+    path.write_text(TOY_CORDEAU.replace("2 6.0 8.0", "2 nan 8.0"))
+    assert cli.run(["solve", str(path)]) == 1
+    assert "coords[2][0] is not finite: nan" in capsys.readouterr().err
+
+
+def test_an_infinite_window_end_still_solves(tmp_path, small_json):
+    # preprocessing tightens it from the paired node's window and ride time:
+    # request 1's pick-up and request 2's drop-off (n = 3)
+    doc = json.loads(small_json.read_text())
+    doc["nodes"][1]["late"] = doc["nodes"][5]["late"] = math.inf
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "sol.json"
+    assert cli.run(["solve", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "Optimal"

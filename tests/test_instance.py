@@ -108,6 +108,18 @@ def test_realworld_qmax_derived_when_missing():
     assert again.q_max == pytest.approx(compute_qmax(inst))
 
 
+def test_derived_qmax_of_a_riskless_instance_over_an_endless_horizon():
+    # horizon times mean risk would be inf * 0, a NaN that validate rejects
+    import json
+    from dataclasses import replace
+
+    inst = random_instance(9, n=2)
+    doc = json.loads(emit_realworld(replace(inst, risk=(0.0,) * inst.n_nodes)))
+    del doc["q_max"]
+    doc["nodes"][-1]["late"] = INF
+    assert parse_realworld(json.dumps(doc)).q_max == 0.0
+
+
 def test_realworld_minimal_single_request():
     m = 4
     doc = {

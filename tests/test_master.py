@@ -26,7 +26,7 @@ from rdarp.master import (
     pareto_front,
     seed_pool,
 )
-from rdarp.pricing import DualValues, PricingRestrictions, solve_pricing
+from rdarp.pricing import DualValues, solve_pricing
 
 INF = math.inf
 
@@ -371,7 +371,7 @@ def test_appended_columns_match_a_fresh_build(mode, caps):
         ExtraRow("out>=1", ">=", 1.0, arc_coefs=(((1, 2), 1.0), ((2, 5), 2.0), ((3, 6), 1.0))),
     )
     # bars the second seed column, (0, 2, 2 + n, end)
-    barred = PricingRestrictions(banned_arcs=frozenset({(2, 2 + inst.n)}))
+    barred = frozenset({(2, 2 + inst.n)})
     args = (inst, mode, caps.get("eps_risk", INF), caps.get("eps_cost", INF), INF,
             extra, barred)
     rmaster = RestrictedMaster(pool, *args)

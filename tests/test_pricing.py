@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -7,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from rdarp import calibration as cal
-from rdarp._labeling_py import _Label, dominates
 from rdarp.fixtures import random_instance
 from rdarp.instance import edarp_transform, preprocess
 from rdarp.oracle import Route, cap_slack, feasible_routes, mmr_schedule, over_cap, validate_route
 from rdarp.pricing import (
     Column,
     DualValues,
-    PricingRestrictions,
+    _Label,
+    dominates,
     solve_pricing,
 )
 from tests.conftest import reached_states
@@ -242,8 +243,7 @@ def test_exact_pricing_matches_enumeration_under_bans_and_arc_duals():
             arc_adjust={a: rng.uniform(0.0, 30.0) for a in rng.sample(used, rng.randint(0, 2))},
         )
         best = enumerate_min_rc(inst, duals, "cost", banned=banned, routes=routes)
-        cols = solve_pricing(inst, duals, "cost", limit=1000,
-                             restrictions=PricingRestrictions(banned_arcs=banned))
+        cols = solve_pricing(inst, duals, "cost", limit=1000, banned=banned)
         if best and best[0] < -1e-6:
             assert cols and cols[0].reduced_cost == pytest.approx(best[0], abs=1e-6), s
         else:
@@ -252,6 +252,15 @@ def test_exact_pricing_matches_enumeration_under_bans_and_arc_duals():
         if enumerate_min_rc(inst, duals, "cost", routes=routes) != best:
             binding += 1
     assert binding >= 10
+
+
+def test_solve_pricing_keeps_heuristic_4th_and_trace_7th():
+    # perfbench/layers.py reads both by position: ``heuristic`` as args[3]
+    # and ``trace`` as the 7th positional argument. A silent reorder would
+    # zero the benchmark's pricing.labels_kept.
+    params = list(inspect.signature(solve_pricing).parameters)
+    assert params.index("heuristic") == 3
+    assert params.index("trace") == 6
 
 
 def test_trace_emits_lines():
@@ -418,11 +427,11 @@ def test_a_shared_expansion_cache_prices_as_a_fresh_one(monkeypatch, equity):
         (duals(xi=-0.4), "risk", {}),
         (duals(xi=-0.4), "risk", {"heuristic": True}),
         (duals(), "cost", {"cap": capped[len(capped) // 2]}),
-        (first, "cost", {"restrictions": PricingRestrictions(banned_arcs=frozenset({seq[1:3]}))}),
+        (first, "cost", {"banned": frozenset({seq[1:3]})}),
     ]
     cache = cal.ExpansionCache(inst)
     for k, (d, mode, kw) in enumerate(calls):
-        if "restrictions" in kw:
+        if "banned" in kw:
             # the banned arc leaves a state whose children the cache holds
             held = cache.held
             after_first = dict(cache.children(cache.root))[seq[1]].state

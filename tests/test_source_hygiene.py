@@ -79,3 +79,48 @@ def test_no_mutable_module_level_containers_in_package():
     assert modules
     found = {p.name: module_level_containers(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[str]:
+    """Sibling modules or names a module imports that are private (their
+    name starts with an underscore; dunders like ``__version__`` are
+    public): ``from . import _m``, ``from ._m import x``, ``from .m import
+    _x`` and ``import rdarp._m``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rdarp"
+                                                 or (node.module or "").startswith("rdarp.")):
+            parts = (node.module or "").split(".")
+            names = [a.name for a in node.names]
+            if any(_private(p) for p in parts) or any(_private(n) for n in names):
+                found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''} "
+                             f"import {', '.join(names)}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "rdarp" and any(_private(p) for p in parts[1:]):
+                    found.append(f"line {node.lineno}: import {alias.name}")
+    return found
+
+
+def test_private_import_detector_flags_only_private_siblings():
+    source = ("from __future__ import annotations\nimport os._x\n"
+              "from . import _engine\nfrom ._engine import run\nfrom .pricing import _Label\n"
+              "from . import __version__, pricing\nimport rdarp._engine\n"
+              "from rdarp.oracle import _route\n"
+              "def f():\n    from .lp import _solve\n    from .lp import solve_lp\n")
+    assert private_imports(source) == [
+        "line 3: from . import _engine", "line 4: from ._engine import run",
+        "line 5: from .pricing import _Label", "line 7: import rdarp._engine",
+        "line 8: from rdarp.oracle import _route", "line 10: from .lp import _solve"]
+
+
+def test_no_module_imports_a_private_sibling():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: private_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
