@@ -146,7 +146,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
     rows enter the master; its banned arcs (``BranchNode.banned``) are passed
     once to ``column_generation``, where the master fixes every pool column
     that uses one to zero and pricing emits none. Cuts are separated
-    at the root until none are violated, then frozen.
+    at a fractional root until none are violated, then frozen.
 
     Unless the root is infeasible, every node whose column generation ran
     logs one progress line at DEBUG on the ``rdarp.bcp`` logger: its depth
@@ -201,9 +201,13 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
                            len(pool), 0, infeasible_at_root=True)
 
-    # root cut loop: separate after each converged CG until nothing is violated
+    # root cut loop: separate at a fractional root, after each converged CG,
+    # until nothing is violated. A converged master is free of artificials,
+    # so an integral one is a feasible integer solution that no valid cut
+    # cuts off: separating there would find nothing.
     rounds = 0
-    while res.status == OPTIMAL_STATUS and rounds < MAX_CUT_ROUNDS:
+    while (res.status == OPTIMAL_STATUS and not res.solution.integral
+           and rounds < MAX_CUT_ROUNDS):
         rounds += 1
         flows = res.solution.arc_flows()
         active = {c.name for c in cut_rows}

@@ -1,4 +1,4 @@
-"""Valid inequalities separated at the root node.
+"""Valid inequalities separated at a fractional root.
 
 Three families over aggregated arc flows: tournament-style infeasible-path
 elimination, two-path cuts on sets no single vehicle can serve, and rounded

@@ -117,6 +117,9 @@ class Instance:
                 raise ValidationError(f"request {i}: negative risk score")
             if self.load[i] < 0:
                 raise ValidationError(f"request {i}: negative load")
+            if self.late[i] == INF and self.late[j] == INF:
+                raise ValidationError(f"request {i}: pick-up and drop-off both have late = inf; "
+                                      "at least one end of the request needs a finite window")
             if self.load[i] > self.capacity:
                 raise InfeasibleRequestError(i, f"load {self.load[i]} exceeds capacity {self.capacity}")
             if self.direct_time(i) > self.max_ride[i - 1]:
@@ -143,8 +146,9 @@ class Instance:
 def _check_finite(inst: Instance) -> None:
     """Raise ValidationError on the first number that is NaN or infinite.
     Only ``q_max``, which then caps nothing, and a window's ``late`` end,
-    which preprocessing tightens, may be +inf. No comparison with NaN holds,
-    so a NaN would pass every later check."""
+    which preprocessing tightens from the paired node's window, may be +inf;
+    ``Instance.validate`` refuses a request with both ends infinite. No
+    comparison with NaN holds, so a NaN would pass every later check."""
     def bad(v, name: str) -> bool:
         return not (math.isfinite(v) or (v == INF and name in ("q_max", "late")))
 
@@ -355,7 +359,12 @@ def parse_realworld(text: str, name: str = "") -> Instance:
 
 def _json_number(convert, value, what: str):
     """``convert(value)`` for ``convert`` ``int`` or ``float``; ParseError
-    naming ``what`` when ``value`` is no number."""
+    naming ``what`` when ``value`` is no number (a JSON boolean is none) or,
+    for ``int``, is a number that is not whole, which ``int`` would truncate."""
+    if isinstance(value, bool):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"{what} must be a whole number, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

@@ -8,6 +8,7 @@ solutions, duals, and pivot sequences. Dual sign convention for minimization:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -169,25 +170,30 @@ class _Simplex:
             sigma = 1.0 if self.status_vec[e] == AT_LOWER else -1.0
             w = np.linalg.solve(B, self.A[:, e])
             delta = sigma * w
-            step = self.ub[e] - self.lb[e]
+            step = float(self.ub[e] - self.lb[e])
             leave, leave_to = -1, AT_LOWER
-            for i in range(self.m):
-                bi = self.basis[i]
-                if delta[i] > FEAS_TOL:
-                    cap = (x[bi] - self.lb[bi]) / delta[i]
+            # ratio test on plain floats: the same IEEE arithmetic, without
+            # a numpy scalar per row
+            basis = self.basis.tolist()
+            xb = x[self.basis].tolist()
+            lbb = self.lb[self.basis].tolist()
+            ubb = self.ub[self.basis].tolist()
+            for i, di in enumerate(delta.tolist()):
+                if di > FEAS_TOL:
+                    cap = (xb[i] - lbb[i]) / di
                     to = AT_LOWER
-                elif delta[i] < -FEAS_TOL:
-                    if not np.isfinite(self.ub[bi]):
+                elif di < -FEAS_TOL:
+                    if not math.isfinite(ubb[i]):
                         continue
-                    cap = (self.ub[bi] - x[bi]) / (-delta[i])
+                    cap = (ubb[i] - xb[i]) / (-di)
                     to = AT_UPPER
                 else:
                     continue
                 if cap < step - 1e-12:
                     step, leave, leave_to = cap, i, to
-                elif leave >= 0 and abs(cap - step) <= 1e-12 and bi < self.basis[leave]:
+                elif leave >= 0 and abs(cap - step) <= 1e-12 and basis[i] < basis[leave]:
                     leave, leave_to = i, to  # deterministic, Bland-compatible tie-break
-            if not np.isfinite(step):
+            if not math.isfinite(step):
                 return UNBOUNDED
             step = max(step, 0.0)
             degenerate_streak = degenerate_streak + 1 if step <= FEAS_TOL else 0

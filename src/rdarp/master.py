@@ -34,13 +34,15 @@ class ColumnPool:
 
     The pool also owns the solve's ``calibration.ExpansionCache``: every
     node, cut round and shared sweep that prices with this pool extends
-    each state it reaches once."""
+    each state it reaches once. Likewise each column's coefficient on an
+    extra row is computed once (``coefficient``)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.columns: list[oracle.Route] = []
         self._index: dict[tuple[int, ...], int] = {}
         self.expansions = cal.ExpansionCache(inst)
+        self._coefs: dict[str, list[float]] = {}  # row name -> coefficient per column
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -53,6 +55,15 @@ class ColumnPool:
         self.columns.append(col)
         return True
 
+    def coefficient(self, k: int, row: ExtraRow) -> float:
+        """``row.coefficient`` of column ``k``, memoized by row name: a
+        column never changes and a row's name identifies it (``ExtraRow``),
+        so every node whose master has the row reuses the values."""
+        values = self._coefs.setdefault(row.name, [])
+        if k >= len(values):
+            values.extend(row.coefficient(col) for col in self.columns[len(values):k + 1])
+        return values[k]
+
 
 @dataclass(frozen=True)
 class ExtraRow:
@@ -61,7 +72,8 @@ class ExtraRow:
     A column's coefficient is ``route_constant`` plus the sum over its arcs of
     ``arc_coefs``; duals fold into pricing through the same decomposition.
     ``name`` identifies the row: a cut's name is a function of its family and
-    nodes (``cuts``), so equal names mean the same cut.
+    nodes (``cuts``), so equal names mean the same cut, and ``ColumnPool``
+    memoizes coefficients by name.
     """
 
     name: str
@@ -136,14 +148,15 @@ def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Rout
     return j
 
 
-def _column_coefs(inst: Instance, meta: dict, col: oracle.Route):
-    """Every nonzero ``(row key, coefficient)`` of a column in the master.
+def _column_coefs(pool: ColumnPool, meta: dict, k: int):
+    """Every nonzero ``(row key, coefficient)`` of pool column ``k`` in the
+    master.
 
     Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("risk", i)`` the
     per-request exposure measure (detour rate in equity mode) under the risk
     objective's peak, ``"cost"`` the cost cap, ``("x", r)`` extra row ``r``.
     """
-    rows = meta["row"]
+    inst, col, rows = pool.inst, pool.columns[k], meta["row"]
     for i in col.requests:
         yield ("part", i), 1.0
     yield "fleet", 1.0
@@ -153,7 +166,7 @@ def _column_coefs(inst: Instance, meta: dict, col: oracle.Route):
     if col.cost and "cost" in rows:
         yield "cost", col.cost
     for r, row in enumerate(meta["extra"]):
-        v = row.coefficient(col)
+        v = pool.coefficient(k, row)
         if v != 0.0:
             yield ("x", r), v
 
@@ -216,8 +229,8 @@ def build_rlmp(
     meta["row"] = {spec[0]: r for r, spec in enumerate(specs)}
 
     coefs: dict = {key: {} for key in meta["row"]}
-    for j, col in zip(meta["lam"], pool.columns):
-        for key, v in _column_coefs(inst, meta, col):
+    for k, j in enumerate(meta["lam"]):
+        for key, v in _column_coefs(pool, meta, k):
             coefs[key][j] = v
     for key, name, sense, rhs, own in specs:
         model.add_row(name, {**coefs[key], **own}, sense, rhs)
@@ -301,9 +314,9 @@ class RestrictedMaster:
         from .lp import solve_lp_warm
 
         model, meta = self.model, self.meta
-        for col in self.pool.columns[len(meta["lam"]):]:
-            j = _add_lambda(self.inst, model, meta, col)
-            for key, v in _column_coefs(self.inst, meta, col):
+        for k in range(len(meta["lam"]), len(self.pool)):
+            j = _add_lambda(self.inst, model, meta, self.pool.columns[k])
+            for key, v in _column_coefs(self.pool, meta, k):
                 model.rows[meta["row"][key]].append((j, v))
         sol, self.warm = solve_lp_warm(model, self.warm)
         if (not self.artificials_fixed and sol.status == OPTIMAL

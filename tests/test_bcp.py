@@ -292,6 +292,63 @@ def test_a_cap_enforced_route_by_route_closes_the_root():
     oracle.validate_solution(inst, rep.routes, 2.0)
 
 
+def _count_separations(monkeypatch) -> list:
+    """The cuts each ``cuts.separate_all`` call of the solve returns."""
+    found = []
+    original = bcp.cuts_mod.separate_all
+
+    def counted(*args, **kwargs):
+        found.append(original(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(bcp.cuts_mod, "separate_all", counted)
+    return found
+
+
+def test_an_integral_root_is_not_separated(monkeypatch):
+    calls = _count_separations(monkeypatch)
+    rep = bcp.solve(preprocess(benchmark_like_instance(0, n=14, fleet_size=3)), "cost")
+    assert (rep.status, rep.nodes_explored, rep.cuts) == ("Optimal", 1, 0)
+    assert rep.objective == pytest.approx(209.99090940409204, rel=1e-12)
+    assert calls == []
+
+
+def test_a_fractional_root_is_still_separated(monkeypatch):
+    calls = _count_separations(monkeypatch)
+    rep = bcp.solve(preprocess(random_instance(23, n=4, fleet_size=2)), "cost")
+    assert rep.status == "Optimal"
+    assert rep.objective == pytest.approx(181.74211105663, abs=1e-6)
+    assert calls and rep.cuts == 10
+
+
+def test_no_cut_is_violated_at_an_integral_root():
+    """Why the root cut loop skips an integral root: a converged master is
+    free of artificials, so its λ = 1 columns are a feasible integer
+    solution, and no valid inequality cuts that off."""
+    from rdarp import cuts
+
+    integral = 0
+    for seed in range(50):
+        base = random_instance(seed, n=2 + seed % 3, fleet_size=1 + seed % 2)
+        edarp = edarp_transform(base)
+        for inst0, mode, caps in ((base, "cost", {}), (base, "risk", {}),
+                                  (edarp, "cost", {"eps_dt": 2.0}),
+                                  (edarp, "cost", {"eps_dt": 4.0})):
+            inst = preprocess(inst0)
+            pool = ColumnPool(inst)
+            if seed_pool(pool, inst):
+                continue
+            res = column_generation(inst, pool, mode, **caps)
+            if res.status != "Optimal" or not res.solution.integral:
+                continue
+            integral += 1
+            flows = res.solution.arc_flows()
+            violated = [c.name for c in cuts.separate_all(flows, inst, cuts.FAMILIES)
+                        if c.violation(flows) > cuts.VIOLATION_TOL]
+            assert violated == [], (seed, mode, caps)
+    assert integral >= 150
+
+
 def _check_time_limited(inst, rep, full):
     """A solve cut by its time limit certifies nothing it did not prove."""
     if rep.status == "Optimal":

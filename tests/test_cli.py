@@ -446,6 +446,11 @@ def _infinite_max_ride(doc):
     return doc
 
 
+def _unbounded_request(doc):
+    doc["nodes"][1]["late"] = doc["nodes"][4]["late"] = math.inf  # request 1 (n = 3)
+    return doc
+
+
 @pytest.mark.parametrize("malform, message", [
     (_drop_late, "node 2 has no 'late' field"),
     (_n_as_word, "n must be a number, got 'two'"),
@@ -453,8 +458,9 @@ def _infinite_max_ride(doc):
     (_nan_early, "early[1] is not finite: nan"),
     (_nan_travel_time, "travel[0][3] is not finite: nan"),
     (_infinite_max_ride, "max_ride[0] is not finite: inf"),
+    (_unbounded_request, "request 1: pick-up and drop-off both have late = inf"),
 ], ids=["node-without-late", "n-not-a-number", "nodes-not-a-list", "nan-early",
-        "nan-travel-time", "infinite-max-ride"])
+        "nan-travel-time", "infinite-max-ride", "unbounded-request"])
 def test_solve_reports_a_malformed_instance_as_a_usage_error(
         tmp_path, small_json, capsys, malform, message):
     bad = tmp_path / "bad.json"
@@ -462,6 +468,36 @@ def test_solve_reports_a_malformed_instance_as_a_usage_error(
     assert cli.run(["solve", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _set_node_id(doc, value):
+    doc["nodes"][1]["id"] = value
+    return doc
+
+
+@pytest.mark.parametrize("malform, message", [
+    (lambda doc: {**doc, "K": 2.9}, "K must be a whole number, got 2.9"),
+    (lambda doc: {**doc, "K": True}, "K must be a number, got True"),
+    (lambda doc: {**doc, "n": 3.5}, "n must be a whole number, got 3.5"),
+    (lambda doc: {**doc, "n": False}, "n must be a number, got False"),
+    (lambda doc: _set_node_id(doc, 1.5), "node 1: id must be a whole number, got 1.5"),
+    (lambda doc: _set_node_id(doc, True), "node 1: id must be a number, got True"),
+], ids=["K-fraction", "K-bool", "n-fraction", "n-bool", "id-fraction", "id-bool"])
+def test_solve_refuses_a_count_that_is_not_a_whole_number(
+        tmp_path, small_json, capsys, malform, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(json.loads(small_json.read_text()))))
+    assert cli.run(["solve", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_solve_accepts_a_whole_count_written_as_a_float(tmp_path, small_json):
+    doc = json.loads(small_json.read_text())
+    doc["K"], doc["n"] = float(doc["K"]), float(doc["n"])
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 0
 
 
 def test_solve_rejects_a_nan_cordeau_coordinate(tmp_path, capsys):

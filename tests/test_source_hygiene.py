@@ -1,6 +1,10 @@
 """Static checks over the package source (no linter is required to run them)."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rdarp"
@@ -124,3 +128,23 @@ def test_no_module_imports_a_private_sibling():
     assert modules
     found = {p.name: private_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+FOOTPRINT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import rdarp.bcp
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"numpy", "rdarp"})))
+"""
+
+
+def test_importing_the_solver_loads_only_numpy_beyond_the_standard_library():
+    """The solve path imports nothing but the standard library and numpy, so
+    importing it stays cheap; scipy, for one, may be installed but must not
+    be pulled in."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert json.loads(done.stdout) == []
