@@ -79,7 +79,6 @@ class SolveOptions:
     eps_cost: float = INF
     eps_dt: float = INF
     time_limit: float | None = None
-    cut_families: tuple[str, ...] = cuts_mod.FAMILIES
 
 
 CAPS = ("eps_risk", "eps_cost", "eps_dt")
@@ -211,7 +210,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         rounds += 1
         flows = res.solution.arc_flows()
         active = {c.name for c in cut_rows}
-        violated = [c for c in cuts_mod.separate_all(flows, inst, opts.cut_families)
+        violated = [c for c in cuts_mod.separate_all(flows, inst)
                     if c.violation(flows) > cuts_mod.VIOLATION_TOL and c.name not in active]
         if not violated:
             break

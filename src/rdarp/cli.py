@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 from types import MappingProxyType
 
-from . import __version__, bcp, cuts, master, oracle
+from . import __version__, bcp, master, oracle
 from .errors import (
     InfeasibleRequestError,
     ParseError,
@@ -81,15 +81,6 @@ def _parse_time_limit(value: str) -> float:
     if not limit >= 0:
         raise argparse.ArgumentTypeError(f"the time limit must be nonnegative, got {value}")
     return limit
-
-
-def _parse_cuts(value: str) -> tuple[str, ...]:
-    families = tuple(f for f in value.split(",") if f)
-    unknown = [f for f in families if f not in cuts.FAMILIES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown cut families {','.join(unknown)}; choose from {','.join(cuts.FAMILIES)}")
-    return families
 
 
 def _round6(x: float):
@@ -187,8 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-cost", type=_parse_eps, default=INF)
     sp.add_argument("--eps-dt", type=_parse_eps, default=INF)
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None)
-    sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES,
-                    help="comma list from {ipec,2pc,rc}; empty disables cuts")
     sp.add_argument("--certify-risk", action="store_true",
                     help="re-minimize peak risk at the optimal cost")
     sp.add_argument("--out", default=None)
@@ -198,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=_parse_step, default=master.DEFAULT_PARETO_STEP)
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None,
                     help="per-point time limit in seconds")
-    sp.add_argument("--cuts", type=_parse_cuts, default=cuts.FAMILIES)
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.add_argument("--json", dest="json_out", default=None)
 
@@ -221,13 +209,6 @@ def _prepare(args) -> Instance:
         if inst.mode != EDARP:
             inst = edarp_transform(inst)
     return inst
-
-
-def _solve_options(args, eps_risk=INF, eps_cost=INF, eps_dt=INF, time_limit=None):
-    return bcp.SolveOptions(
-        eps_risk=eps_risk, eps_cost=eps_cost, eps_dt=eps_dt,
-        time_limit=time_limit, cut_families=args.cuts,
-    )
 
 
 _CAP_USE = MappingProxyType({
@@ -254,15 +235,16 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     inst = preprocess(inst)
     t_start = time.perf_counter()
-    rep = bcp.solve(inst, args.mode, _solve_options(
-        args, args.eps_risk, args.eps_cost, args.eps_dt, args.time_limit))
+    rep = bcp.solve(inst, args.mode, bcp.SolveOptions(
+        eps_risk=args.eps_risk, eps_cost=args.eps_cost, eps_dt=args.eps_dt,
+        time_limit=args.time_limit))
     # the certifying risk solve gets what the cost solve left of --time-limit
     remaining = (None if args.time_limit is None
                  else args.time_limit - (time.perf_counter() - t_start))
     if (args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost"
             and (remaining is None or remaining > 0)):
-        certified = bcp.solve(inst, "risk", _solve_options(
-            args, eps_cost=rep.objective + 1e-6, time_limit=remaining))
+        certified = bcp.solve(inst, "risk", bcp.SolveOptions(
+            eps_cost=rep.objective + 1e-6, time_limit=remaining))
         if certified.status == master.OPTIMAL_STATUS:
             rep = bcp.SolveReport(
                 rep.status, rep.objective, rep.bound, rep.gap, certified.routes,
@@ -294,8 +276,8 @@ def cmd_pareto(args) -> int:
     swept = bcp.enforced_cap(inst, COST)
 
     def solve_fn(mode, eps, eps_cost, time_limit):
-        return bcp.solve(inst, mode, _solve_options(
-            args, eps_cost=eps_cost, time_limit=time_limit, **{swept: eps}))
+        return bcp.solve(inst, mode, bcp.SolveOptions(
+            eps_cost=eps_cost, time_limit=time_limit, **{swept: eps}))
 
     points = master.pareto_front(solve_fn, step=args.step,
                                  time_limit_per_point=args.time_limit)
