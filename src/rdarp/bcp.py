@@ -8,7 +8,11 @@ child, which pricing honours by never extending along it, and by an
 (Lübbecke & Desrosiers 2005). The rules are complete: ``branch`` runs only on
 a master that is not ``MasterSolution.integral``, so some arc flow is
 fractional, and every arc flow is at most 1, so each ``arc>=1`` child fixes
-its arc to 1 and the tree is finite."""
+its arc to 1 and the tree is finite.
+
+The risk objective is a descending ε-constraint sweep of capped cost trees
+(``_min_peak``; Mavrotas 2009, "Effective implementation of the ε-constraint
+method in multi-objective mathematical programming problems")."""
 
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ from .instance import EDARP, Instance
 from .lp import GE, LE
 from .master import (
     ARTIFICIAL_TOL,
+    COST,
+    RISK,
     CGResult,
     ColumnPool,
     ExtraRow,
@@ -36,7 +42,6 @@ from .master import (
     fractional,
     seed_pool,
 )
-from .pricing import COST, RISK
 
 INF = math.inf
 PRUNE_TOL = 1e-6
@@ -130,35 +135,27 @@ def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode,
             child(ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),))))
 
 
-def incumbent_value(inst: Instance, routes: list[oracle.Route], mode: str) -> float:
-    if mode == COST:
-        return sum(r.cost for r in routes)
-    return oracle.peak_measure(inst, routes)
-
-
 def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
           pool: ColumnPool | None = None) -> SolveReport:
     """Certified minimum (cost or peak exposure) via branch-cut-and-price.
 
-    The column pool, and with it the expansion cache pricing reads
-    (``ColumnPool.expansions``), is shared tree-wide. A node's branching
-    rows enter the master; its banned arcs (``BranchNode.banned``) are passed
-    once to ``column_generation``, where the master fixes every pool column
-    that uses one to zero and pricing emits none. Cuts are separated
-    at a fractional root until none are violated, then frozen.
+    The cost objective is one tree (``_min_cost``), the risk objective a
+    sweep of them (``_min_peak``). Every tree of a solve shares the column
+    pool, and with it the expansion cache pricing reads
+    (``ColumnPool.expansions``); a pool that is empty is seeded first, and a
+    request with no feasible round trip makes the instance infeasible at the
+    root. ``time_limit`` bounds the whole solve: its steps share one
+    deadline.
 
-    Unless the root is infeasible, every node whose column generation ran
-    logs one progress line at DEBUG on the ``rdarp.bcp`` logger: its depth
-    and bound, the incumbent, the gap between the incumbent and the tree's
-    lower bound, the open nodes, the pool's columns and the elapsed time.
-
-    Raises ``ValueError``, before any LP is built, on a negative cap (its
-    master rows carry no artificial, so the master LP itself would be
-    infeasible), on a finite cap other than ``enforced_cap``, which the
-    solve would ignore, and on a negative or NaN ``time_limit`` (a NaN
-    deadline never passes).
+    Raises ``ValueError``, before any LP is built, on an unknown ``mode``,
+    on a negative cap (its master rows carry no artificial, so the master LP
+    itself would be infeasible), on a finite cap other than
+    ``enforced_cap``, which the solve would ignore, and on a negative or NaN
+    ``time_limit`` (a NaN deadline never passes).
     """
     opts = options or SolveOptions()
+    if mode not in (COST, RISK):
+        raise ValueError(f"mode must be {COST!r} or {RISK!r}, got {mode!r}")
     if opts.time_limit is not None and not opts.time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {opts.time_limit}")
     enforced = enforced_cap(inst, mode)
@@ -169,25 +166,103 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         if value < INF and name != enforced:
             raise ValueError(f"a {mode} solve on this {inst.mode} instance enforces only "
                              f"{enforced}, not {name}={value}")
-    cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
-    t_start = time.perf_counter()
-    deadline = None if opts.time_limit is None else t_start + opts.time_limit
+    deadline = None if opts.time_limit is None else time.perf_counter() + opts.time_limit
 
     if pool is None:
         pool = ColumnPool(inst)
-    if len(pool) == 0:
-        bad = seed_pool(pool, inst)
-        if bad:
-            return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
-                               infeasible_at_root=True)
+    if len(pool) == 0 and seed_pool(pool, inst):
+        return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
+                           infeasible_at_root=True)
+    if mode == RISK:
+        return _min_peak(inst, opts.eps_cost, deadline, pool)
+    return _min_cost(inst, inst.measure_cap(opts.eps_risk, opts.eps_dt), deadline, pool)
 
+
+def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
+    """The risk sweep's floor, a lower bound on any peak measure, and its
+    step δ, the resolution of its certificate (see ``_min_peak``)."""
+    riders = inst.pickups()
+    floor = 0.0 if inst.mode != EDARP else max(
+        inst.exposure_measure(i, inst.service[i] + inst.direct_time(i)) for i in riders)
+    slack = oracle.cap_slack(inst, riders)
+    return floor, max(inst.exposure_measure(i, slack) for i in riders) + oracle.SCHED_TOL
+
+
+def _min_peak(inst: Instance, budget: float, deadline: float | None,
+              pool: ColumnPool) -> SolveReport:
+    """The minimum peak exposure measure within the cost ``budget``, with
+    the cheapest solution of that peak, by a descending sweep of capped cost
+    solves over one pool; the budget prunes each tree as an incumbent would.
+
+    The floor is 0 in RDARP; in EDARP a rider's exposure is their onboard
+    time, at least their pick-up's service plus the direct trip. The first
+    step solves at the floor, where a solution is optimal. Otherwise the
+    sweep solves uncapped, then at cap ``p - δ`` after each point of peak
+    ``p``, until a step finds nothing within the budget or the cap reaches
+    the floor. δ is the widest ``oracle.over_cap`` tolerance plus
+    ``oracle.SCHED_TOL``, in measure units, so the next cap admits no route
+    of the point, and the last point is optimal to within δ: no solution
+    within the budget has a peak of at most ``p - δ``. A step that times out
+    ends the sweep: ``TimeLimit``, the last point found, the floor as bound.
+    """
+    floor, delta = _floor_and_resolution(inst)
+    cutoff = budget + 2 * PRUNE_TOL  # admits a cost of the budget itself
+    steps = []
+
+    def step(cap: float) -> SolveReport:
+        steps.append(_min_cost(inst, cap, deadline, pool, cutoff))
+        return steps[-1]
+
+    best = step(floor)
+    if best.status == INFEASIBLE_STATUS:
+        best = step(INF)
+        while best.status == OPTIMAL_STATUS:
+            cap = oracle.peak_measure(inst, best.routes) - delta
+            if cap <= floor:  # the first step found nothing at the floor
+                break
+            rep = step(cap)
+            if rep.status == INFEASIBLE_STATUS:
+                break
+            if rep.routes:  # a timed-out step's incumbent is a point too
+                best = rep
+            if rep.status != OPTIMAL_STATUS:
+                best = replace(best, status=TIME_LIMIT_STATUS)
+    nodes, cuts = sum(r.nodes_explored for r in steps), sum(r.cuts for r in steps)
+    if best.status == INFEASIBLE_STATUS:
+        return replace(best, nodes_explored=nodes, columns=len(pool), cuts=cuts)
+    peak = oracle.peak_measure(inst, best.routes) if best.routes else INF
+    if best.status == OPTIMAL_STATUS:
+        return SolveReport(OPTIMAL_STATUS, peak, peak, 0.0, best.routes, nodes, len(pool), cuts)
+    gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if best.routes else INF
+    return SolveReport(TIME_LIMIT_STATUS, peak, floor, gap, best.routes, nodes, len(pool), cuts)
+
+
+def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPool,
+              cutoff: float = INF) -> SolveReport:
+    """The minimum cost with no rider's exposure measure over ``cap``, by
+    branch-cut-and-price over the seeded ``pool``; a solution is taken only
+    when it costs less than ``cutoff - PRUNE_TOL``, so no node whose bound
+    reaches that is explored. ``deadline`` is a ``time.perf_counter`` time
+    or None.
+
+    A node's branching rows enter the master; its banned arcs
+    (``BranchNode.banned``) are passed once to ``column_generation``, where
+    the master fixes every pool column that uses one to zero and pricing
+    emits none. Cuts are separated at a fractional root until none are
+    violated, then frozen.
+
+    Unless the root is infeasible, every node whose column generation ran
+    logs one progress line at DEBUG on the ``rdarp.bcp`` logger: its depth
+    and bound, the incumbent, the gap between the incumbent and the tree's
+    lower bound, the open nodes, the pool's columns and the elapsed time.
+    """
+    t_start = time.perf_counter()
     counter = itertools.count()
     cut_rows: list[ExtraRow] = []
 
     def run_cg(node: BranchNode) -> CGResult:
         return column_generation(
-            inst, pool, mode,
-            eps_risk=opts.eps_risk, eps_cost=opts.eps_cost, eps_dt=opts.eps_dt,
+            inst, pool, cap,
             extra_rows=tuple(cut_rows) + node.rows,
             banned=node.banned,
             deadline=deadline,
@@ -221,7 +296,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                                len(pool), len(cut_rows), infeasible_at_root=True)
 
     incumbent: list[oracle.Route] | None = None
-    best_value = INF
+    best_value = cutoff
     heap: list[tuple[tuple, BranchNode, CGResult]] = []
 
     def log_node(depth: int, result: CGResult, pending: float = INF):
@@ -243,7 +318,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
         if msol.artificial_total > ARTIFICIAL_TOL or not msol.integral:
             return False
         routes = [col for col, value in msol.columns_used if value > 0.5]
-        value = incumbent_value(inst, routes, mode)
+        value = sum(r.cost for r in routes)
         if value < best_value - PRUNE_TOL:
             oracle.validate_solution(inst, routes, cap)
             incumbent = routes

@@ -45,7 +45,6 @@ the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .instance import EDARP, Instance
 
@@ -62,14 +61,6 @@ PDPTW_CAPACITY = "pdptw:capacity"
 DARP_LATEST = "darp:latest-start"
 DARP_RIDETIME = "darp:ride-time"
 RISK_QMAX = "rdarp:qmax"
-
-
-@dataclass
-class Extension:
-    """Result of one accepted extension step."""
-
-    state: "PathState"
-    delta_h: dict[int, float]  # exposure increment per real request this step
 
 
 class PathState:
@@ -186,7 +177,7 @@ class ExpansionCache:
     computed once and shared by every pricing run over ``inst``.
 
     ``children(st)`` is what a label at ``st`` may be extended to whatever
-    the duals, cap and branch bans: the ``(j, Extension)`` pairs, in
+    the duals, cap and branch bans: the ``(j, state)`` pairs, in
     ascending ``j``, for every successor the instance does not ban, that
     ``stranded`` does not flag and that ``extend`` accepts. Labeling starts
     from ``root``, so the states of one run are those of the next and their
@@ -205,10 +196,10 @@ class ExpansionCache:
         self.inst = inst
         self.root = initial_state(inst)
         self.held = 0
-        self._children: dict[PathState, list[tuple[int, Extension]]] = {}
+        self._children: dict[PathState, list[tuple[int, PathState]]] = {}
         self._full = False
 
-    def children(self, st: PathState) -> list[tuple[int, Extension]]:
+    def children(self, st: PathState) -> list[tuple[int, PathState]]:
         out = self._children.get(st)
         if out is None:
             inst = self.inst
@@ -218,9 +209,9 @@ class ExpansionCache:
             for j in successors(inst, st):
                 if (eta, j) in banned or stranded(inst, st, j):
                     continue
-                ext, _reason = extend(inst, st, j)
-                if ext is not None:
-                    out.append((j, ext))
+                child, _reason = extend(inst, st, j)
+                if child is not None:
+                    out.append((j, child))
             if self._full or self.held + len(out) > EXPANSION_CAP:
                 self._full = True
             else:
@@ -232,7 +223,7 @@ class ExpansionCache:
 def extend(inst: Instance, st: PathState, j: int):
     """Extend ``st`` to node ``j``.
 
-    Returns (Extension, None) on success or (None, reason) on rejection,
+    Returns (the new state, None) on success or (None, reason) on rejection,
     where ``reason`` names the stage and the violated quantity. Stage 1
     rejects exactly the nodes ``successors`` leaves out; it stays because
     fixed sequences (``oracle.replay_route``) are extended node by node.
@@ -427,12 +418,11 @@ def extend(inst: Instance, st: PathState, j: int):
             assoc_new = ()
             d_new.pop(dropped, None)
 
-    state = PathState(
+    return PathState(
         st.nodes + (j,), times, a_new, b_new, load_new, onboard_new, assoc_new,
         served_new, q_new, h_new, d_new, bo_new, do_a_new, do_b_new,
         pick_pos_new, drop_pos_new,
-    )
-    return Extension(state, delta_h), None
+    ), None
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .instance import (
     parse_realworld,
     preprocess,
 )
-from .pricing import COST
+from .master import COST
 
 INF = math.inf
 

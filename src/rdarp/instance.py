@@ -60,16 +60,6 @@ class Instance:
     def is_pickup(self, i: int) -> bool:
         return 1 <= i <= self.n
 
-    def is_dropoff(self, i: int) -> bool:
-        return self.n + 1 <= i <= 2 * self.n
-
-    def request_of(self, i: int) -> int:
-        if self.is_pickup(i):
-            return i
-        if self.is_dropoff(i):
-            return i - self.n
-        raise ValueError(f"node {i} is a depot")
-
     def dropoff_of(self, request: int) -> int:
         return request + self.n
 

@@ -11,9 +11,11 @@ from . import oracle
 from .errors import RdarpError
 from .instance import Instance
 from .lp import EQ, GE, LE, OPTIMAL, LinearModel
-from .pricing import COST, RISK, DualValues, solve_pricing
+from .pricing import DualValues, solve_pricing
 
 INF = math.inf
+COST = "cost"  # the objectives of ``bcp.solve``: travel cost, or the peak
+RISK = "risk"  # exposure measure, which ``bcp`` finds by a sweep of cost solves
 INTEGRALITY_TOL = 1e-6
 ARTIFICIAL_TOL = 1e-6
 
@@ -142,8 +144,7 @@ def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Rout
     k = len(meta["lam"])
     allowed = (meta["banned"].isdisjoint(col.arcs())
                and not oracle.over_cap(inst, col.exposure, meta["cap"]))
-    j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0,
-                      obj=col.cost if meta["mode"] == COST else 0.0)
+    j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0, obj=col.cost)
     meta["lam"].append(j)
     return j
 
@@ -152,19 +153,12 @@ def _column_coefs(pool: ColumnPool, meta: dict, k: int):
     """Every nonzero ``(row key, coefficient)`` of pool column ``k`` in the
     master.
 
-    Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("risk", i)`` the
-    per-request exposure measure (detour rate in equity mode) under the risk
-    objective's peak, ``"cost"`` the cost cap, ``("x", r)`` extra row ``r``.
+    Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("x", r)`` extra
+    row ``r``.
     """
-    inst, col, rows = pool.inst, pool.columns[k], meta["row"]
-    for i in col.requests:
+    for i in pool.columns[k].requests:
         yield ("part", i), 1.0
     yield "fleet", 1.0
-    for i, h in col.exposure.items():
-        if h and ("risk", i) in rows:
-            yield ("risk", i), inst.exposure_measure(i, h)
-    if col.cost and "cost" in rows:
-        yield "cost", col.cost
     for r, row in enumerate(meta["extra"]):
         v = pool.coefficient(k, row)
         if v != 0.0:
@@ -174,44 +168,34 @@ def _column_coefs(pool: ColumnPool, meta: dict, k: int):
 def build_rlmp(
     pool: ColumnPool,
     inst: Instance,
-    mode: str = COST,
-    eps_risk: float = INF,
-    eps_cost: float = INF,
-    eps_dt: float = INF,
+    cap: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
     banned: frozenset[tuple[int, int]] = frozenset(),
 ) -> tuple[LinearModel, dict]:
-    """Assemble the restricted master LP over the pool.
+    """Assemble the minimum-cost restricted master LP over the pool.
 
     Partitioning rows carry artificial variables at cost ``big_cost``, and
     >= extra rows get them as well, so the master is feasible before the
     pool covers every request; ``RestrictedMaster`` fixes them at zero once
-    an LP no longer uses them. In equity mode the per-request rows bound
-    detour rates instead of raw exposures. Column coefficients come only
-    from ``_column_coefs``; ``meta["row"]`` maps each row key to its row
-    index.
+    an LP no longer uses them. Column coefficients come only from
+    ``_column_coefs``; ``meta["row"]`` maps each row key to its row index.
 
     A branch node's ``banned`` arcs act here by fixing to zero the λ of
     every pool column that uses one (``_add_lambda``), and in pricing, which
     emits no such column; its branching rows come in ``extra_rows``.
 
-    In cost mode each request rides in exactly one route, so the cap on the
-    exposure measure (``Instance.measure_cap``) holds route by route: every
-    pool column with a rider over it (``oracle.over_cap``) is fixed to zero
-    too, whether it was seeded, priced under another cap or shared. That
-    implies every per-request cap row, so cost mode has none. In risk mode
-    the peak is a variable, bounded below by one such row per request, and
-    no column is fixed for it.
+    Each request rides in exactly one route, so ``cap`` on the exposure
+    measure (``Instance.measure_cap``) holds route by route: every pool
+    column with a rider over it (``oracle.over_cap``) is fixed to zero too,
+    whether it was seeded, priced under another cap or shared. That implies
+    every per-request cap row, so the master has none.
     """
-    model = LinearModel(f"rlmp-{mode}")
+    model = LinearModel("rlmp")
     big = big_cost(inst)
-    risk_cap = inst.measure_cap(eps_risk, eps_dt)
-    meta: dict = {"mode": mode, "lam": [], "extra": list(extra_rows), "big": big,
-                  "banned": banned,
-                  "cap": risk_cap if mode == COST else INF}
+    meta: dict = {"lam": [], "extra": list(extra_rows), "big": big,
+                  "banned": banned, "cap": cap}
     for col in pool.columns:
         _add_lambda(inst, model, meta, col)
-    peak = model.add_var("peak", lb=0.0, obj=1.0) if mode == RISK else None
     meta["art"] = {i: model.add_var(f"art{i}", lb=0.0, obj=big) for i in inst.pickups()}
     meta["xart"] = {r: model.add_var(f"xart{r}", lb=0.0, obj=big)
                     for r, row in enumerate(extra_rows) if row.sense == GE}
@@ -219,10 +203,6 @@ def build_rlmp(
     # (row key, name, sense, rhs, coefficients of non-column variables)
     specs = [(("part", i), f"part{i}", EQ, 1.0, {meta["art"][i]: 1.0}) for i in inst.pickups()]
     specs.append(("fleet", "fleet", LE, float(inst.fleet_size), {}))
-    if mode == RISK:
-        specs += [(("risk", i), f"risk{i}", LE, 0.0, {peak: -1.0}) for i in inst.pickups()]
-        if eps_cost < INF:
-            specs.append(("cost", "costcap", LE, eps_cost, {}))
     for r, row in enumerate(extra_rows):
         own = {meta["xart"][r]: 1.0} if row.sense == GE else {}
         specs.append((("x", r), f"x{r}:{row.name}", row.sense, row.rhs, own))
@@ -249,13 +229,6 @@ def extract_duals(inst: Instance, sol, meta: dict) -> DualValues:
     for i in inst.pickups():
         duals.pi[i] = dual(("part", i))
     duals.mu = min(dual("fleet"), 0.0)
-    for i in inst.pickups():
-        if ("risk", i) in row:
-            y = min(dual(("risk", i)), 0.0)
-            if y != 0.0:
-                duals.rho[i] = inst.exposure_measure(i, y)
-    if "cost" in row:
-        duals.xi = min(dual("cost"), 0.0)
     for r, xrow in enumerate(meta["extra"]):
         y = dual(("x", r))
         if xrow.sense == LE:
@@ -301,12 +274,10 @@ class RestrictedMaster:
     artificials, which are optimal duals of the master over the routes.
     """
 
-    def __init__(self, pool: ColumnPool, inst: Instance, mode, eps_risk, eps_cost,
-                 eps_dt, extra_rows, banned):
+    def __init__(self, pool: ColumnPool, inst: Instance, cap, extra_rows, banned):
         self.pool = pool
         self.inst = inst
-        self.model, self.meta = build_rlmp(pool, inst, mode, eps_risk, eps_cost,
-                                           eps_dt, extra_rows, banned)
+        self.model, self.meta = build_rlmp(pool, inst, cap, extra_rows, banned)
         self.warm = None
         self.artificials_fixed = False
 
@@ -369,7 +340,7 @@ def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
                         ext, _ = cal.extend(inst, chain[-1], walk[len(chain) - 1])
                         if ext is None:
                             break
-                        chain.append(ext.state)
+                        chain.append(ext)
                     if len(chain) < b - a + 2:
                         break  # every later drop-off position shares the rejected prefix
                     tail = [chain[-1]]
@@ -377,7 +348,7 @@ def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
                         ext, _ = cal.extend(inst, tail[-1], node)
                         if ext is None:
                             break
-                        tail.append(ext.state)
+                        tail.append(ext)
                     else:
                         best_cost = cost
                         best = (r, states[:a] + chain[1:] + tail[1:])
@@ -419,10 +390,7 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
 def column_generation(
     inst: Instance,
     pool: ColumnPool,
-    mode: str = COST,
-    eps_risk: float = INF,
-    eps_cost: float = INF,
-    eps_dt: float = INF,
+    cap: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
     banned: frozenset[tuple[int, int]] = frozenset(),
     deadline: float | None = None,
@@ -430,15 +398,14 @@ def column_generation(
     """Alternate master LP solves and pricing until no negative column exists.
 
     Each round prices heuristically first and confirms with an exact run
-    when the heuristic adds nothing. The returned objective is a
-    valid lower bound for the node's integer problem over the routes
-    that use no arc of ``banned`` and that, in cost mode, the cap on the exposure
-    measure (``Instance.measure_cap``) admits: both bind the master
-    (``build_rlmp``) and pricing (``solve_pricing``'s ``cap``). In risk mode
-    pricing gets no cap. Infeasibility is reported only after exact pricing
-    is exhausted with artificials still active; from the first master LP
-    that needs none, they are fixed at zero (``RestrictedMaster``), so
-    pricing gets the duals of the master over the routes alone.
+    when the heuristic adds nothing. The returned objective is a valid lower
+    bound on the cost of the node's integer problem over the routes that use
+    no arc of ``banned`` and that ``cap``, the cap on the exposure measure
+    (``Instance.measure_cap``), admits: both bind the master (``build_rlmp``)
+    and pricing (``solve_pricing``). Infeasibility is reported only after
+    exact pricing is exhausted with artificials still active; from the first
+    master LP that needs none, they are fixed at zero (``RestrictedMaster``),
+    so pricing gets the duals of the master over the routes alone.
 
     The pool must hold the columns to start from. ``seed_pool`` fills it with
     round trips and one cheapest-insertion solution; when that solution
@@ -446,9 +413,7 @@ def column_generation(
     artificials, so pricing gets the master's own duals from the first
     round on."""
     iterations = 0
-    rmaster = RestrictedMaster(pool, inst, mode, eps_risk, eps_cost, eps_dt,
-                               extra_rows, banned)
-    cap = rmaster.meta["cap"]
+    rmaster = RestrictedMaster(pool, inst, cap, extra_rows, banned)
     while True:
         iterations += 1
         sol, meta = rmaster.solve()
@@ -471,8 +436,8 @@ def column_generation(
 
         added = 0
         for heuristic in (True, False):
-            cols = solve_pricing(inst, duals, mode, heuristic=heuristic,
-                                 banned=banned, cap=cap, cache=pool.expansions)
+            cols = solve_pricing(inst, duals, cap, heuristic=heuristic,
+                                 banned=banned, cache=pool.expansions)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break
@@ -508,8 +473,12 @@ def pareto_front(
 
     ``solve_fn(mode, eps_risk, eps_cost, time_limit)`` must return a solver
     report (integer-optimal). Each iteration minimizes cost under the current
-    risk cap, then re-minimizes peak risk at that cost to certify the point;
-    the cap then steps below the certified risk."""
+    cap on the exposure measure, then minimizes the peak measure within that
+    cost to certify the point, and the cap then steps ``step`` below the
+    certified peak. The certifying solve is ``bcp.solve``'s risk objective,
+    itself a descending sweep of capped cost solves, so a point's routes are
+    the cheapest ones of its peak, certified to within that sweep's
+    resolution (see ``bcp``)."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     points: list[ParetoPoint] = []

@@ -336,10 +336,9 @@ def replay_route(inst: Instance, sequence) -> tuple[Route, str | None]:
     """
     st = cal.initial_state(inst)
     for j in sequence[1:]:
-        ext, reason = cal.extend(inst, st, j)
-        if ext is None:
+        st, reason = cal.extend(inst, st, j)
+        if st is None:
             return None, reason
-        st = ext.state
     return state_route(inst, st), None
 
 
@@ -362,16 +361,16 @@ def feasible_routes(inst: Instance, group):
 
     def rec(st, remaining):
         if not remaining:
-            ext, _ = cal.extend(inst, st, end)
-            if ext is not None:
-                yield state_route(inst, ext.state)
+            last, _ = cal.extend(inst, st, end)
+            if last is not None:
+                yield state_route(inst, last)
             return
         for x in remaining:
             if x > n and x - n in remaining:
                 continue  # drop-off before its pick-up
-            ext, _ = cal.extend(inst, st, x)
-            if ext is not None:
-                yield from rec(ext.state, [y for y in remaining if y != x])
+            child, _ = cal.extend(inst, st, x)
+            if child is not None:
+                yield from rec(child, [y for y in remaining if y != x])
 
     yield from rec(cal.initial_state(inst), items)
 

@@ -62,35 +62,20 @@ NEGATIVE_TOL = 1e-6
 DEFAULT_COLUMN_LIMIT = 200
 ENGINE_NAME = "py"  # the labeling engine, in the run metadata perfbench/run.py records
 
-COST = "cost"
-RISK = "risk"
-
 
 @dataclass
 class DualValues:
     """Master duals mapped to pricing terms.
 
     ``pi``: request coverage duals (free sign). ``mu``: sum of the fleet-size
-    dual and any vehicle-count branching duals (route-constant). ``rho``:
-    per-request exposure duals, already divided by detour weights in equity
-    mode. ``xi``: cost-cap dual (risk objective only). ``arc_adjust``: folded
-    per-arc duals from cuts and branching rows, subtracted from arc costs.
+    dual and any vehicle-count branching duals (route-constant).
+    ``arc_adjust``: folded per-arc duals from cuts and branching rows,
+    subtracted from arc costs.
     """
 
     pi: dict[int, float] = field(default_factory=dict)
     mu: float = 0.0
-    rho: dict[int, float] = field(default_factory=dict)
-    xi: float = 0.0
     arc_adjust: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def validate_signs(self) -> None:
-        # mu aggregates the fleet dual with branching duals of either sign,
-        # so only the pure-role duals carry sign conditions here.
-        if self.xi > 1e-7:
-            raise ValueError(f"cost-cap dual must be nonpositive, got {self.xi}")
-        for i, v in self.rho.items():
-            if v > 1e-7:
-                raise ValueError(f"exposure dual for request {i} must be nonpositive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -216,26 +201,22 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
 def solve_pricing(
     inst: Instance,
     duals: DualValues,
-    mode: str = COST,
+    cap: float = INF,
     heuristic: bool = False,
     limit: int = DEFAULT_COLUMN_LIMIT,
     banned: frozenset[tuple[int, int]] = frozenset(),
     trace=None,
-    cap: float = INF,
     cache: ExpansionCache | None = None,
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, sorted
     by reduced cost, that use no arc of ``banned`` and have no rider over
     ``cap``; see the module docstring for what a heuristic and an exact run
-    guarantee. ``trace``, when given, is called with one line per label
-    stored.
+    guarantee. A column's reduced cost is its travel cost less ``duals``.
+    ``trace``, when given, is called with one line per label stored.
 
     ``cache`` is the solve's ``calibration.ExpansionCache`` over ``inst``
     (``ColumnPool.expansions``); a call without one builds a fresh cache for
     itself. A cache built for another instance raises ``ValueError``."""
-    if mode not in (COST, RISK):
-        raise ValueError(f"mode must be {COST!r} or {RISK!r}")
-    duals.validate_signs()
     if cache is None:
         cache = ExpansionCache(inst)
     elif cache.inst is not inst and cache.inst != inst:
@@ -246,15 +227,11 @@ def solve_pricing(
     capped = cap < INF
     # a finalized rider prunes only beyond the widest emission tolerance
     prune_slack = cap_slack(inst, inst.pickups()) + TOL if capped else 0.0
-    rho = duals.rho
-    xi = duals.xi
     pi = duals.pi
     adjust = duals.arc_adjust
-    risk_mode = mode == RISK
 
     def arc_cost(i: int, j: int) -> float:
-        t = inst.t(i, j)
-        value = -xi * t if risk_mode else t
+        value = inst.t(i, j)
         if 1 <= i <= n:
             value -= pi.get(i, 0.0)
         adj = adjust.get((i, j))
@@ -274,22 +251,18 @@ def solve_pricing(
             continue
         st = label.state
         eta = st.current
-        for j, ext in cache.children(st):
+        for j, child in cache.children(st):
             if (eta, j) in banned:  # the instance's own bans are the cache's
                 continue
-            if capped and n < j < end and all(o == DUMMY for o in ext.state.onboard):
-                h = ext.state.h  # the vehicle empties: these exposures are final
+            if capped and n < j < end and all(o == DUMMY for o in child.onboard):
+                h = child.h  # the vehicle empties: these exposures are final
                 if any(inst.exposure_measure(x, h[x] - prune_slack) > cap
                        for x in (*st.assoc, j - n)):
                     continue
             rcost = label.rcost + arc_cost(eta, j)
-            for x, dh in ext.delta_h.items():
-                r = rho.get(x)
-                if r is not None and dh != 0.0:
-                    rcost -= r * dh
             if j == end:
-                if rcost < -NEGATIVE_TOL and ext.state.served:
-                    col = state_route(inst, ext.state, Column, reduced_cost=rcost)
+                if rcost < -NEGATIVE_TOL and child.served:
+                    col = state_route(inst, child, Column, reduced_cost=rcost)
                     if over_cap(inst, col.exposure, cap):
                         continue
                     finished.append((rcost, next(counter), col))
@@ -297,15 +270,15 @@ def solve_pricing(
                         queue.clear()  # a heuristic run ends here
                         break
                 continue
-            new = _Label(ext.state, rcost, next(counter))
+            new = _Label(child, rcost, next(counter))
             if not stores[j].insert(new, heuristic):
                 continue
             heapq.heappush(queue, (new.rcost, new.counter, new))
             if trace is not None:
                 trace(
-                    f"label node={j} rc={rcost:.6f} A={ext.state.a_cur:.3f} "
-                    f"B={ext.state.b_cur:.3f} open={sum(1 for o in ext.state.onboard if o != DUMMY)} "
-                    f"Q={ext.state.q_cum:.6f}"
+                    f"label node={j} rc={rcost:.6f} A={child.a_cur:.3f} "
+                    f"B={child.b_cur:.3f} open={sum(1 for o in child.onboard if o != DUMMY)} "
+                    f"Q={child.q_cum:.6f}"
                 )
 
     finished.sort(key=lambda item: (item[0], item[1]))

@@ -68,5 +68,5 @@ def reached_states(inst):
                 st = cal.initial_state(inst)
                 for j in route.sequence[1:]:
                     seen.setdefault(st.nodes, st)
-                    st = cal.extend(inst, st, j)[0].state
+                    st = cal.extend(inst, st, j)[0]
     return list(seen.values())

@@ -98,7 +98,7 @@ def test_branching_bounds_monotone():
         pool = ColumnPool(inst)
         if seed_pool(pool, inst):
             continue
-        res = column_generation(inst, pool, "cost", eps_risk=9.0)
+        res = column_generation(inst, pool, 9.0)
         if res.status != "Optimal" or res.solution.integral:
             continue
         counter = itertools.count(100)
@@ -106,10 +106,8 @@ def test_branching_bounds_monotone():
         children = bcp.branch(root, res.solution, counter)
         assert children is not None
         for child in children:
-            child_res = column_generation(
-                inst, pool, "cost", eps_risk=9.0, extra_rows=child.rows,
-                banned=child.banned,
-            )
+            child_res = column_generation(inst, pool, 9.0, extra_rows=child.rows,
+                                          banned=child.banned)
             if child_res.status == "Optimal":
                 assert child_res.bound >= res.bound - 1e-6
         return
@@ -124,16 +122,16 @@ def test_restriction_record_fixes_barred_pool_columns():
     inst = preprocess(random_instance(5, n=4, fleet_size=2))
     pool = ColumnPool(inst)
     assert seed_pool(pool, inst) == []
-    root = column_generation(inst, pool, "cost")
+    root = column_generation(inst, pool)
     assert root.status == "Optimal"
     col, _ = max(root.solution.columns_used, key=lambda item: item[1])
     banned = col.arcs()[1]  # an arc between two request nodes
-    res = column_generation(inst, pool, "cost", banned=frozenset({banned}))
+    res = column_generation(inst, pool, banned=frozenset({banned}))
     assert res.status == "Optimal"
     assert all(banned not in used.arcs() for used, _ in res.solution.columns_used)
     fresh = ColumnPool(inst)
     seed_pool(fresh, inst)
-    alone = column_generation(inst, fresh, "cost", banned=frozenset({banned}))
+    alone = column_generation(inst, fresh, banned=frozenset({banned}))
     assert res.bound == pytest.approx(alone.bound, abs=1e-6)
     assert res.bound >= root.bound - 1e-6
 
@@ -283,7 +281,7 @@ def test_a_cap_enforced_route_by_route_closes_the_root():
     inst = preprocess(benchmark_like_instance(4, n=10, fleet_size=3))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    root = column_generation(inst, pool, "cost", eps_risk=2.0)
+    root = column_generation(inst, pool, 2.0)
     rep = bcp.solve(inst, "cost", bcp.SolveOptions(eps_risk=2.0))
     assert rep.status == "Optimal"
     assert rep.objective == pytest.approx(172.19218, abs=1e-5)
@@ -326,28 +324,29 @@ def test_a_fractional_root_is_still_separated(monkeypatch):
 def test_no_cut_is_violated_at_an_integral_root():
     """Why the root cut loop skips an integral root: a converged master is
     free of artificials, so its λ = 1 columns are a feasible integer
-    solution, and no valid inequality cuts that off."""
+    solution, and no valid inequality cuts that off. The cap of 0 is the
+    first step of the risk objective's sweep."""
     from rdarp import cuts
 
     integral = 0
     for seed in range(50):
         base = random_instance(seed, n=2 + seed % 3, fleet_size=1 + seed % 2)
         edarp = edarp_transform(base)
-        for inst0, mode, caps in ((base, "cost", {}), (base, "risk", {}),
-                                  (edarp, "cost", {"eps_dt": 2.0}),
-                                  (edarp, "cost", {"eps_dt": 4.0})):
+        for inst0, caps in ((base, {}), (base, {"eps_risk": 0.0}),
+                            (edarp, {"eps_dt": 2.0}), (edarp, {"eps_dt": 4.0})):
             inst = preprocess(inst0)
             pool = ColumnPool(inst)
             if seed_pool(pool, inst):
                 continue
-            res = column_generation(inst, pool, mode, **caps)
+            cap = inst.measure_cap(caps.get("eps_risk", INF), caps.get("eps_dt", INF))
+            res = column_generation(inst, pool, cap)
             if res.status != "Optimal" or not res.solution.integral:
                 continue
             integral += 1
             flows = res.solution.arc_flows()
             violated = [c.name for c in cuts.separate_all(flows, inst)
                         if c.violation(flows) > cuts.VIOLATION_TOL]
-            assert violated == [], (seed, mode, caps)
+            assert violated == [], (seed, caps)
     assert integral >= 150
 
 
@@ -419,3 +418,110 @@ def test_pareto_sweep_with_a_shared_pool_branches_past_tolerance_dust():
     for (cost, risk), (cost_ref, risk_ref) in zip(front, expected):
         assert cost == pytest.approx(cost_ref, abs=1e-3)
         assert risk == pytest.approx(risk_ref, abs=1e-4)
+
+
+def _battery_bases():
+    """The base instances of the c3 battery."""
+    for seed in range(50):
+        yield seed, random_instance(seed, n=2 + seed % 3, fleet_size=1 + seed % 2)
+
+
+@pytest.mark.parametrize("regime", ["edarp", "budget"])
+def test_risk_objective_matches_brute_force_on_the_battery(regime):
+    """The sweep's minimum peak equals the brute force's: on the EDARP
+    instances uncapped, on the RDARP ones within a budget of 1.05 times the
+    minimum cost."""
+    compared = 0
+    for seed, base in _battery_bases():
+        kw = {}
+        if regime == "edarp":
+            base = edarp_transform(base)
+        else:
+            cheapest = oracle.brute_force_solve(base)
+            if cheapest.status != "Optimal":
+                continue
+            kw = {"eps_cost": 1.05 * cheapest.objective}
+        rep = bcp.solve(preprocess(base), "risk", bcp.SolveOptions(**kw))
+        bf = oracle.brute_force_solve(base, objective="risk", **kw)
+        assert rep.status == bf.status, seed
+        if bf.status == "Optimal":
+            assert rep.objective == pytest.approx(bf.objective, abs=1e-5), seed
+            assert sum(r.cost for r in rep.routes) <= kw.get("eps_cost", INF) + 1e-6, seed
+            compared += 1
+    assert compared >= 40
+
+
+def _sweep_instance():
+    # one vehicle: the sweep solves at the floor 0 (no solution), uncapped,
+    # at 7.671 and at 3.072 (no solution), one node each
+    return preprocess(random_instance(9, n=4, fleet_size=1))
+
+
+def test_one_risk_solve_is_one_call_of_solve(monkeypatch):
+    """The sweep's steps call ``_min_cost``, never the module attribute
+    ``bcp.solve``, which tracers wrap to count a solve and its nodes."""
+    inst = _sweep_instance()
+    calls, caps = [], []
+    real_solve, real_min_cost = bcp.solve, bcp._min_cost
+
+    def solve(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve(*args, **kwargs)
+
+    def min_cost(inst_, cap, *args, **kwargs):
+        caps.append(cap)
+        return real_min_cost(inst_, cap, *args, **kwargs)
+
+    monkeypatch.setattr(bcp, "solve", solve)
+    monkeypatch.setattr(bcp, "_min_cost", min_cost)
+    rep = bcp.solve(inst, "risk")
+    assert calls == ["risk"]
+    assert len(caps) == 4 and caps[:2] == [0.0, INF]
+    assert rep.status == "Optimal"
+    assert rep.objective == pytest.approx(3.0717, abs=1e-4)
+    assert rep.nodes_explored == 4
+
+
+def test_risk_time_limit_reports_the_floor_as_bound():
+    inst = _sweep_instance()
+    full = bcp.solve(inst, "risk")
+    rep = bcp.solve(inst, "risk", bcp.SolveOptions(time_limit=0.0))
+    _check_time_limited(inst, rep, full)
+    assert rep.status == "TimeLimit" and rep.bound == 0.0
+
+
+@pytest.mark.parametrize("timed_out_call", [2, 3])
+def test_a_timed_out_sweep_step_ends_the_sweep(monkeypatch, timed_out_call):
+    """The column generation of the uncapped step (call 2) or of the first
+    capped one (call 3) times out: the sweep stops there, reports
+    ``TimeLimit`` with the floor as bound, and keeps the last point found."""
+    inst = _sweep_instance()
+    full = bcp.solve(inst, "risk")
+    real = bcp.column_generation
+    results = []
+
+    def timed(*args, **kwargs):
+        if len(results) + 1 == timed_out_call:
+            kwargs["deadline"] = 0.0  # already past: stops after one master solve
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bcp, "column_generation", timed)
+    rep = bcp.solve(inst, "risk")
+    assert len(results) == timed_out_call
+    assert results[-1].status == "TimeLimit"
+    _check_time_limited(inst, rep, full)
+    assert rep.status == "TimeLimit" and rep.bound == 0.0
+    if timed_out_call == 3:
+        # the uncapped step's point stands
+        assert rep.objective == pytest.approx(7.671, abs=1e-3)
+
+
+def test_the_sweep_resolution_is_inside_the_benchmark_tolerance():
+    """δ, the risk certificate's resolution, stays below the 1e-5 within
+    which the benchmark compares answers, on every battery instance."""
+    for seed in range(100):
+        base = random_instance(seed, n=2 + seed % 3, fleet_size=1 + seed % 2)
+        for inst0 in (base, edarp_transform(base)):
+            _, delta = bcp._floor_and_resolution(preprocess(inst0))
+            assert 0.0 < delta <= 6.3e-6 + 1e-12, seed

@@ -72,7 +72,7 @@ def _master_with_two_cuts():
     seed_pool(pool, inst)
     le_cut = ExtraRow("le(1,2,3)", LE, 1.0, (((1, 2), 1.0), ((2, 3), 1.0)))
     ge_cut = ExtraRow("ge(1,4)", GE, 2.0, (((1, 4), 1.0), ((4, 2), 2.0)))
-    model, meta = build_rlmp(pool, inst, "cost", extra_rows=(le_cut, ge_cut))
+    model, meta = build_rlmp(pool, inst, extra_rows=(le_cut, ge_cut))
     return inst, model, meta
 
 
@@ -126,12 +126,12 @@ def test_root_bound_never_decreases_with_cuts():
         inst = preprocess(edarp_transform(base_inst))
         pool = ColumnPool(inst)
         seed_pool(pool, inst)
-        base = column_generation(inst, pool, "cost", eps_dt=1.6)
+        base = column_generation(inst, pool, 1.6)
         assert base.status == "Optimal" and not base.solution.integral
         flows = base.solution.arc_flows()
         violated = [c for c in cuts.separate_all(flows, inst)
                     if c.violation(flows) > cuts.VIOLATION_TOL]
         assert violated, seed
-        after = column_generation(inst, pool, "cost", eps_dt=1.6, extra_rows=tuple(violated))
+        after = column_generation(inst, pool, 1.6, extra_rows=tuple(violated))
         assert after.status == "Optimal"
         assert after.objective > base.objective + 0.1, seed

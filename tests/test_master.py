@@ -54,7 +54,7 @@ def test_pool_rejects_duplicates_and_validates(two_rider_chain):
 def test_rlmp_single_feasible_column(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
-    model, meta = build_rlmp(pool, two_rider_chain, "cost")
+    model, meta = build_rlmp(pool, two_rider_chain)
     sol = solve_lp(model)
     assert sol.status == "Optimal"
     assert value(sol, "l0") == pytest.approx(1.0)
@@ -64,25 +64,23 @@ def test_rlmp_single_feasible_column(two_rider_chain):
 def test_rlmp_empty_pool_uses_artificials(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))  # covers request 1 only
-    model, meta = build_rlmp(pool, two_rider_chain, "cost")
+    model, meta = build_rlmp(pool, two_rider_chain)
     sol = solve_lp(model)
     assert value(sol, "art2") == pytest.approx(1.0)
     assert sol.objective >= big_cost(two_rider_chain)
 
 
 def test_rlmp_infinite_cap_omits_risk_rows(two_rider_chain):
-    """Cost mode has no per-request cap rows, capped or not: the cap holds
-    route by route through the fixed columns. The risk objective keeps one
-    row per request under its peak."""
+    """The master has no per-request cap rows, capped or not: the cap holds
+    route by route through the fixed columns. Its rows are the partitioning
+    rows and the fleet row."""
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
-    for eps_risk in (INF, 10.0):
-        model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=eps_risk)
-        assert not any(key[0] == "risk" for key in meta["row"] if isinstance(key, tuple))
-        assert all(not name.startswith("risk") for name in model.row_names)
+    for cap in (INF, 10.0):
+        model, meta = build_rlmp(pool, two_rider_chain, cap)
+        assert list(meta["row"]) == [("part", 1), ("part", 2), "fleet"]
+        assert model.row_names == ["part1", "part2", "fleet"]
     assert meta["cap"] == 10.0
-    model, meta = build_rlmp(pool, two_rider_chain, "risk")
-    assert [model.row_names[meta["row"][("risk", i)]] for i in (1, 2)] == ["risk1", "risk2"]
 
 
 def test_rlmp_fixes_over_cap_columns_in_cost_mode_only(two_rider_chain):
@@ -91,9 +89,9 @@ def test_rlmp_fixes_over_cap_columns_in_cost_mode_only(two_rider_chain):
     pool.add(shared)
     pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))
     cap = max(shared.exposure.values()) / 2
-    model, meta = build_rlmp(pool, two_rider_chain, "cost", eps_risk=cap)
+    model, meta = build_rlmp(pool, two_rider_chain, cap)
     assert [model.ub[j] for j in meta["lam"]] == [0.0, INF]
-    model, meta = build_rlmp(pool, two_rider_chain, "risk", eps_cost=100.0)
+    model, meta = build_rlmp(pool, two_rider_chain)
     assert [model.ub[j] for j in meta["lam"]] == [INF, INF]
 
 
@@ -101,7 +99,7 @@ def test_cg_single_request_converges_in_one_round():
     inst = preprocess(random_instance(0, n=1, fleet_size=1))
     pool = ColumnPool(inst)
     assert seed_pool(pool, inst) == []
-    res = column_generation(inst, pool, "cost")
+    res = column_generation(inst, pool)
     assert res.status == OPTIMAL_STATUS
     assert res.iterations <= 2
     assert len(res.solution.columns_used) == 1
@@ -112,7 +110,7 @@ def test_cg_matches_brute_force_when_integral():
     inst = preprocess(inst0)
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
-    res = column_generation(inst, pool, "cost")
+    res = column_generation(inst, pool)
     assert res.status == OPTIMAL_STATUS
     bf = oracle.brute_force_solve(inst0)
     if res.solution.integral:
@@ -164,13 +162,13 @@ def test_cg_detects_infeasibility_with_tight_cap(monkeypatch):
         return cols
 
     monkeypatch.setattr(master, "solve_pricing", pricing)
-    res = column_generation(inst, pool, "cost", eps_risk=0.5)
+    res = column_generation(inst, pool, 0.5)
     assert res.status == INFEASIBLE_STATUS
     assert lps and all(free and total > ARTIFICIAL_TOL for free, total in lps)
     assert calls[-1] == (False, len(pool))
     pool2 = ColumnPool(inst)
     seed_pool(pool2, inst)
-    assert column_generation(inst, pool2, "cost", eps_risk=1.5).status == OPTIMAL_STATUS
+    assert column_generation(inst, pool2, 1.5).status == OPTIMAL_STATUS
 
 
 def test_artificials_are_fixed_from_the_first_feasible_master_on(interlaced, monkeypatch):
@@ -180,7 +178,7 @@ def test_artificials_are_fixed_from_the_first_feasible_master_on(interlaced, mon
     inst, _ = interlaced
     pool = ColumnPool(inst)
     lps = _record_master_lps(monkeypatch)
-    res = column_generation(inst, pool, "cost")
+    res = column_generation(inst, pool)
     assert res.status == OPTIMAL_STATUS
     assert res.objective == pytest.approx(oracle.brute_force_solve(inst).objective)
     first = next(k for k, (_, total) in enumerate(lps) if total <= ARTIFICIAL_TOL)
@@ -330,39 +328,13 @@ def test_extra_row_coefficients(two_rider_chain):
     assert arc_row.coefficient(col) == pytest.approx(3.0)
 
 
-def test_edarp_risk_rows_bound_detour_rates():
-    from rdarp.instance import edarp_transform
-
-    inst = preprocess(edarp_transform(random_instance(4, n=2, window=60.0)))
-    pool = ColumnPool(inst)
-    seed_pool(pool, inst)
-    # the detour-rate cap applies in EDARP; the exposure cap does not
-    _, meta = build_rlmp(pool, inst, "cost", eps_risk=1.0, eps_dt=4.0)
-    assert meta["cap"] == 4.0
-    model, meta = build_rlmp(pool, inst, "risk", eps_cost=1000.0)
-    for i in inst.pickups():
-        r = meta["row"][("risk", i)]
-        assert model.row_names[r] == f"risk{i}"
-        assert (model.senses[r], model.rhs[r]) == ("<=", 0.0)
-        # coefficient is exposure over the floored direct time, less the peak
-        expected = {f"l{k}": col.exposure[i] / inst.detour_weight[i - 1]
-                    for k, col in enumerate(pool.columns) if col.exposure.get(i)}
-        assert expected
-        expected["peak"] = -1.0
-        assert {model.var_names[j]: v for j, v in model.rows[r]} == expected
-
-
 def _row_coefficients(model):
     """Row name -> {variable name: coefficient}."""
     return {name: {model.var_names[j]: v for j, v in model.rows[r]}
             for r, name in enumerate(model.row_names)}
 
 
-@pytest.mark.parametrize("mode, caps", [
-    ("cost", {"eps_risk": 9.0}),
-    ("risk", {"eps_cost": 400.0}),
-])
-def test_appended_columns_match_a_fresh_build(mode, caps):
+def test_appended_columns_match_a_fresh_build():
     inst = preprocess(random_instance(6, n=3, fleet_size=2))
     pool = ColumnPool(inst)
     seed_pool(pool, inst)
@@ -372,24 +344,20 @@ def test_appended_columns_match_a_fresh_build(mode, caps):
     )
     # bars the second seed column, (0, 2, 2 + n, end)
     barred = frozenset({(2, 2 + inst.n)})
-    args = (inst, mode, caps.get("eps_risk", INF), caps.get("eps_cost", INF), INF,
-            extra, barred)
+    args = (inst, 9.0, extra, barred)
     rmaster = RestrictedMaster(pool, *args)
     rmaster.solve()
     seeded = len(pool)
     duals = DualValues(pi={i: 300.0 for i in inst.pickups()})
-    added = [c for c in solve_pricing(inst, duals, mode, limit=40) if pool.add(c)]
+    added = [c for c in solve_pricing(inst, duals, limit=40) if pool.add(c)]
     assert len(added) > 5
     rmaster.solve()
     model, meta = rmaster.model, rmaster.meta
     fresh, fresh_meta = build_rlmp(pool, *args)
     assert meta["row"] == fresh_meta["row"]
-    assert ("costcap" in fresh.row_names) == (mode == "risk")
     coefs = _row_coefficients(model)
     appended = {f"l{k}" for k in range(seeded, len(pool))}
-    # the cost-mode cap rows would be implied, so only the risk objective has them
-    assert any(name.startswith("risk") for name in coefs) == (mode == "risk")
-    for prefix in ("part", "fleet", "x0:", "x1:") + (("risk",) if mode == "risk" else ()):
+    for prefix in ("part", "fleet", "x0:", "x1:"):
         assert any(appended & set(row) for name, row in coefs.items() if name.startswith(prefix))
     assert coefs == _row_coefficients(fresh)
     assert {model.var_names[j]: (model.lb[j], model.ub[j], model.obj[j]) for j in range(model.n_vars)} \

@@ -20,10 +20,9 @@ def walk(inst, nodes):
     st = cal.initial_state(inst)
     trail = []
     for j in nodes:
-        ext, reason = cal.extend(inst, st, j)
-        assert ext is not None, (j, reason)
-        st = ext.state
-        trail.append((j, st, ext))
+        st, reason = cal.extend(inst, st, j)
+        assert st is not None, (j, reason)
+        trail.append((j, st))
     return trail
 
 
@@ -41,7 +40,7 @@ GOLDEN = {
 
 def test_interlaced_resource_table():
     inst = interlaced_instance(60.0)
-    for j, st, _ in walk(inst, PATH):
+    for j, st in walk(inst, PATH):
         a, b, bo, dob, d = GOLDEN[j]
         assert st.a_cur == pytest.approx(a, abs=1e-9)
         assert st.b_cur == pytest.approx(b, abs=1e-9)
@@ -53,10 +52,10 @@ def test_interlaced_resource_table():
 def test_interlaced_final_latest_start():
     inst = interlaced_instance(60.0)
     st = walk(inst, PATH)[-1][1]
-    ext, _ = cal.extend(inst, st, 5)
-    assert ext.state.b_cur == pytest.approx(70.0)
-    assert ext.state.bo == pytest.approx({3: 60.0})
-    assert ext.state.do_b == pytest.approx({3: 90.0})
+    last, _ = cal.extend(inst, st, 5)
+    assert last.b_cur == pytest.approx(70.0)
+    assert last.bo == pytest.approx({3: 60.0})
+    assert last.do_b == pytest.approx({3: 90.0})
 
 
 @pytest.mark.parametrize("a_jn, expected_onboard, expected_times", [
@@ -68,12 +67,12 @@ def test_interlaced_final_latest_start():
 def test_calibration_cases(a_jn, expected_onboard, expected_times):
     inst = interlaced_instance(a_jn)
     st = walk(inst, PATH)[-1][1]
-    ext, _ = cal.extend(inst, st, 5)
+    last, _ = cal.extend(inst, st, 5)
     # rider 3 boards at the previous node: onboard time on the last arc
-    assert ext.state.times[-1] - ext.state.times[-2] == pytest.approx(expected_onboard)
-    assert ext.state.times == pytest.approx(expected_times)
+    assert last.times[-1] - last.times[-2] == pytest.approx(expected_onboard)
+    assert last.times == pytest.approx(expected_times)
     # every rider's committed delay totals ten minutes across the extension
-    assert ext.state.times[1] - 10.0 == pytest.approx(10.0)
+    assert last.times[1] - 10.0 == pytest.approx(10.0)
 
 
 def test_calibration_no_delay_boundary(two_rider_chain):
@@ -137,12 +136,12 @@ def test_extend_never_changes_a_state(monkeypatch, base, edarp):
 
     def extend(inst_, st, j):
         before = _snapshot(st)
-        ext, reason = real_extend(inst_, st, j)
+        child, reason = real_extend(inst_, st, j)
         assert _snapshot(st) == before, (st.nodes, j)
         seen.append((st, before))
-        if ext is not None:
-            paths["zero" if ext.state.times[:-1] == st.times else "delay"] += 1
-        return ext, reason
+        if child is not None:
+            paths["zero" if child.times[:-1] == st.times else "delay"] += 1
+        return child, reason
 
     def repair(*args):
         paths["repair"] += 1
@@ -150,9 +149,8 @@ def test_extend_never_changes_a_state(monkeypatch, base, edarp):
 
     monkeypatch.setattr(cal, "extend", extend)
     monkeypatch.setattr(cal, "_forced_repair", repair)
-    duals = DualValues(pi={i: 300.0 for i in inst.pickups()},
-                       rho={i: -0.5 for i in inst.pickups()})
-    assert solve_pricing(inst, duals, "cost", limit=10_000)
+    duals = DualValues(pi={i: 300.0 for i in inst.pickups()})
+    assert solve_pricing(inst, duals, limit=10_000)
     for st, before in seen:
         assert _snapshot(st) == before, st.nodes
     assert paths["zero"] and paths["delay"]

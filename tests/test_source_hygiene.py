@@ -130,6 +130,73 @@ def test_no_module_imports_a_private_sibling():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+ROOT = SRC.parent.parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _mentions(tree: ast.AST) -> list[tuple[str, int]]:
+    """Every ``(name, line)`` a module names: a variable, an attribute, an
+    imported name, or a string that is exactly an identifier (as
+    ``monkeypatch.setattr(module, "name", ...)`` names one)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.split(".")[-1], node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.append((node.value, node.lineno))
+    return out
+
+
+def unreferenced_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Functions and classes, at any depth, defined in the ``package``
+    sources (file name -> source) whose name is mentioned nowhere outside
+    their own definition, in the package or in the ``others`` sources.
+    Dunder methods are called by the language and do not count."""
+    trees = {name: ast.parse(src) for name, src in {**others, **package}.items()}
+    mentions = {name: _mentions(tree) for name, tree in trees.items()}
+    found = []
+    for file in package:
+        for node in ast.walk(trees[file]):
+            if not isinstance(node, DEFINITIONS) or node.name.startswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (where != file or line not in inside)
+                       for where, names in mentions.items() for name, line in names):
+                found.append(f"{file} line {node.lineno}: {node.name}")
+    return found
+
+
+def test_unreferenced_detector_flags_only_names_used_nowhere_else():
+    package = {"m.py": ("def used():\n    return 1\n"
+                        "def lonely():\n    return lonely()\n"
+                        "class K:\n    def __init__(self):\n        self.x = used()\n"
+                        "    def method(self):\n        def inner():\n            return 1\n"
+                        "        return inner()\n"
+                        "    def patched(self):\n        return 2\n")}
+    others = {"t.py": "from m import K\nK().method()\nsetattr(K, 'patched', None)\n"}
+    assert unreferenced_definitions(package, others) == ["m.py line 3: lonely"]
+    assert unreferenced_definitions(package, {}) == [
+        "m.py line 3: lonely", "m.py line 5: K", "m.py line 8: method", "m.py line 12: patched"]
+
+
+def test_every_function_and_class_in_the_package_is_named_elsewhere():
+    """No dead code: each function and class defined in the package is
+    named by some code other than its own definition, in the package, the
+    tests or the benchmark."""
+    def sources(paths):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted(paths)}
+
+    package = sources(SRC.glob("*.py"))
+    others = sources([*(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    assert package
+    assert unreferenced_definitions(package, others) == []
+
+
 FOOTPRINT_PROBE = """
 import json, sys
 before = set(sys.modules)
