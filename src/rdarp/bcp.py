@@ -10,9 +10,10 @@ a master that is not ``MasterSolution.integral``, so some arc flow is
 fractional, and every arc flow is at most 1, so each ``arc>=1`` child fixes
 its arc to 1 and the tree is finite.
 
-The risk objective is a descending ε-constraint sweep of capped cost trees
-(``_min_peak``; Mavrotas 2009, "Effective implementation of the ε-constraint
-method in multi-objective mathematical programming problems")."""
+The Pareto front is one descending ε-constraint sweep of capped cost trees
+(``_sweep``; Mavrotas 2009, "Effective implementation of the ε-constraint
+method in multi-objective mathematical programming problems"), and the risk
+objective is its last point within a cost budget (``_min_peak``)."""
 
 from __future__ import annotations
 
@@ -191,50 +192,107 @@ def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
 def _min_peak(inst: Instance, budget: float, deadline: float | None,
               pool: ColumnPool) -> SolveReport:
     """The minimum peak exposure measure within the cost ``budget``, with
-    the cheapest solution of that peak, by a descending sweep of capped cost
-    solves over one pool; the budget prunes each tree as an incumbent would.
+    the cheapest solution of that peak: the last point of ``_sweep`` at step
+    δ over one pool, the budget pruning each tree as an incumbent would.
 
     The floor is 0 in RDARP; in EDARP a rider's exposure is their onboard
-    time, at least their pick-up's service plus the direct trip. The first
-    step solves at the floor, where a solution is optimal. Otherwise the
-    sweep solves uncapped, then at cap ``p - δ`` after each point of peak
-    ``p``, until a step finds nothing within the budget or the cap reaches
-    the floor. δ is the widest ``oracle.over_cap`` tolerance plus
-    ``oracle.SCHED_TOL``, in measure units, so the next cap admits no route
-    of the point, and the last point is optimal to within δ: no solution
-    within the budget has a peak of at most ``p - δ``. A step that times out
-    ends the sweep: ``TimeLimit``, the last point found, the floor as bound.
+    time, at least their pick-up's service plus the direct trip. A first
+    tree at the floor, where a solution is optimal, spares the sweep. δ is
+    the widest ``oracle.over_cap`` tolerance plus ``oracle.SCHED_TOL``, in
+    measure units, so the last point is optimal to within δ: no solution
+    within the budget has a peak of at most ``p - δ``. A tree that times
+    out ends the sweep: ``TimeLimit``, the last routes found (a timed-out
+    tree's incumbent included), the floor as bound.
     """
     floor, delta = _floor_and_resolution(inst)
     cutoff = budget + 2 * PRUNE_TOL  # admits a cost of the budget itself
-    steps = []
+    trees = []
 
-    def step(cap: float) -> SolveReport:
-        steps.append(_min_cost(inst, cap, deadline, pool, cutoff))
-        return steps[-1]
+    def tree(cap: float) -> SolveReport:
+        trees.append(_min_cost(inst, cap, deadline, pool, cutoff))
+        return trees[-1]
 
-    best = step(floor)
-    if best.status == INFEASIBLE_STATUS:
-        best = step(INF)
-        while best.status == OPTIMAL_STATUS:
-            cap = oracle.peak_measure(inst, best.routes) - delta
-            if cap <= floor:  # the first step found nothing at the floor
+    if tree(floor).status == INFEASIBLE_STATUS:
+        list(_sweep(inst, delta, tree))  # each tree that finds routes lowers the peak
+    routes = next((r.routes for r in reversed(trees) if r.routes), [])
+    nodes, cuts = sum(r.nodes_explored for r in trees), sum(r.cuts for r in trees)
+    timed_out = trees[-1].status == TIME_LIMIT_STATUS
+    if not routes and not timed_out:
+        return replace(trees[-1], nodes_explored=nodes, columns=len(pool), cuts=cuts)
+    peak = oracle.peak_measure(inst, routes) if routes else INF
+    if not timed_out:
+        return SolveReport(OPTIMAL_STATUS, peak, peak, 0.0, routes, nodes, len(pool), cuts)
+    gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if routes else INF
+    return SolveReport(TIME_LIMIT_STATUS, peak, floor, gap, routes, nodes, len(pool), cuts)
+
+
+@dataclass
+class ParetoPoint:
+    """A front point: the cap on the exposure measure it was solved at, the
+    minimum cost there, and the least peak of that cost with its routes."""
+
+    eps_risk: float
+    cost: float
+    max_risk: float
+    routes: list[oracle.Route]
+
+
+def _sweep(inst: Instance, step: float, tree):
+    """Walk down the cost/peak front, yielding each point once certified;
+    ``tree(cap)`` runs one ``_min_cost`` tree under ``cap``.
+
+    A point starts as the cheapest routes under the cap ``eps``, infinite
+    first. Trees at ``peak - δ`` follow while their cost stays the point's
+    (below ``cost + 2 * PRUNE_TOL``), each lowering its peak, until one
+    costs more or finds nothing, or the cap falls below the floor. The next
+    ``eps`` is ``peak - max(step, δ)``; the tree that ended the point starts
+    the next one when its routes are within ``eps``, being the cheapest
+    there too. A cap at the floor itself still admits a peak of the floor.
+    The sweep ends at a tree that finds nothing, at an ``eps`` below the
+    floor, or at a tree that times out, whose point it drops.
+    """
+    floor, delta = _floor_and_resolution(inst)
+    eps, start = INF, tree(INF)
+    while start.status == OPTIMAL_STATUS:
+        point = rep = start
+        while rep.status == OPTIMAL_STATUS and rep.objective < start.objective + 2 * PRUNE_TOL:
+            point = rep
+            cap = oracle.peak_measure(inst, point.routes) - delta
+            if cap < floor:
                 break
-            rep = step(cap)
-            if rep.status == INFEASIBLE_STATUS:
-                break
-            if rep.routes:  # a timed-out step's incumbent is a point too
-                best = rep
-            if rep.status != OPTIMAL_STATUS:
-                best = replace(best, status=TIME_LIMIT_STATUS)
-    nodes, cuts = sum(r.nodes_explored for r in steps), sum(r.cuts for r in steps)
-    if best.status == INFEASIBLE_STATUS:
-        return replace(best, nodes_explored=nodes, columns=len(pool), cuts=cuts)
-    peak = oracle.peak_measure(inst, best.routes) if best.routes else INF
-    if best.status == OPTIMAL_STATUS:
-        return SolveReport(OPTIMAL_STATUS, peak, peak, 0.0, best.routes, nodes, len(pool), cuts)
-    gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if best.routes else INF
-    return SolveReport(TIME_LIMIT_STATUS, peak, floor, gap, best.routes, nodes, len(pool), cuts)
+            rep = tree(cap)
+        if rep.status == TIME_LIMIT_STATUS:
+            return
+        peak = oracle.peak_measure(inst, point.routes)
+        yield ParetoPoint(eps, start.objective, peak, point.routes)
+        eps = peak - max(step, delta)
+        if rep.status == INFEASIBLE_STATUS or eps < floor:
+            return
+        within = not any(oracle.over_cap(inst, r.exposure, eps) for r in rep.routes)
+        start = rep if within else tree(eps)
+
+
+def pareto_front(inst: Instance, step: float,
+                 time_limit: float | None = None) -> tuple[list[ParetoPoint], bool]:
+    """The exact cost/peak front by ``_sweep`` over one fresh pool, and
+    whether it is complete: ``time_limit`` bounds each tree, and
+    one that times out ends the sweep. An infeasible instance gives an
+    empty, complete front. Raises ``ValueError`` on a step that is not
+    positive, before any tree runs."""
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    pool = ColumnPool(inst)
+    if seed_pool(pool, inst):
+        return [], True
+    trees = []
+
+    def tree(cap: float) -> SolveReport:
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
+        trees.append(_min_cost(inst, cap, deadline, pool))
+        return trees[-1]
+
+    points = list(_sweep(inst, step, tree))
+    return points, trees[-1].status != TIME_LIMIT_STATUS
 
 
 def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPool,

@@ -184,9 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pareto", help="exact bi-objective front")
     common(sp)
-    sp.add_argument("--step", type=_parse_step, default=master.DEFAULT_PARETO_STEP)
+    sp.add_argument("--step", type=_parse_step, default=0.01)
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None,
-                    help="per-point time limit in seconds")
+                    help="time limit in seconds for each tree of the sweep")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.add_argument("--json", dest="json_out", default=None)
 
@@ -262,7 +262,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def pareto_csv(points: list[master.ParetoPoint]) -> str:
+def pareto_csv(points: list[bcp.ParetoPoint]) -> str:
     lines = ["epsilon_risk,cost,max_risk,n_routes"]
     for p in points:
         eps = "inf" if p.eps_risk == INF else f"{p.eps_risk:.6f}"
@@ -272,17 +272,8 @@ def pareto_csv(points: list[master.ParetoPoint]) -> str:
 
 def cmd_pareto(args) -> int:
     inst = preprocess(_prepare(args))
-    # the sweep steps the cap on the exposure measure: detour rates on EDARP
-    swept = bcp.enforced_cap(inst, COST)
-
-    def solve_fn(mode, eps, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_cost=eps_cost, time_limit=time_limit, **{swept: eps}))
-
-    points = master.pareto_front(solve_fn, step=args.step,
-                                 time_limit_per_point=args.time_limit)
-    certified = [p for p in points if p.certified]
-    csv = pareto_csv(certified)
+    points, complete = bcp.pareto_front(inst, args.step, args.time_limit)
+    csv = pareto_csv(points)
     if args.out:
         Path(args.out).write_text(csv)
     else:
@@ -295,11 +286,13 @@ def cmd_pareto(args) -> int:
                 "max_risk": _round6(p.max_risk),
                 "n_routes": len(p.routes),
             }
-            for p in certified
+            for p in points
         ]
         Path(args.json_out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    if len(certified) < len(points):
+    if not complete:
         return EXIT_TIME_LIMIT
+    if not points:
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Restricted master problems, column generation, and the Pareto driver."""
+"""Restricted master problems, the column pool and column generation."""
 
 from __future__ import annotations
 
@@ -447,57 +447,3 @@ def column_generation(
             return CGResult(INFEASIBLE_STATUS, INF, msol, INF, iterations)
         return CGResult(OPTIMAL_STATUS, msol.objective, msol, msol.objective, iterations)
 
-
-# ---------------------------------------------------------------------------
-# Exact Pareto front
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ParetoPoint:
-    eps_risk: float
-    cost: float
-    max_risk: float
-    routes: list[oracle.Route]
-    certified: bool = True
-
-
-DEFAULT_PARETO_STEP = 0.01
-
-
-def pareto_front(
-    solve_fn,
-    step: float = DEFAULT_PARETO_STEP,
-    time_limit_per_point: float | None = None,
-) -> list[ParetoPoint]:
-    """Exact bi-objective sweep.
-
-    ``solve_fn(mode, eps_risk, eps_cost, time_limit)`` must return a solver
-    report (integer-optimal). Each iteration minimizes cost under the current
-    cap on the exposure measure, then minimizes the peak measure within that
-    cost to certify the point, and the cap then steps ``step`` below the
-    certified peak. The certifying solve is ``bcp.solve``'s risk objective,
-    itself a descending sweep of capped cost solves, so a point's routes are
-    the cheapest ones of its peak, certified to within that sweep's
-    resolution (see ``bcp``)."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    points: list[ParetoPoint] = []
-    eps = INF
-    while True:
-        rep_cost = solve_fn(COST, eps, INF, time_limit_per_point)
-        if rep_cost.status == INFEASIBLE_STATUS:
-            break
-        if rep_cost.status != OPTIMAL_STATUS:
-            points.append(ParetoPoint(eps, rep_cost.objective, INF, rep_cost.routes, certified=False))
-            break
-        f_cost = rep_cost.objective
-        rep_risk = solve_fn(RISK, INF, f_cost + 1e-6, time_limit_per_point)
-        if rep_risk.status != OPTIMAL_STATUS:
-            points.append(ParetoPoint(eps, f_cost, INF, rep_cost.routes, certified=False))
-            break
-        f_risk = rep_risk.objective
-        points.append(ParetoPoint(eps, f_cost, f_risk, rep_risk.routes))
-        eps = f_risk - step
-        if eps < 0:
-            break
-    return points

@@ -19,7 +19,7 @@ from rdarp import bcp, cuts, master, oracle
 from rdarp.cli import load_instance
 from rdarp.fixtures import random_instance
 from rdarp.instance import EDARP, edarp_transform, parse_realworld, emit_realworld, preprocess
-from rdarp.master import ColumnPool, column_generation, pareto_front, seed_pool
+from rdarp.master import ColumnPool, column_generation, seed_pool
 from rdarp.pricing import DualValues, solve_pricing
 
 INF = math.inf
@@ -318,12 +318,8 @@ def test_c7e_pareto_points_certified():
     inst0 = random_instance(4, n=3, fleet_size=2)
     inst = preprocess(inst0)
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit))
-
-    points = pareto_front(solve_fn, step=0.5)
-    assert points and all(p.certified for p in points)
+    points, complete = bcp.pareto_front(inst, step=0.5)
+    assert points and complete
     for a in points:
         for b in points:
             if a is not b:

@@ -8,7 +8,7 @@ import pytest
 from rdarp import bcp, oracle
 from rdarp.fixtures import benchmark_like_instance, random_instance
 from rdarp.instance import edarp_transform, preprocess
-from rdarp.master import ColumnPool, column_generation, pareto_front, seed_pool
+from rdarp.master import ColumnPool, column_generation, seed_pool
 
 INF = math.inf
 
@@ -397,27 +397,54 @@ def test_child_time_limit_keeps_the_child_open(monkeypatch, timed_out_call):
         assert full.objective == pytest.approx(123.196, abs=1e-3)
 
 
-def test_pareto_sweep_with_a_shared_pool_branches_past_tolerance_dust():
-    """With one pool shared by every solve of the sweep, the 8th solve (risk
-    mode at the last cost) reaches a master whose λ miss the integrality
-    tolerance by dust while every arc flow meets it. That master is integral
-    for the tree: its routes are the incumbent, and the front is the one
-    fresh pools give."""
+def test_the_pareto_front_is_one_sweep(monkeypatch):
+    """Each point costs one tree, and the tree that ends a point starts the
+    next: no second, certifying sweep runs per point."""
     inst = preprocess(benchmark_like_instance(3, n=10, fleet_size=3))
-    pool = ColumnPool(inst)
+    caps = []
+    real = bcp._min_cost
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit), pool=pool)
+    def min_cost(inst_, cap, *args, **kwargs):
+        caps.append(cap)
+        return real(inst_, cap, *args, **kwargs)
 
-    points = pareto_front(solve_fn, step=0.01)
-    assert all(p.certified for p in points)
+    monkeypatch.setattr(bcp, "_min_cost", min_cost)
+    points, complete = bcp.pareto_front(inst, step=0.01)
+    assert complete
     front = [(p.cost, p.max_risk) for p in points]
     expected = [(195.661, 12.87), (199.099, 10.7697), (206.256, 7.2026), (208.819, 0.0)]
     assert len(front) == len(expected)
     for (cost, risk), (cost_ref, risk_ref) in zip(front, expected):
         assert cost == pytest.approx(cost_ref, abs=1e-3)
         assert risk == pytest.approx(risk_ref, abs=1e-4)
+    assert len(caps) <= len(points) + 1
+    assert caps == sorted(caps, reverse=True)
+
+
+def test_a_timed_out_refining_tree_leaves_an_incomplete_front(monkeypatch):
+    """The sweep of ``_sweep_instance`` runs three one-node trees: uncapped,
+    at the first point's peak less δ (it costs more, so it starts the
+    second point) and at the second point's peak less δ (nothing). When the
+    third tree times out, the first point is the whole front, which is
+    reported incomplete."""
+    inst = _sweep_instance()
+    full, complete = bcp.pareto_front(inst, step=0.01)
+    assert complete and len(full) == 2
+    real = bcp.column_generation
+    results = []
+
+    def timed(*args, **kwargs):
+        if len(results) == 2:
+            kwargs["deadline"] = 0.0  # already past: stops after one master solve
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bcp, "column_generation", timed)
+    points, complete = bcp.pareto_front(inst, step=0.01)
+    assert len(results) == 3 and results[-1].status == "TimeLimit"
+    assert not complete
+    assert [(p.eps_risk, p.cost, p.max_risk) for p in points] == \
+        [(full[0].eps_risk, full[0].cost, full[0].max_risk)]
 
 
 def _battery_bases():

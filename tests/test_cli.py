@@ -423,6 +423,27 @@ def test_infeasible_exit_code(tmp_path):
     assert cli.run(["solve", str(path), "--eps-risk", "0.5"]) == 2
 
 
+def test_pareto_on_an_infeasible_instance_exits_2(tmp_path):
+    # every round trip is feasible, but no solution is: the first tree finds
+    # nothing, and ``solve`` exits 2 on this instance too
+    path = tmp_path / "inf.json"
+    path.write_text(emit_realworld(random_instance(0, n=4, fleet_size=1, window=20)))
+    assert cli.run(["solve", str(path), "--out", str(tmp_path / "sol.json")]) == 2
+    out = tmp_path / "front.csv"
+    assert cli.run(["pareto", str(path), "--out", str(out)]) == 2
+    assert out.read_text() == "epsilon_risk,cost,max_risk,n_routes\n"
+
+
+def test_pareto_out_of_time_exits_3_with_no_point(tmp_path):
+    from rdarp.fixtures import benchmark_like_instance
+
+    path = tmp_path / "inst.json"
+    path.write_text(emit_realworld(benchmark_like_instance(0, n=10, fleet_size=3)))
+    out = tmp_path / "front.csv"
+    assert cli.run(["pareto", str(path), "--time-limit", "0", "--out", str(out)]) == 3
+    assert out.read_text() == "epsilon_risk,cost,max_risk,n_routes\n"
+
+
 def _drop_late(doc):
     del doc["nodes"][2]["late"]
     return doc

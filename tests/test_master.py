@@ -23,7 +23,6 @@ from rdarp.master import (
     big_cost,
     build_rlmp,
     column_generation,
-    pareto_front,
     seed_pool,
 )
 from rdarp.pricing import DualValues, solve_pricing
@@ -367,6 +366,23 @@ def test_appended_columns_match_a_fresh_build():
     assert {model.var_names[j] for j in range(model.n_vars) if model.ub[j] == 0.0} == fixed
 
 
+def _synthetic_master(*columns_used):
+    """A master over ``(sequence, λ)`` pairs on two requests; only the
+    sequences matter to ``MasterSolution.integral``."""
+    return master.MasterSolution(0.0, DualValues(), 0.0, [
+        (oracle.Route(seq, (0.0,) * len(seq), 0.0, {}, 0.0), lam) for seq, lam in columns_used])
+
+
+def test_integral_master_with_lambda_dust_off_integrality():
+    """λ that miss the integrality tolerance by dust, with every arc flow
+    within it, make an integral master; fractional arc flows do not."""
+    a, b, c = (0, 1, 3, 2, 4, 5), (0, 1, 3, 5), (0, 2, 4, 1, 3, 5)
+    dust = _synthetic_master((a, 1 - 4e-7), (b, 1.2e-6), (c, 1 - 4e-7))
+    assert not all(abs(v - round(v)) <= master.INTEGRALITY_TOL for _, v in dust.columns_used)
+    assert dust.integral
+    assert not _synthetic_master((a, 0.5), (c, 0.5)).integral
+
+
 def test_detour_coefficient_uses_floor(two_rider_chain):
     from rdarp.instance import edarp_transform
 
@@ -385,11 +401,8 @@ def test_pareto_front_on_corridor():
     inst0 = corridor_instance()
     inst = preprocess(inst0)
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit))
-
-    points = pareto_front(solve_fn, step=0.25)
+    points, complete = bcp.pareto_front(inst, step=0.25)
+    assert complete
     assert [round(p.cost, 6) for p in points] == [5.0, 7.0]
     assert [round(p.max_risk, 6) for p in points] == [1.0, 0.0]
     # mutual non-domination
@@ -399,15 +412,23 @@ def test_pareto_front_on_corridor():
                 assert not (a.cost <= b.cost and a.max_risk <= b.max_risk)
 
 
+def test_pareto_front_on_corridor_reaches_the_floor_at_a_step_of_a_peak():
+    # the first point's peak less the step is the floor (0), and a cap at
+    # the floor still admits the zero-exposure point
+    from tests.test_oracle import corridor_instance
+
+    points, complete = bcp.pareto_front(preprocess(corridor_instance()), step=1.0)
+    assert complete
+    assert [round(p.cost, 6) for p in points] == [5.0, 7.0]
+    assert [round(p.max_risk, 6) for p in points] == [1.0, 0.0]
+
+
 def test_pareto_front_brute_force_equality():
     inst0 = random_instance(4, n=3, fleet_size=2)
     inst = preprocess(inst0)
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit))
-
-    points = pareto_front(solve_fn, step=0.5)
+    points, complete = bcp.pareto_front(inst, step=0.5)
+    assert complete
     # exhaustive front: enumerate every solution, filter dominated
     all_solutions = []
     caps = sorted({round(p.max_risk, 6) for p in points} | {INF})
@@ -431,24 +452,38 @@ def test_pareto_step_larger_than_range():
 
     inst = preprocess(corridor_instance())
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        return bcp.solve(inst, mode, bcp.SolveOptions(
-            eps_risk=eps_risk, eps_cost=eps_cost, time_limit=time_limit))
+    points, complete = bcp.pareto_front(inst, step=50.0)
+    assert complete and 1 <= len(points) <= 2
 
-    points = pareto_front(solve_fn, step=50.0)
-    assert 1 <= len(points) <= 2
+
+def test_a_pareto_step_below_the_resolution_acts_as_it():
+    # a cap less than δ below a point's peak admits the point's own routes
+    # (``oracle.over_cap``), so such a step would find the point again
+    from tests.test_oracle import corridor_instance
+
+    inst = preprocess(corridor_instance())
+    delta = bcp._floor_and_resolution(inst)[1]
+    tiny, complete = bcp.pareto_front(inst, step=delta / 1000)
+    at_delta, _ = bcp.pareto_front(inst, step=delta)
+    assert complete
+    assert [(p.eps_risk, p.cost, p.max_risk) for p in tiny] == \
+        [(p.eps_risk, p.cost, p.max_risk) for p in at_delta]
+    assert [round(p.cost, 6) for p in tiny] == [5.0, 7.0]
 
 
 @pytest.mark.parametrize("step", [math.nan, 0.0, -0.5])
-def test_pareto_rejects_a_step_that_is_not_positive(step):
+def test_pareto_rejects_a_step_that_is_not_positive(monkeypatch, step):
+    from tests.test_oracle import corridor_instance
+
     calls = []
 
-    def solve_fn(mode, eps_risk, eps_cost, time_limit):
-        calls.append(mode)
+    def min_cost(*args, **kwargs):
+        calls.append(args)
         return bcp.SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, 0, 0)
 
+    monkeypatch.setattr(bcp, "_min_cost", min_cost)
     with pytest.raises(ValueError):
-        pareto_front(solve_fn, step=step)
+        bcp.pareto_front(preprocess(corridor_instance()), step=step)
     assert calls == []
 
 
