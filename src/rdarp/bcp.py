@@ -136,15 +136,14 @@ def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode,
             child(ExtraRow(f"arc({i},{j})>=1", GE, 1.0, arc_coefs=(((i, j), 1.0),))))
 
 
-def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
-          pool: ColumnPool | None = None) -> SolveReport:
+def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None) -> SolveReport:
     """Certified minimum (cost or peak exposure) via branch-cut-and-price.
 
     The cost objective is one tree (``_min_cost``), the risk objective a
-    sweep of them (``_min_peak``). Every tree of a solve shares the column
+    sweep of them (``_min_peak``). Every tree of a solve shares one column
     pool, and with it the expansion cache pricing reads
-    (``ColumnPool.expansions``); a pool that is empty is seeded first, and a
-    request with no feasible round trip makes the instance infeasible at the
+    (``ColumnPool.expansions``); the pool is seeded first, and a request
+    with no feasible round trip makes the instance infeasible at the
     root. ``time_limit`` bounds the whole solve: its steps share one
     deadline.
 
@@ -169,9 +168,8 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None,
                              f"{enforced}, not {name}={value}")
     deadline = None if opts.time_limit is None else time.perf_counter() + opts.time_limit
 
-    if pool is None:
-        pool = ColumnPool(inst)
-    if len(pool) == 0 and seed_pool(pool, inst):
+    pool = ColumnPool(inst)
+    if seed_pool(pool, inst):
         return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
                            infeasible_at_root=True)
     if mode == RISK:

@@ -7,14 +7,20 @@ schedule. Waiting discovered at the new node is absorbed by retroactively
 delaying earlier pick-ups, balancing the exposure of onboard riders against
 riders already dropped off whose trips would shift with them.
 
+An onboard rider accrues exposure at the vehicle risk
+(``Instance.vehicle_risk``) plus the co-riders' scores, and the route's
+cumulative risk at the vehicle risk plus every onboard score; the vehicle's
+term comes first in each sum. In equity mode that risk is 1 and the scores
+0, so exposure is onboard time and the cumulative risk the route's duration.
+
 What the calibration guarantees: every committed schedule is feasible (time
 windows, ride times, capacity, cumulative risk cap), and each step chooses
 its delay to minimize the peak raw exposure as it stands after that step.
 It does not guarantee the sequence's minimum peak: the choice is
 greedy, ignores exposure riders accrue later in the route, and ignores
-detour weights. In equity mode (EDARP) a calibrated schedule can therefore
-exceed the sequence's minimum peak detour rate (``oracle.mmr_schedule``), so
-EDARP detour-rate caps and the EDARP risk objective are certified only over
+detour weights. In equity mode a calibrated schedule can therefore exceed
+the sequence's minimum peak detour rate (``oracle.mmr_schedule``), so
+detour-rate caps and the equity-mode risk objective are certified only over
 calibrated schedules.
 
 Pricing (``rdarp.pricing``) and the oracle's fixed-sequence replay share these
@@ -46,14 +52,12 @@ from __future__ import annotations
 
 import math
 
-from .instance import EDARP, Instance
+from .instance import Instance
 
 TOL = 1e-9
 INF = math.inf
 STRANDED_MARGIN = 1e-6  # ``stranded``'s slack over a drop-off's latest start
 EXPANSION_CAP = 512  # child states one ``ExpansionCache`` holds
-
-DUMMY = 0  # virtual ever-onboard rider used in equity mode
 
 PDPTW_PRECEDENCE = "pdptw:precedence"
 PDPTW_WINDOW = "pdptw:window"
@@ -101,37 +105,24 @@ class PathState:
     def current(self) -> int:
         return self.nodes[-1]
 
-    def request_h(self) -> dict[int, float]:
-        """Exposure per real request touched by the route so far."""
-        return {r: v for r, v in self.h.items() if r != DUMMY}
-
 
 def initial_state(inst: Instance) -> PathState:
-    edarp = inst.mode == EDARP
-    onboard = (DUMMY,) if edarp else ()
     return PathState(
         nodes=(0,), times=(inst.early[0],),
         a_cur=inst.early[0], b_cur=inst.late[0],
-        load=0.0, onboard=onboard, assoc=(),
-        served=frozenset(), q_cum=0.0,
-        h=({DUMMY: 0.0} if edarp else {}),
-        d=({DUMMY: 0.0} if edarp else {}),
-        bo={}, do_a={}, do_b={},
-        pick_pos=({DUMMY: 0} if edarp else {}), drop_pos={},
+        load=0.0, onboard=(), assoc=(),
+        served=frozenset(), q_cum=0.0, h={}, d={},
+        bo={}, do_a={}, do_b={}, pick_pos={}, drop_pos={},
     )
-
-
-def rider_risk(inst: Instance, rider: int) -> float:
-    return 1.0 if rider == DUMMY else inst.risk[rider]
 
 
 def successors(inst: Instance, st: PathState) -> list[int]:
     """Nodes ``extend`` does not reject on precedence from ``st``, ascending:
-    pick-ups not yet visited, drop-offs of real onboard riders, and the end
-    depot when no real rider is onboard."""
+    pick-ups not yet visited, drop-offs of onboard riders, and the end depot
+    when no rider is onboard."""
     n = inst.n
     out = [i for i in range(1, n + 1) if i not in st.pick_pos]
-    drops = sorted(o + n for o in st.onboard if o != DUMMY)
+    drops = sorted(o + n for o in st.onboard)
     if drops:
         out.extend(drops)
     else:
@@ -140,7 +131,7 @@ def successors(inst: Instance, st: PathState) -> list[int]:
 
 
 def stranded(inst: Instance, st: PathState, j: int) -> bool:
-    """Whether a step from ``st`` to ``j`` leaves some real onboard rider,
+    """Whether a step from ``st`` to ``j`` leaves some onboard rider,
     other than the one dropped at ``j``, unable to reach their drop-off by
     its latest start ``do_b``.
 
@@ -165,7 +156,7 @@ def stranded(inst: Instance, st: PathState, j: int) -> bool:
     do_b = st.do_b
     dropped = j - n
     for o in onboard:
-        if o == DUMMY or o == dropped:
+        if o == dropped:
             continue
         if reach + t_j[o + n] > do_b[o] + STRANDED_MARGIN:
             return True
@@ -247,7 +238,7 @@ def extend(inst: Instance, st: PathState, j: int):
         if dropped not in onboard:
             return None, PDPTW_PRECEDENCE
     elif j == 2 * n + 1:
-        if any(r != DUMMY for r in onboard):
+        if onboard:
             return None, PDPTW_PRECEDENCE
     else:
         return None, PDPTW_PRECEDENCE
@@ -279,7 +270,7 @@ def extend(inst: Instance, st: PathState, j: int):
     do_a_new: dict[int, float] = {}
     do_b_new: dict[int, float] = {}
     for o in onboard:
-        if o == DUMMY or o == dropped:
+        if o == dropped:
             continue
         bo_o = st_bo[o]
         reach = bo_o + s_eta + t_arc
@@ -355,35 +346,31 @@ def extend(inst: Instance, st: PathState, j: int):
                 delta_star = cap
 
     st_d = st.d
-    q_new = st.q_cum
+    risk = inst.risk
+    # the vehicle's term comes first in every sum of risks
+    q_new = st.q_cum + inst.vehicle_risk * span
     gap = b_new - a_new
     if delta_star == 0.0:
         # Zero-delay path: no shifts, so only pairs of onboard riders accrue,
         # each by ``span`` (what ``_pair_increments`` adds with zero delays).
         delta_h = _onboard_increments(inst, members, onboard, span)
-        risk = inst.risk
         for o in onboard:
-            q_new += (1.0 if o == DUMMY else risk[o]) * span
+            q_new += risk[o] * span
         times = st.times + (a_new,)
         d_new = {}
         for x in members:
-            if x == DUMMY:
-                d_new[x] = 0.0
-            else:
-                dx = st_d[x]
-                d_new[x] = gap if gap < dx else dx
+            dx = st_d[x]
+            d_new[x] = gap if gap < dx else dx
     else:
         assign = {x: min(delta_star, usable[x]) for x in members}
         shifts = _node_shifts(st, members, assign, len(st.times))
         delta_h = _pair_increments(inst, st, members, assign, span, shifts)
         for o in onboard:
-            q_new += rider_risk(inst, o) * (span - assign.get(o, 0.0))
+            q_new += risk[o] * (span - assign[o])
         for i in assoc:
-            q_new += rider_risk(inst, i) * (shifts[st.drop_pos[i]] - assign[i])
+            q_new += risk[i] * (shifts[st.drop_pos[i]] - assign[i])
         times = tuple(tv + sv for tv, sv in zip(st.times, shifts)) + (a_new,)
-        d_new = {}
-        for x in members:
-            d_new[x] = 0.0 if x == DUMMY else min(st_d[x] - assign[x], gap)
+        d_new = {x: min(st_d[x] - assign[x], gap) for x in members}
     if q_new > inst.q_max + 1e-9:
         return None, RISK_QMAX
 
@@ -409,7 +396,7 @@ def extend(inst: Instance, st: PathState, j: int):
         served_new = served_new | {dropped}
         drop_pos_new = dict(drop_pos_new)
         drop_pos_new[dropped] = pos_new
-        if any(o != DUMMY for o in onboard_new):
+        if onboard_new:
             assoc_new = assoc + (dropped,)
         else:
             # vehicle empties: no future delay can reach riders served so far
@@ -434,7 +421,7 @@ def _usable_buffers(inst: Instance, st: PathState, members) -> dict[int, float]:
     must be non-decreasing in boarding order), further capped so that a
     member's delay never stretches an already-served co-rider's committed
     ride beyond its cap (delay of x plus that rider's remaining ride slack)."""
-    cap = {x: max(0.0, st.d[x]) if x != DUMMY else 0.0 for x in members}
+    cap = {x: max(0.0, st.d[x]) for x in members}
     for _ in range(2 * len(members) + 2):
         changed = False
         running = INF
@@ -445,7 +432,7 @@ def _usable_buffers(inst: Instance, st: PathState, members) -> dict[int, float]:
                 changed = True
         for x in members:
             dpx = st.drop_pos.get(x)
-            if dpx is None or x == DUMMY:
+            if dpx is None:
                 continue
             slack = inst.max_ride[x - 1] - (
                 st.times[dpx] - st.times[st.pick_pos[x]] - inst.service[x])
@@ -477,37 +464,44 @@ def _node_shifts(st: PathState, members, assign, n_positions: int) -> list[float
 
 
 def _onboard_increments(inst: Instance, members, onboard, span) -> dict[int, float]:
-    """``_pair_increments`` when every delay and shift is zero: each pair of
-    onboard riders gains ``span`` in the same order of pairs and additions,
-    so every sum is the same to the bit; no other pair changes."""
+    """``_pair_increments`` when every delay and shift is zero: each onboard
+    rider gains the vehicle's risk times ``span``, then each pair of onboard
+    riders gains ``span``, in the same order of pairs and additions, so
+    every sum is the same to the bit; no other pair changes."""
     dh = dict.fromkeys(members, 0.0)
-    if span != 0.0 and len(onboard) > 1:
+    if span != 0.0 and onboard:
+        vehicle = inst.vehicle_risk * span
+        if vehicle:
+            for x in onboard:
+                dh[x] += vehicle
         risk = inst.risk
-        risks = [1.0 if o == DUMMY else risk[o] for o in onboard]
         for a in range(len(onboard) - 1):
             x = onboard[a]
-            rx = risks[a]
+            rx = risk[x]
             for b in range(a + 1, len(onboard)):
                 y = onboard[b]
-                dh[x] += risks[b] * span
+                dh[x] += risk[y] * span
                 dh[y] += rx * span
-    dh.pop(DUMMY, None)
     return dh
 
 
 def _pair_increments(inst: Instance, st: PathState, members, assign, span, shifts):
-    """Exposure increment per real rider for one extension.
+    """Exposure increment per rider for one extension.
 
     Open pairs gain the arc span (travel + service + residual wait) less the
     later rider's delay; pairs with a dropped rider change only through the
     induced shifts of their recorded endpoints (``shifts``, from
-    ``_node_shifts`` for the same ``assign``).
+    ``_node_shifts`` for the same ``assign``). Each rider's own interval
+    gains the same way, times the vehicle's risk, and that term comes first.
     """
     if not members:
         return {}
     pos = st.pick_pos
     onboard = set(st.onboard)
-    dh = {x: 0.0 for x in members}
+    risk = inst.risk
+    vehicle = inst.vehicle_risk
+    dh = {y: vehicle * ((span if y in onboard else shifts[st.drop_pos[y]]) - assign[y])
+          for y in members}
     for ai in range(len(members)):
         x = members[ai]
         for bi in range(ai + 1, len(members)):
@@ -525,9 +519,8 @@ def _pair_increments(inst: Instance, st: PathState, members, assign, span, shift
                     continue  # never co-rode
                 change = shifts[end_pos] - assign[y]
             if change != 0.0:
-                dh[x] += rider_risk(inst, y) * change
-                dh[y] += rider_risk(inst, x) * change
-    dh.pop(DUMMY, None)
+                dh[x] += risk[y] * change
+                dh[y] += risk[x] * change
     return dh
 
 
@@ -559,7 +552,7 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
         grew = False
         for x in members:
             dpx = st.drop_pos.get(x)
-            if dpx is None or x == DUMMY:
+            if dpx is None:
                 continue
             ppx = st.pick_pos[x]
             slack = inst.max_ride[x - 1] - (st.times[dpx] - st.times[ppx] - inst.service[x])
@@ -579,12 +572,10 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
     h1.update(_member_exposure(inst, st, times1, members))
     d1 = dict(st.d)
     for x in members:
-        if x == DUMMY:
-            continue
         dec = max(shift[st.pick_pos[x]:])
         if dec > 0.0:
             d1[x] = max(0.0, d1[x] - dec)
-    running_risk = 1.0 if inst.mode == EDARP else 0.0
+    running_risk = inst.vehicle_risk
     q1 = 0.0
     for pos in range(1, k):
         running_risk += inst.risk[nodes[pos - 1]]
@@ -599,26 +590,25 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
 
 
 def _member_exposure(inst: Instance, st: PathState, times, members) -> dict[int, float]:
-    """Member exposures recomputed from a committed schedule; open intervals
-    run to the current node's start of service."""
+    """Member exposures recomputed from a committed schedule, the vehicle's
+    term first; open intervals run to the current node's start of service."""
     end = times[-1]
     spans = {}
     for x in members:
         lo = times[st.pick_pos[x]]
         hi = times[st.drop_pos[x]] if x in st.drop_pos else end
         spans[x] = (lo, hi)
-    if DUMMY in st.pick_pos and DUMMY not in spans:
-        spans[DUMMY] = (times[0], end)
-    out = {x: 0.0 for x in members if x != DUMMY}
-    for x in out:
-        lo, hi = spans[x]
-        total = 0.0
+    risk = inst.risk
+    vehicle = inst.vehicle_risk
+    out = {}
+    for x, (lo, hi) in spans.items():
+        total = vehicle * (hi - lo)
         for y, (lo2, hi2) in spans.items():
             if y == x:
                 continue
             overlap = min(hi, hi2) - max(lo, lo2)
             if overlap > 0:
-                total += rider_risk(inst, y) * overlap
+                total += risk[y] * overlap
         out[x] = total
     return out
 
@@ -632,14 +622,14 @@ def _argmin_peak(inst: Instance, st: PathState, members, usable, span, cap) -> f
     plus pairwise intersections of the rider lines within each segment. The
     choice is myopic: it neither weighs exposure by detour weight nor looks at
     what onboard riders accrue after this step, so the finished route may miss
-    the fixed-sequence minimum peak (in EDARP, of the detour rate).
+    the fixed-sequence minimum peak (in equity mode, of the detour rate).
     """
 
     def rider_values(delta: float) -> dict[int, float]:
         assign = {x: min(delta, usable[x]) for x in members}
         shifts = _node_shifts(st, members, assign, len(st.times))
         dh = _pair_increments(inst, st, members, assign, span, shifts)
-        return {x: st.h[x] + dh.get(x, 0.0) for x in members if x != DUMMY}
+        return {x: st.h[x] + dh[x] for x in members}
 
     bps = {0.0, cap}
     for x in members:

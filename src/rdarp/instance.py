@@ -72,6 +72,12 @@ class Instance:
     def arc_allowed(self, i: int, j: int) -> bool:
         return (i, j) not in self.banned_arcs
 
+    @property
+    def vehicle_risk(self) -> float:
+        """The risk every onboard rider is exposed to besides the co-riders':
+        1.0 in equity mode (EDARP), 0.0 otherwise."""
+        return 1.0 if self.mode == EDARP else 0.0
+
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on the first failure."""
         m = self.n_nodes
@@ -117,6 +123,8 @@ class Instance:
                     i, f"direct travel {self.direct_time(i):.6g} exceeds max ride {self.max_ride[i - 1]:.6g}")
         if self.mode == EDARP and self.detour_weight is None:
             raise ValidationError("EDARP instance missing detour weights")
+        if self.mode == EDARP and any(self.risk):
+            raise ValidationError("EDARP instance has nonzero risk scores")
         _check_triangle(self.travel, self.service)
 
     def exposure_measure(self, i: int, h: float) -> float:
@@ -272,8 +280,8 @@ def parse_realworld(text: str, name: str = "") -> Instance:
     Schema: ``{"n", "K", "capacity", "q_max"?, "mode", "nodes": [{"id",
     "service", "load", "risk", "early", "late"}], "travel_time": row-major
     (2n+2)^2 list, "max_ride": [n entries], "coords"?: [[x, y]]}``. A missing
-    ``q_max`` is derived from the horizon and mean risk; ``null`` means
-    unbounded.
+    ``q_max`` is derived from the horizon (``compute_qmax``); ``null`` means
+    unbounded. An EDARP instance must have zero risk scores.
     """
     try:
         doc = json.loads(text)
@@ -415,12 +423,14 @@ def derive_benchmark_risk(inst: Instance) -> Instance:
 
 
 def compute_qmax(inst: Instance) -> float:
-    """Default per-route cumulative-risk cap: horizon times mean pick-up score."""
+    """Default per-route cumulative-risk cap: the horizon times the vehicle
+    risk plus the mean pick-up score. In equity mode (EDARP) that is the
+    horizon, since the cumulative risk there is the route's duration."""
     if inst.n < 1:
         raise ValidationError("q_max requires at least one request")
     horizon = inst.late[inst.end_depot] - inst.early[0]
-    mean_risk = sum(inst.risk[i] for i in inst.pickups()) / inst.n
-    return horizon * mean_risk if mean_risk else 0.0  # 0.0 also over an endless horizon
+    rate = inst.vehicle_risk + sum(inst.risk[i] for i in inst.pickups()) / inst.n
+    return horizon * rate if rate else 0.0  # 0.0 also over an endless horizon
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +500,10 @@ def preprocess(inst: Instance) -> Instance:
 
 
 def edarp_transform(inst: Instance) -> Instance:
-    """Switch to equity mode: real risk scores drop to zero and pricing carries
-    a virtual ever-onboard rider of unit risk, so each rider's exposure equals
-    their onboard duration. Detour weights are floored at 15 minutes."""
+    """Switch to equity mode: risk scores drop to zero and the vehicle risk
+    (``Instance.vehicle_risk``) becomes 1, so each rider's exposure equals
+    their onboard time and the cumulative risk ``q_max`` caps is the route's
+    duration. Detour weights are floored at 15 minutes."""
     if inst.mode != RDARP:
         raise ValidationError("edarp_transform expects an RDARP-mode instance")
     risk = [0.0] * inst.n_nodes

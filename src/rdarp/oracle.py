@@ -54,38 +54,32 @@ def route_cost(inst: Instance, sequence) -> float:
 # Schedule-based evaluation (pure recomputation, no pricing machinery)
 # ---------------------------------------------------------------------------
 
-def onboard_times(inst: Instance, sequence, schedule) -> dict[int, float]:
-    """Each covered rider's onboard time: start of service at the drop-off
-    minus start of service at the pick-up. In equity mode this is the rider's
-    exposure."""
-    pos = {node: p for p, node in enumerate(sequence)}
-    return {i: schedule[pos[i + inst.n]] - schedule[pos[i]]
-            for i in sequence if inst.is_pickup(i)}
-
-
 def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakdown:
     """Exposure bookkeeping for a fixed schedule.
 
     A rider is onboard from start of service at their pick-up to start of
-    service at their drop-off; co-ride exposure is the co-rider's score times
-    the interval overlap (travel, service, and waiting all count). In equity
-    mode a virtual unit-risk rider spans the whole route.
+    service at their drop-off. Their exposure is the vehicle risk
+    (``Instance.vehicle_risk``) times that interval, plus each co-rider's
+    score times the interval overlap (travel, service, and waiting all
+    count); the cumulative risk is accrued at the vehicle risk plus the
+    onboard riders' scores. In each sum the vehicle's term comes first.
     """
     pos = {node: p for p, node in enumerate(sequence)}
     requests = [i for i in sequence if inst.is_pickup(i)]
     intervals = {i: (schedule[pos[i]], schedule[pos[i + inst.n]]) for i in requests}
-    onboard = 0.0
+    vehicle = inst.vehicle_risk
+    onboard = vehicle
     onboard_risk = []
     for node in sequence:
         onboard += inst.risk[node]
-        onboard_risk.append(onboard + (1.0 if inst.mode == EDARP else 0.0))
+        onboard_risk.append(onboard)
     cumulative = [0.0]
     for p in range(1, len(sequence)):
         cumulative.append(cumulative[-1] + onboard_risk[p - 1] * (schedule[p] - schedule[p - 1]))
     exposure = {}
     for i in requests:
         si, ei = intervals[i]
-        total = 0.0
+        total = vehicle * (ei - si)
         for jj in requests:
             if jj == i:
                 continue
@@ -93,8 +87,6 @@ def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakd
             overlap = min(ei, ej) - max(si, sj)
             if overlap > 0:
                 total += inst.risk[jj] * overlap
-        if inst.mode == EDARP:
-            total += ei - si  # virtual rider, unit risk, always onboard
         exposure[i] = total
     return ExposureBreakdown(cumulative, exposure)
 
@@ -187,11 +179,6 @@ def validate_route(inst: Instance, route: Route) -> ExposureBreakdown:
     breakdown = exposure_from_schedule(inst, seq, sched)
     if breakdown.cumulative[-1] > inst.q_max + SCHED_TOL:
         violations.append((seq[-1], "cumulative risk cap", breakdown.cumulative[-1], inst.q_max))
-    if inst.mode == EDARP:
-        onboard = onboard_times(inst, seq, sched)
-        for i, h in breakdown.exposure.items():
-            if abs(h - onboard[i]) > SCHED_TOL:
-                violations.append((i, "equity exposure must equal onboard time", h, onboard[i]))
     if violations:
         raise RouteInfeasible(violations)
     return breakdown
@@ -260,6 +247,7 @@ def mmr_schedule(inst: Instance, sequence) -> tuple[Route, float] | None:
     tvar = [model.add_var(f"t{p}", lb=inst.early[node], ub=inst.late[node])
             for p, node in enumerate(seq)]
     hbar = model.add_var("peak", lb=0.0, obj=1.0)
+    vehicle = inst.vehicle_risk
     for p in range(1, len(seq)):
         prev = seq[p - 1]
         model.add_row(
@@ -277,6 +265,9 @@ def mmr_schedule(inst: Instance, sequence) -> tuple[Route, float] | None:
         weight = inst.detour_weight[i - 1] if inst.mode == EDARP else 1.0
         coeffs: dict[int, float] = {hbar: -weight}
         pi, di = pos[i], pos[i + inst.n]
+        if vehicle:
+            coeffs[tvar[di]] = vehicle
+            coeffs[tvar[pi]] = -vehicle
         for jj in requests:
             if jj == i:
                 continue
@@ -289,9 +280,6 @@ def mmr_schedule(inst: Instance, sequence) -> tuple[Route, float] | None:
                 continue
             coeffs[tvar[e_p]] = coeffs.get(tvar[e_p], 0.0) + r
             coeffs[tvar[s_p]] = coeffs.get(tvar[s_p], 0.0) - r
-        if inst.mode == EDARP:
-            coeffs[tvar[di]] = coeffs.get(tvar[di], 0.0) + 1.0
-            coeffs[tvar[pi]] = coeffs.get(tvar[pi], 0.0) - 1.0
         if len(coeffs) > 1:
             model.add_row(f"peak{i}", coeffs, LE, 0.0)
     sol = solve_lp(model)
@@ -313,10 +301,13 @@ def state_route(inst: Instance, st: cal.PathState, cls=Route, **extra) -> Route:
     for, as a ``cls`` built with the further fields ``extra`` (pricing
     emits ``pricing.Column``s through it): its sequence, calibrated
     schedule, arc cost, exposure and cumulative risk. The exposure is the
-    state's accrued sum in RDARP; in equity mode it is each rider's onboard
-    time read off the schedule, so it equals that time exactly, not the
-    step-by-step sum of it."""
-    exposure = onboard_times(inst, st.nodes, st.times) if inst.mode == EDARP else st.request_h()
+    state's accrued sum in RDARP; in equity mode it is read off the schedule
+    (``exposure_from_schedule``), so it equals each rider's onboard time
+    exactly, not the step-by-step sum of it."""
+    if inst.mode == EDARP:
+        exposure = exposure_from_schedule(inst, st.nodes, st.times).exposure
+    else:
+        exposure = dict(st.h)
     return cls(
         sequence=st.nodes, schedule=st.times, cost=route_cost(inst, st.nodes),
         exposure=exposure, q_terminal=st.q_cum, **extra,

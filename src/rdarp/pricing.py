@@ -20,6 +20,10 @@ on every call, for cached and computed children alike: the duals, the
 ``banned`` arcs of a branch node, the ``cap``, ``heuristic`` and ``limit``.
 So a shared cache returns exactly the columns a fresh one would.
 
+Exposures and cumulative risk are resources of a label's state, as time
+and load are (Irnich & Desaulniers 2005); in equity mode they are onboard
+times and the route's duration (``calibration``).
+
 ``banned`` arcs are never extended along, so no emitted column uses one.
 ``cap`` bounds every rider's exposure measure (``Instance.exposure_measure``:
 the detour rate in equity mode); no column over it by the rule of
@@ -52,7 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .calibration import DUMMY, ExpansionCache, PathState
+from .calibration import ExpansionCache, PathState
 from .instance import Instance
 from .oracle import Route, cap_slack, over_cap, state_route
 
@@ -178,8 +182,6 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     for o in s1.onboard:
         if o not in onboard2:
             return False
-        if o == DUMMY:
-            continue
         if s1.do_a[o] - s1.a_cur < s2.do_a[o] - s2.a_cur - TOL:
             return False
         if s1.do_b[o] < s2.do_b[o] - TOL:
@@ -189,8 +191,6 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
         if x not in assoc2:
             return False
     for x in itertools.chain(s1.onboard, s1.assoc):
-        if x == DUMMY:
-            continue
         if s1.d[x] < s2.d[x] - TOL:
             return False
         if s1.h[x] > s2.h[x] + TOL:
@@ -254,7 +254,7 @@ def solve_pricing(
         for j, child in cache.children(st):
             if (eta, j) in banned:  # the instance's own bans are the cache's
                 continue
-            if capped and n < j < end and all(o == DUMMY for o in child.onboard):
+            if capped and n < j < end and not child.onboard:
                 h = child.h  # the vehicle empties: these exposures are final
                 if any(inst.exposure_measure(x, h[x] - prune_slack) > cap
                        for x in (*st.assoc, j - n)):
@@ -277,7 +277,7 @@ def solve_pricing(
             if trace is not None:
                 trace(
                     f"label node={j} rc={rcost:.6f} A={child.a_cur:.3f} "
-                    f"B={child.b_cur:.3f} open={sum(1 for o in child.onboard if o != DUMMY)} "
+                    f"B={child.b_cur:.3f} open={len(child.onboard)} "
                     f"Q={child.q_cum:.6f}"
                 )
 

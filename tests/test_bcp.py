@@ -181,19 +181,23 @@ def test_arc_branch_rule_bans_the_most_fractional_arc():
     assert forced.banned == node.banned
 
 
-@pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])
-def test_negative_cap_raises_before_any_lp(cap, monkeypatch):
+@pytest.fixture
+def nothing_may_run(monkeypatch):
+    """Fail the test if the solve seeds its pool or builds a master LP."""
     from rdarp import master
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("a master LP was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve ran before it raised")
 
-    monkeypatch.setattr(master, "build_rlmp", no_lp)
+    monkeypatch.setattr(bcp, "seed_pool", refuse)
+    monkeypatch.setattr(master, "build_rlmp", refuse)
+
+
+@pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])
+def test_negative_cap_raises_before_any_lp(cap, nothing_may_run):
     inst = preprocess(random_instance(0, n=2, fleet_size=1))
-    pool = ColumnPool(inst)
     with pytest.raises(ValueError, match=cap):
-        bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: -1.0}), pool=pool)
-    assert len(pool) == 0
+        bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: -1.0}))
 
 
 @pytest.mark.parametrize("mode, edarp, cap", [
@@ -203,36 +207,21 @@ def test_negative_cap_raises_before_any_lp(cap, monkeypatch):
     ("cost", True, "eps_risk"),   # an EDARP instance caps detour rates
     ("cost", False, "eps_dt"),    # only an EDARP instance has detour rates
 ])
-def test_a_cap_the_solve_would_not_enforce_raises_before_any_lp(mode, edarp, cap, monkeypatch):
-    from rdarp import master
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("a master LP was built")
-
-    monkeypatch.setattr(master, "build_rlmp", no_lp)
+def test_a_cap_the_solve_would_not_enforce_raises_before_any_lp(mode, edarp, cap,
+                                                               nothing_may_run):
     inst = random_instance(0, n=2, fleet_size=1)
     inst = preprocess(edarp_transform(inst) if edarp else inst)
     assert bcp.enforced_cap(inst, mode) != cap
-    pool = ColumnPool(inst)
     with pytest.raises(ValueError, match=f"not {cap}="):
-        bcp.solve(inst, mode, bcp.SolveOptions(**{cap: 1.0}), pool=pool)
-    assert len(pool) == 0
+        bcp.solve(inst, mode, bcp.SolveOptions(**{cap: 1.0}))
 
 
 @pytest.mark.parametrize("limit", [-1.0, math.nan], ids=["negative", "nan"])
-def test_a_bad_time_limit_raises_before_any_lp(limit, monkeypatch):
+def test_a_bad_time_limit_raises_before_any_lp(limit, nothing_may_run):
     # a NaN deadline never passes, so the limit would be silently ignored
-    from rdarp import master
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("a master LP was built")
-
-    monkeypatch.setattr(master, "build_rlmp", no_lp)
     inst = preprocess(random_instance(0, n=2, fleet_size=1))
-    pool = ColumnPool(inst)
     with pytest.raises(ValueError, match="time_limit"):
-        bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=limit), pool=pool)
-    assert len(pool) == 0
+        bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=limit))
 
 
 def test_time_limit_holds_on_the_wall_clock():

@@ -423,6 +423,36 @@ def test_infeasible_exit_code(tmp_path):
     assert cli.run(["solve", str(path), "--eps-risk", "0.5"]) == 2
 
 
+def test_solve_refuses_an_edarp_instance_with_risk_scores(tmp_path, capsys):
+    # in equity mode a rider's exposure is their onboard time alone
+    doc = json.loads(emit_realworld(random_instance(0, n=5, fleet_size=1, window=120)))
+    doc["mode"] = "EDARP"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(["solve", str(path)]) == 1
+    assert "nonzero risk scores" in capsys.readouterr().err
+
+
+def test_an_edarp_instance_without_q_max_solves_as_with_no_cap(tmp_path):
+    # the derived q_max caps route duration at the horizon, which no route exceeds
+    doc = json.loads((FIXTURES / "rw-3.json").read_text())
+    doc["mode"] = "EDARP"
+    for node in doc["nodes"]:
+        node["risk"] = 0.0
+    answers = []
+    for q_max in ("derived", None):
+        if q_max == "derived":
+            doc.pop("q_max", None)
+        else:
+            doc["q_max"] = q_max
+        path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["solve", str(path), "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        answers.append((sol["status"], sol["objective"]))
+    assert answers == [("Optimal", 55.2)] * 2
+
+
 def test_pareto_on_an_infeasible_instance_exits_2(tmp_path):
     # every round trip is feasible, but no solution is: the first tree finds
     # nothing, and ``solve`` exits 2 on this instance too

@@ -120,6 +120,21 @@ def test_derived_qmax_of_a_riskless_instance_over_an_endless_horizon():
     assert parse_realworld(json.dumps(doc)).q_max == 0.0
 
 
+def test_derived_qmax_of_an_edarp_instance_is_the_horizon():
+    # the vehicle risk is 1 in equity mode, so the cumulative risk is the
+    # route's duration and the default cap is one no route can break
+    inst = edarp_transform(random_instance(9, n=2))
+    assert compute_qmax(inst) == inst.late[inst.end_depot] - inst.early[0]
+
+
+def test_an_edarp_instance_with_risk_scores_is_refused():
+    from dataclasses import replace
+
+    inst = random_instance(0, n=3)
+    with pytest.raises(ValidationError, match="nonzero risk scores"):
+        replace(edarp_transform(inst), risk=inst.risk).validate()
+
+
 def test_realworld_minimal_single_request():
     m = 4
     doc = {

@@ -309,41 +309,55 @@ GOLDEN = json.loads((Path(__file__).parent / "pricing_golden.json").read_text())
 
 
 def _golden_cases():
+    """(name, instance, duals, cap) of each case in ``pricing_golden.json``."""
     inst = preprocess(random_instance(2, n=4))
     rng = random.Random(31)
     yield "rand-2-n4", inst, DualValues(
-        pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0)
+        pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-5.0), INF
     inst = preprocess(edarp_transform(random_instance(4, n=3, window=50.0)))
-    yield "edarp-4-n3", inst, DualValues(pi={i: 200.0 for i in inst.pickups()})
+    yield "edarp-4-n3", inst, DualValues(pi={i: 200.0 for i in inst.pickups()}), INF
     inst = preprocess(random_instance(5, n=4))
     rng = random.Random(32)
     yield "rand-5-n4-arcs", inst, DualValues(
         pi={i: rng.uniform(40.0, 140.0) for i in inst.pickups()}, mu=-2.0,
         arc_adjust={(i, j): rng.uniform(-8.0, 8.0) for i in range(inst.n_nodes)
                     for j in range(1, inst.n_nodes)
-                    if i != j and inst.arc_allowed(i, j) and rng.random() < 0.25})
+                    if i != j and inst.arc_allowed(i, j) and rng.random() < 0.25}), INF
     # duals of a column-generation iteration on this instance
     yield "rand-5-n4-cg", inst, DualValues(
         pi={1: 42.50617158661603, 2: 24.321500641011518,
-            3: 40.06754743109607, 4: 61.54388633818642})
+            3: 40.06754743109607, 4: 61.54388633818642}), INF
+    # a detour-rate cap that prunes labels and columns
+    inst = preprocess(edarp_transform(random_instance(8, n=4, window=90.0)))
+    yield "edarp-8-n4-cap", inst, DualValues(pi={i: 200.0 for i in inst.pickups()}), 1.6
+
+
+def _recorded(col):
+    """A column's schedule, exposure and cumulative risk as the golden file
+    records them: JSON lists, whose floats load back to the same bits."""
+    return [list(col.schedule), [list(item) for item in col.exposure.items()], col.q_terminal]
 
 
 @pytest.mark.parametrize("heuristic", [False, True], ids=["exact", "heuristic"])
 def test_pricing_output_matches_golden(heuristic):
     """Pricing's columns (order, sequences, reduced costs) and its
-    trace-line count for four fixed dual vectors on three instances, as
+    trace-line count for five fixed dual vectors on four instances, as
     recorded in ``pricing_golden.json``. The columns are those of the labeling
     that tried every node after each label and compared each new label with
     its whole store; the counts are those of the labeling that skips stranding
-    steps (``calibration.stranded``), which stores fewer labels."""
-    for name, inst, duals in _golden_cases():
+    steps (``calibration.stranded``), which stores fewer labels. The capped
+    equity-mode case also records each column's schedule, exposure and
+    cumulative risk, which must match to the bit."""
+    for name, inst, duals, cap in _golden_cases():
         want = GOLDEN[f"{name}/{'heuristic' if heuristic else 'exact'}"]
         lines = []
-        cols = solve_pricing(inst, duals, heuristic=heuristic, trace=lines.append)
+        cols = solve_pricing(inst, duals, cap=cap, heuristic=heuristic, trace=lines.append)
         assert [list(c.sequence) for c in cols] == [seq for seq, _ in want["columns"]], name
         assert [c.reduced_cost for c in cols] == pytest.approx(
             [rc for _, rc in want["columns"]], rel=1e-12, abs=1e-9), name
         assert len(lines) == want["trace_lines"], name
+        if "routes" in want:
+            assert [_recorded(c) for c in cols] == want["routes"], name
 
 
 def test_heuristic_run_stops_at_limit():
