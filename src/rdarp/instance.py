@@ -503,9 +503,11 @@ def edarp_transform(inst: Instance) -> Instance:
     """Switch to equity mode: risk scores drop to zero and the vehicle risk
     (``Instance.vehicle_risk``) becomes 1, so each rider's exposure equals
     their onboard time and the cumulative risk ``q_max`` caps is the route's
-    duration. Detour weights are floored at 15 minutes."""
+    duration. The RDARP ``q_max``, a cap in risk-minutes, would then cap
+    route duration instead, so it becomes infinite. Detour weights are
+    floored at 15 minutes."""
     if inst.mode != RDARP:
         raise ValidationError("edarp_transform expects an RDARP-mode instance")
     risk = [0.0] * inst.n_nodes
     weights = tuple(max(DETOUR_WEIGHT_FLOOR, inst.direct_time(i)) for i in inst.pickups())
-    return replace(inst, mode=EDARP, risk=tuple(risk), detour_weight=weights)
+    return replace(inst, mode=EDARP, risk=tuple(risk), detour_weight=weights, q_max=INF)

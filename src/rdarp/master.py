@@ -297,7 +297,7 @@ class RestrictedMaster:
             for v in arts:
                 model.ub[v] = model.obj[v] = 0.0
             meta["big"] = 0.0  # the artificials' objective coefficient from now on
-            if sol.basic[arts].any():
+            if any(sol.basic[v] for v in arts):
                 sol, self.warm = solve_lp_warm(model, self.warm)
         return sol, meta
 

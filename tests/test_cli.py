@@ -453,6 +453,24 @@ def test_an_edarp_instance_without_q_max_solves_as_with_no_cap(tmp_path):
     assert answers == [("Optimal", 55.2)] * 2
 
 
+def test_the_edarp_transform_drops_a_derived_risk_cap(tmp_path):
+    # an RDARP file without q_max derives a cap in risk-minutes (204 here);
+    # --edarp must not keep it as a cap on route duration
+    doc = json.loads((FIXTURES / "rw-3.json").read_text())
+    answers = []
+    for drop in (True, False):
+        if drop:
+            doc.pop("q_max", None)
+        else:
+            doc["q_max"] = None
+        path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["solve", str(path), "--edarp", "--out", str(out)]) == 0
+        sol = json.loads(out.read_text())
+        answers.append((sol["status"], sol["objective"]))
+    assert answers == [("Optimal", 55.2)] * 2
+
+
 def test_pareto_on_an_infeasible_instance_exits_2(tmp_path):
     # every round trip is feasible, but no solution is: the first tree finds
     # nothing, and ``solve`` exits 2 on this instance too

@@ -234,10 +234,14 @@ def test_preprocess_never_cuts_feasible_routes():
 
 
 def test_edarp_transform():
+    from dataclasses import replace
+
     inst = random_instance(2, n=3)
     out = edarp_transform(inst)
     assert out.mode == "EDARP"
     assert all(out.risk[i] == 0 for i in range(out.n_nodes))
+    # an RDARP q_max caps risk-minutes; kept, it would cap route duration
+    assert edarp_transform(replace(inst, q_max=100.0)).q_max == INF
     for i in out.pickups():
         assert out.detour_weight[i - 1] == max(15.0, out.direct_time(i))
     with pytest.raises(ValidationError):

@@ -115,8 +115,8 @@ def test_a_basic_variable_fixed_at_zero_certifies_and_stays_basic():
         m.add_row(f"p{i}", {lam: 1.0, a: 1.0}, EQ, 1.0)
     sol, warm = solve_lp_warm(m, None)
     assert basic_in_warm_data(sol, warm)
-    assert sol.basic[lam] and sol.basic[pens].sum() == 1
-    stuck = pens[int(np.argmax(sol.basic[pens]))]
+    assert sol.basic[lam] and sum(sol.basic[a] for a in pens) == 1
+    stuck = pens[int(np.argmax([sol.basic[a] for a in pens]))]
     assert sorted(sol.duals) == pytest.approx([-90.0, 100.0])
     for a in pens:
         m.ub[a] = m.obj[a] = 0.0
@@ -128,7 +128,7 @@ def test_a_basic_variable_fixed_at_zero_certifies_and_stays_basic():
     assert sum(sol.duals) == pytest.approx(10.0)
     infeasible = LinearModel()
     infeasible.add_row("c", {infeasible.add_var("x", ub=1.0, obj=1.0): 1.0}, GE, 2.0)
-    assert not solve_lp(infeasible).basic.any()
+    assert not any(solve_lp(infeasible).basic)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,7 +217,7 @@ def test_certify_agrees_with_the_loop_reference():
         if sol.status != "Optimal":
             continue
         for trial in range(7):
-            x, y, obj, costs = sol.x.copy(), sol.duals.copy(), sol.objective, list(m.obj)
+            x, y, obj, costs = np.array(sol.x), np.array(sol.duals), sol.objective, list(m.obj)
             what = rng.integers(4) if trial else None  # the first trial is the solution
             if what == 0:
                 x[rng.integers(n_vars)] += rng.uniform(-1.0, 1.0)
@@ -260,3 +260,122 @@ def failure_kind(model, message):
         check = "primal" if "primal" in message else "sign"
         return check, model.senses[model.row_names.index(name)]
     return ("unbounded" if message.startswith("variable ") else "gap"), None
+
+
+def assignment_model(k, seed):
+    """The LP relaxation of a k x k assignment problem with integer costs in
+    1..20; its optimum is the cheapest permutation."""
+    rng = np.random.default_rng(seed)
+    m = LinearModel()
+    x = {(i, j): m.add_var(f"x{i}_{j}", obj=float(rng.integers(1, 21)))
+         for i in range(k) for j in range(k)}
+    for i in range(k):
+        m.add_row(f"s{i}", {x[i, j]: 1.0 for j in range(k)}, EQ, 1.0)
+    for j in range(k):
+        m.add_row(f"d{j}", {x[i, j]: 1.0 for i in range(k)}, EQ, 1.0)
+    return m
+
+
+def count_inversions(monkeypatch):
+    """Patch ``_Simplex._invert`` to count its calls; returns the counter."""
+    from rdarp import lp
+
+    calls = []
+    real = lp._Simplex._invert
+
+    def counted(self):
+        calls.append(self.m)
+        return real(self)
+
+    monkeypatch.setattr(lp._Simplex, "_invert", counted)
+    return calls
+
+
+def test_a_solve_past_the_inverse_rebuild_period_certifies(monkeypatch):
+    """An 8 x 8 assignment LP takes more basis changes than
+    ``REFACTOR_PERIOD``, so its basis inverse is rebuilt mid-solve; the
+    answer still certifies (else ``LpNumericalFailure``) and equals the
+    cheapest permutation."""
+    import itertools
+
+    from rdarp.lp import REFACTOR_PERIOD
+
+    inversions = count_inversions(monkeypatch)
+    k = 8
+    m = assignment_model(k, 3)
+    sol, warm = solve_lp_warm(m, None)
+    assert inversions and warm.pivots < REFACTOR_PERIOD
+    best = min(sum(m.obj[i * k + p[i]] for i in range(k)) for p in itertools.permutations(range(k)))
+    assert sol.status == "Optimal" and sol.objective == pytest.approx(best)
+
+
+def partitioning_model(columns):
+    """A set-partitioning LP over requests 1..4 with one expensive singleton
+    per request, plus ``columns`` as (cost, covered requests)."""
+    m = LinearModel()
+    entries = {i: {} for i in range(1, 5)}
+    for i in range(1, 5):
+        entries[i][m.add_var(f"big{i}", obj=100.0)] = 1.0
+    for k, (cost, covered) in enumerate(columns):
+        j = m.add_var(f"c{k}", obj=cost)
+        for i in covered:
+            entries[i][j] = 1.0
+    for i in range(1, 5):
+        m.add_row(f"p{i}", entries[i], EQ, 1.0)
+    m.add_row("fleet", {j: 1.0 for j in range(4, m.n_vars)}, LE, 2.0)
+    return m
+
+
+FIRST = [(30.0, (1, 2)), (30.0, (3, 4)), (25.0, (1,)), (26.0, (2, 3))]
+APPENDED = [(20.0, (1, 3)), (21.0, (2, 4)), (35.0, (1, 2, 3)), (12.0, (4,))]
+
+
+def test_a_warm_resolve_after_appending_columns_matches_a_cold_solve(monkeypatch):
+    """Columns appended the way the restricted master appends them give the
+    cold solve's objective, and the warm re-solve reuses the carried basis
+    inverse instead of inverting again."""
+    m = partitioning_model(FIRST)
+    _, warm = solve_lp_warm(m, None)
+    for cost, covered in APPENDED:
+        j = m.add_var(f"c{m.n_vars}", obj=cost)
+        for i in covered:
+            m.rows[i - 1].append((j, 1.0))
+        m.rows[4].append((j, 1.0))
+    inversions = count_inversions(monkeypatch)
+    warm_sol, _ = solve_lp_warm(m, warm)
+    assert not inversions
+    cold = solve_lp(m)
+    assert cold.objective == pytest.approx(solve_lp(partitioning_model(FIRST + APPENDED)).objective)
+    assert warm_sol.status == cold.status == "Optimal"
+    assert warm_sol.objective == pytest.approx(cold.objective)
+
+
+def test_a_singular_or_infeasible_warm_basis_falls_back_to_a_cold_solve():
+    """Warm data whose basis is singular in the new model, or whose basic
+    values break a bound there, is dropped: the answer is the cold solve's."""
+    m = LinearModel()
+    a, b = m.add_var("a", obj=1.0), m.add_var("b", obj=1.0)
+    m.add_row("r1", {a: 1.0}, GE, 1.0)
+    m.add_row("r2", {b: 1.0}, GE, 2.0)
+    _, warm = solve_lp_warm(m, None)
+    assert {k for kind, k in warm.basis if kind == "v"} == {a, b}
+
+    singular = LinearModel()  # the same labels, but a and b are parallel columns
+    a, b = singular.add_var("a", obj=1.0), singular.add_var("b", obj=1.0)
+    c = singular.add_var("c", obj=3.0)
+    singular.add_row("r1", {a: 1.0, b: 1.0}, GE, 1.0)
+    singular.add_row("r2", {a: 2.0, b: 2.0, c: 1.0}, GE, 4.0)
+
+    infeasible = LinearModel()  # the same basis, but b can no longer reach 2
+    a, b = infeasible.add_var("a", obj=1.0), infeasible.add_var("b", ub=1.0, obj=1.0)
+    c = infeasible.add_var("c", obj=5.0)
+    infeasible.add_row("r1", {a: 1.0}, GE, 1.0)
+    infeasible.add_row("r2", {b: 1.0, c: 1.0}, GE, 2.0)
+
+    for model, want in ((singular, 2.0), (infeasible, 7.0)):
+        cold = solve_lp(model)
+        sol, again = solve_lp_warm(model, warm)
+        assert cold.status == sol.status == "Optimal"
+        assert sol.objective == pytest.approx(cold.objective) == pytest.approx(want)
+        assert sol.x == pytest.approx(cold.x)
+        assert again is not None

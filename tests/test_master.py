@@ -127,7 +127,7 @@ def _record_master_lps(monkeypatch) -> list[tuple[bool, float]]:
     def solve(model, warm):
         sol, warm = real(model, warm)
         arts = [j for j, name in enumerate(model.var_names) if name.startswith(("art", "xart"))]
-        lps.append((all(model.ub[j] == INF for j in arts), float(sum(sol.x[arts]))))
+        lps.append((all(model.ub[j] == INF for j in arts), float(sum(sol.x[v] for v in arts))))
         return sol, warm
 
     monkeypatch.setattr(lp, "solve_lp_warm", solve)
@@ -203,7 +203,7 @@ def test_pricing_gets_the_masters_own_duals_once_it_is_feasible(monkeypatch):
 
     def extract(inst_, sol, meta):
         arts = [*meta["art"].values(), *meta["xart"].values()]
-        feasible[-1] = feasible[-1] or float(sum(sol.x[arts])) <= ARTIFICIAL_TOL
+        feasible[-1] = feasible[-1] or float(sum(sol.x[v] for v in arts)) <= ARTIFICIAL_TOL
         return real_extract(inst_, sol, meta)
 
     checked = []
