@@ -32,11 +32,14 @@ no detour faster and ``do_b`` never grows, so the look-ahead removes no
 feasible route; ``extend`` itself still checks everything.
 
 A state after ``extend`` depends only on its node sequence, never on duals,
-so a solve expands each state once: an ``ExpansionCache``, owned by the
-solve's column pool, keeps each state's accepted extensions for every later
-pricing run (resource extension functions; Irnich & Desaulniers 2005). It
-holds at most ``EXPANSION_CAP`` child states, about 1 MB, and past that
-computes expansions without storing them.
+so an ``ExpansionCache``, owned by the solve's column pool, keeps a state's
+accepted extensions for every later pricing run (resource extension
+functions; Irnich & Desaulniers 2005). It keeps them for the shallow states,
+those of at most ``EXPANSION_DEPTH`` nodes: every run starts at the root and
+passes through them again, while most deep states one run meets no later run
+reaches. Deeper states are expanded afresh on each visit. ``EXPANSION_CAP``
+child states (about 2 KB each) bound the memory as a backstop only; it does
+not bind up to n = 22.
 
 ``extend`` is the labeling algorithm's unit of work, so its common case has a
 path of its own. Most accepted steps choose no delay; on this zero-delay path
@@ -57,7 +60,8 @@ from .instance import Instance
 TOL = 1e-9
 INF = math.inf
 STRANDED_MARGIN = 1e-6  # ``stranded``'s slack over a drop-off's latest start
-EXPANSION_CAP = 512  # child states one ``ExpansionCache`` holds
+EXPANSION_DEPTH = 6  # the depot and five stops: the deepest state a cache expands once
+EXPANSION_CAP = 16384  # child states one ``ExpansionCache`` holds at most
 
 PDPTW_PRECEDENCE = "pdptw:precedence"
 PDPTW_WINDOW = "pdptw:window"
@@ -164,7 +168,7 @@ def stranded(inst: Instance, st: PathState, j: int) -> bool:
 
 
 class ExpansionCache:
-    """One solve's tree of states: each state's accepted extensions,
+    """One solve's tree of shallow states: each one's accepted extensions,
     computed once and shared by every pricing run over ``inst``.
 
     ``children(st)`` is what a label at ``st`` may be extended to whatever
@@ -174,11 +178,12 @@ class ExpansionCache:
     from ``root``, so the states of one run are those of the next and their
     children are found by identity.
 
-    ``held`` counts the child states the cache holds, at most
-    ``EXPANSION_CAP`` (about 2 KB each), which bounds the memory a long tree
-    can add. Expansions are stored until the first one that does not fit;
-    from then on they are computed and not stored. So every stored state is
-    the root or a stored child, which the next run reaches again.
+    Only the children of a state of at most ``EXPANSION_DEPTH`` nodes are
+    stored; a deeper state's are computed on each call. ``held`` counts the
+    child states stored, at most ``EXPANSION_CAP``, a memory backstop:
+    expansions are stored until the first one that does not fit, and from
+    then on computed and not stored. So every stored state is the root or a
+    stored child, which the next run reaches again.
     """
 
     __slots__ = ("inst", "root", "held", "_children", "_full")
@@ -203,7 +208,9 @@ class ExpansionCache:
                 child, _reason = extend(inst, st, j)
                 if child is not None:
                     out.append((j, child))
-            if self._full or self.held + len(out) > EXPANSION_CAP:
+            if len(st.nodes) > EXPANSION_DEPTH or self._full:
+                return out
+            if self.held + len(out) > EXPANSION_CAP:
                 self._full = True
             else:
                 self._children[st] = out

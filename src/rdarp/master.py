@@ -36,8 +36,9 @@ class ColumnPool:
 
     The pool also owns the solve's ``calibration.ExpansionCache``: every
     node, cut round and shared sweep that prices with this pool extends
-    each state it reaches once. Likewise each column's coefficient on an
-    extra row is computed once (``coefficient``)."""
+    each shallow state it reaches (at most ``EXPANSION_DEPTH`` nodes) once,
+    and deeper ones on every visit. Each column's coefficient on an extra
+    row is computed once (``coefficient``)."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -411,7 +412,11 @@ def column_generation(
     round trips and one cheapest-insertion solution; when that solution
     covers every request on the fleet, the first master is feasible without
     artificials, so pricing gets the master's own duals from the first
-    round on."""
+    round on.
+
+    Pricing stops at ``deadline`` too. Once the deadline has passed, a round
+    that adds no column returns ``TimeLimit`` with a bound of -inf, never
+    ``Optimal`` or ``Infeasible``: its exact run may have been cut short."""
     iterations = 0
     rmaster = RestrictedMaster(pool, inst, cap, extra_rows, banned)
     while True:
@@ -436,13 +441,15 @@ def column_generation(
 
         added = 0
         for heuristic in (True, False):
-            cols = solve_pricing(inst, duals, cap, heuristic=heuristic,
-                                 banned=banned, cache=pool.expansions)
+            cols = solve_pricing(inst, duals, cap, heuristic=heuristic, banned=banned,
+                                 cache=pool.expansions, deadline=deadline)
             added = sum(1 for col in cols if pool.add(col))
             if added:
                 break
         if added:
             continue
+        if deadline is not None and time.perf_counter() > deadline:
+            return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
         if art_total > ARTIFICIAL_TOL:
             return CGResult(INFEASIBLE_STATUS, INF, msol, INF, iterations)
         return CGResult(OPTIMAL_STATUS, msol.objective, msol, msol.objective, iterations)

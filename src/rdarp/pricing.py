@@ -14,7 +14,8 @@ on the side where dominance can hold. The calibration module says why the
 look-ahead ``stranded`` removes no feasible route.
 
 Children depend on the state alone, so the cache computes them once per
-solve, for up to ``calibration.EXPANSION_CAP`` child states. Everything else
+solve for each state of at most ``calibration.EXPANSION_DEPTH`` nodes, the
+ones every run passes through, and afresh for deeper ones. Everything else
 is an argument of each call, never state kept between calls, and is checked
 on every call, for cached and computed children alike: the duals, the
 ``banned`` arcs of a branch node, the ``cap``, ``heuristic`` and ``limit``.
@@ -41,11 +42,15 @@ can dominate. With an infinite cap none of this runs.
 An exact run is exhaustive, so its best column is the minimum reduced cost
 over the routes that use no banned arc and that the cap admits; an
 ``arc>=1`` branching row's dual reaches it as an arc cost
-(``DualValues.arc_adjust``). A heuristic run weakens dominance (drops the
-served-set inclusion) and stops as soon as ``limit`` columns with reduced
-cost below -1e-6 that pass the cap are complete, so it returns the first
-ones found, not the best, and must be confirmed by an exact run before LP
-optimality is declared (Desaulniers, Desrosiers & Solomon 2002).
+(``DualValues.arc_adjust``). Its dominance compares served sets only up to
+the requests the dominated label can no longer reach (``dominates``): that
+keeps the minimum but may drop dearer columns a plain inclusion test keeps.
+A run cut short by its ``deadline`` is not exhaustive. A heuristic run
+weakens dominance (drops the served-set test) and stops as soon as
+``limit`` columns with reduced cost below -1e-6 that pass the cap are
+complete, so it returns the first ones found, not the best, and must be
+confirmed by an exact run before LP optimality is declared (Desaulniers,
+Desrosiers & Solomon 2002).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import bisect
 import heapq
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 
 from .calibration import ExpansionCache, PathState
@@ -63,6 +69,8 @@ from .oracle import Route, cap_slack, over_cap, state_route
 INF = math.inf
 TOL = 1e-9
 NEGATIVE_TOL = 1e-6
+UNREACHABLE_MARGIN = 1e-6  # slack over a pick-up's latest start in ``dominates``
+DEADLINE_POPS = 64  # labels popped between two reads of the clock
 DEFAULT_COLUMN_LIMIT = 200
 ENGINE_NAME = "py"  # the labeling engine, in the run metadata perfbench/run.py records
 
@@ -123,7 +131,7 @@ class _Store:
         self.rcosts: list[float] = []
         self.labels: list[_Label] = []
 
-    def insert(self, new: _Label, heuristic: bool) -> bool:
+    def insert(self, new: _Label, heuristic: bool, inst: Instance) -> bool:
         """Store ``new`` unless a stored label dominates it, and retire the
         stored labels it dominates. Returns whether ``new`` was stored."""
         rcosts, labels = self.rcosts, self.labels
@@ -135,7 +143,7 @@ class _Store:
             so = old.state
             if so.a_cur > a_hi or so.load > load_hi or so.q_cum > q_hi:
                 continue
-            if dominates(old, new, heuristic):
+            if dominates(old, new, heuristic, inst):
                 return False
         lo = bisect.bisect_left(rcosts, rc, key=_plus_tol)
         a, load, q = st.a_cur, st.load, st.q_cum
@@ -144,7 +152,7 @@ class _Store:
             so = labels[k].state
             if a > so.a_cur + TOL or load > so.load + TOL or q > so.q_cum + TOL:
                 continue
-            if dominates(new, labels[k], heuristic):
+            if dominates(new, labels[k], heuristic, inst):
                 dead.append(k)
         for k in reversed(dead):
             labels[k].alive = False
@@ -156,13 +164,21 @@ class _Store:
         return True
 
 
-def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
-    """Resource-wise dominance; True only when every condition holds.
+def dominates(l1: _Label, l2: _Label, heuristic: bool, inst: Instance) -> bool:
+    """Resource-wise dominance of two labels at one node of ``inst``; True
+    only when every condition holds.
 
     Exact mode compares: reduced cost, earliest start, load, cumulative risk,
-    served/open/associated set inclusion, per-open drop-off windows, and
-    per-member delay buffers and accrued exposures. Heuristic mode drops the
-    served-set inclusion, which discards more labels but loses completeness.
+    open/associated set inclusion, per-open drop-off windows, per-member
+    delay buffers and accrued exposures, and the served sets up to
+    unreachable requests (Feillet, Dejax, Gendreau & Gueguen 2004): a
+    request label 1 served and label 2 did not must be one label 2 has not
+    picked up and cannot pick up in time, because its earliest start plus
+    the service here and the direct trip already passes the pick-up's
+    latest start. ``Instance.validate`` enforces the triangle inequality
+    with service times and time only grows along a path, so no extension
+    of label 2 visits that request. Heuristic mode drops the served-set
+    test, which discards more labels but loses completeness.
     Finalized riders' exposures are not compared: under a cap, a label with
     one of them over it is dropped before it is stored (``solve_pricing``),
     so it never dominates a label whose routes the cap admits.
@@ -177,7 +193,12 @@ def dominates(l1: _Label, l2: _Label, heuristic: bool) -> bool:
     if s1.q_cum > s2.q_cum + TOL:
         return False
     if not heuristic and not s1.served <= s2.served:
-        return False
+        j = s2.nodes[-1]
+        reach = s2.a_cur + inst.service[j]
+        travel, late, picked = inst.travel[j], inst.late, s2.pick_pos
+        for r in s1.served - s2.served:
+            if r in picked or reach + travel[r] <= late[r] + UNREACHABLE_MARGIN:
+                return False
     onboard2 = s2.onboard
     for o in s1.onboard:
         if o not in onboard2:
@@ -207,6 +228,7 @@ def solve_pricing(
     banned: frozenset[tuple[int, int]] = frozenset(),
     trace=None,
     cache: ExpansionCache | None = None,
+    deadline: float | None = None,
 ) -> list[Column]:
     """Return up to ``limit`` columns with reduced cost below -1e-6, sorted
     by reduced cost, that use no arc of ``banned`` and have no rider over
@@ -216,7 +238,11 @@ def solve_pricing(
 
     ``cache`` is the solve's ``calibration.ExpansionCache`` over ``inst``
     (``ColumnPool.expansions``); a call without one builds a fresh cache for
-    itself. A cache built for another instance raises ``ValueError``."""
+    itself. A cache built for another instance raises ``ValueError``.
+
+    ``deadline``, a ``time.perf_counter`` time or None, is read every
+    ``DEADLINE_POPS`` labels; once it has passed, the run stops and returns
+    the columns completed so far, which certify nothing."""
     if cache is None:
         cache = ExpansionCache(inst)
     elif cache.inst is not inst and cache.inst != inst:
@@ -245,7 +271,12 @@ def solve_pricing(
     stores: dict[int, _Store] = {i: _Store() for i in range(inst.n_nodes)}
     finished: list[tuple[float, int, Column]] = []
 
+    pops = 0
     while queue:
+        pops += 1
+        if (deadline is not None and pops % DEADLINE_POPS == 0
+                and time.perf_counter() > deadline):
+            break
         _, _, label = heapq.heappop(queue)
         if not label.alive:
             continue
@@ -271,7 +302,7 @@ def solve_pricing(
                         break
                 continue
             new = _Label(child, rcost, next(counter))
-            if not stores[j].insert(new, heuristic):
+            if not stores[j].insert(new, heuristic, inst):
                 continue
             heapq.heappush(queue, (new.rcost, new.counter, new))
             if trace is not None:

@@ -225,14 +225,41 @@ def test_a_bad_time_limit_raises_before_any_lp(limit, nothing_may_run):
 
 
 def test_time_limit_holds_on_the_wall_clock():
-    """Pricing is not interrupted, so a limit is checked between column
-    generation iterations; the overrun stays within 10% + 1 s."""
-    inst = preprocess(benchmark_like_instance(1, n=22, fleet_size=2))
-    start = time.perf_counter()
-    rep = bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=2.0))
-    elapsed = time.perf_counter() - start
-    assert rep.status == "TimeLimit"
-    assert elapsed <= 1.1 * 2.0 + 1.0
+    """A limit is checked between column generation iterations and inside
+    each pricing run; the overrun stays within 10% + 1 s."""
+    for limit in (2.0, 5.0):
+        inst = preprocess(benchmark_like_instance(1, n=22, fleet_size=2))
+        start = time.perf_counter()
+        rep = bcp.solve(inst, "cost", bcp.SolveOptions(time_limit=limit))
+        elapsed = time.perf_counter() - start
+        assert rep.status == "TimeLimit", limit
+        assert elapsed <= 1.1 * limit + 1.0, limit
+
+
+def test_an_exact_run_cut_by_the_deadline_certifies_nothing(monkeypatch):
+    """When the clock runs out during the exact run, column generation
+    returns ``TimeLimit`` with a bound of -inf, not ``Optimal`` or
+    ``Infeasible``, whatever the truncated run returned."""
+    from rdarp import master
+
+    inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    pool = ColumnPool(inst)
+    seed_pool(pool, inst)
+    real = master.solve_pricing
+    exact_runs = []
+
+    def pricing(*args, heuristic, deadline, **kwargs):
+        if heuristic:
+            return []  # leave every round to the exact run
+        while time.perf_counter() <= deadline:
+            time.sleep(0.01)
+        exact_runs.append(real(*args, heuristic=heuristic, deadline=deadline, **kwargs))
+        return exact_runs[-1]
+
+    monkeypatch.setattr(master, "solve_pricing", pricing)
+    res = column_generation(inst, pool, deadline=time.perf_counter() + 0.1)
+    assert exact_runs
+    assert res.status == "TimeLimit" and res.bound == -INF
 
 
 def test_infeasible_instance_reports_root():

@@ -9,7 +9,7 @@ import pytest
 
 from rdarp import calibration as cal
 from rdarp.fixtures import random_instance
-from rdarp.instance import edarp_transform, preprocess
+from rdarp.instance import Instance, edarp_transform, euclidean_matrix, preprocess
 from rdarp.oracle import Route, cap_slack, feasible_routes, mmr_schedule, over_cap, validate_route
 from rdarp.pricing import (
     Column,
@@ -194,10 +194,54 @@ def test_dominates_reflexive_and_cost_condition():
     child, _ = cal.extend(inst, st, 1)
     l1 = _Label(child, 5.0, 0)
     l2 = _Label(child, 5.0, 1)
-    assert dominates(l1, l2, heuristic=False)
+    assert dominates(l1, l2, False, inst)
     worse = _Label(child, 5.0 + 1e-6, 2)
-    assert dominates(l1, worse, False)
-    assert not dominates(worse, l1, False)
+    assert dominates(l1, worse, False, inst)
+    assert not dominates(worse, l1, False, inst)
+
+
+def _line_instance(late_r):
+    """Two requests on a line, no service or risk: request 1 (the one label
+    1 serves) is picked up at x = 10 by ``late_r`` and dropped at x = 15;
+    request 2 is picked up at x = 20 from time 100 on."""
+    xs = (0.0, 10.0, 20.0, 15.0, 25.0, 0.0)
+    inst = Instance(
+        n=2, fleet_size=1, capacity=3.0, q_max=INF, service=(0.0,) * 6,
+        load=(0.0, 1.0, 1.0, -1.0, -1.0, 0.0), risk=(0.0,) * 6,
+        early=(0.0, 0.0, 100.0, 0.0, 0.0, 0.0), late=(240.0, late_r, 240.0, 240.0, 240.0, 240.0),
+        travel=euclidean_matrix([(x, 0.0) for x in xs]), max_ride=(100.0, 100.0))
+    inst.validate()
+    return inst
+
+
+def _walk(inst, nodes):
+    st = cal.initial_state(inst)
+    for j in nodes:
+        st, reason = cal.extend(inst, st, j)
+        assert st is not None, reason
+    return st
+
+
+def test_exact_dominance_ignores_a_served_request_out_of_reach():
+    """Label 1 served request 1 on its way to pick-up 2; label 2 went there
+    directly. Both start service at 100, so from label 2 request 1's pick-up
+    is reached at 110 at the earliest. Exact dominance holds when its latest
+    start is before that, and fails when it is reachable within the 1e-6
+    margin or when label 2 has request 1 onboard."""
+    for late_r, holds in ((50.0, True), (110.0 - 5e-7, False), (110.0 + 1e-3, False)):
+        inst = _line_instance(late_r)
+        l1 = _Label(_walk(inst, (1, 3, 2)), 0.0, 0)
+        l2 = _Label(_walk(inst, (2,)), 0.0, 1)
+        assert l1.state.served == {1} and not l2.state.served
+        assert l1.state.a_cur == l2.state.a_cur == 100.0
+        assert dominates(l1, l2, False, inst) is holds, late_r
+        assert dominates(l1, l2, True, inst)
+    inst = _line_instance(50.0)
+    l1 = _Label(_walk(inst, (1, 3, 2)), 0.0, 0)
+    onboard = _Label(_walk(inst, (1, 2)), 0.0, 2)
+    assert onboard.state.onboard == (1, 2) and onboard.state.a_cur == 100.0
+    assert not dominates(l1, onboard, False, inst)
+    assert dominates(l1, onboard, True, inst)  # only the served-set test differs
 
 
 def test_emitted_columns_pass_oracle():
@@ -360,6 +404,20 @@ def test_pricing_output_matches_golden(heuristic):
             assert [_recorded(c) for c in cols] == want["routes"], name
 
 
+def test_a_run_past_its_deadline_stops_early():
+    """A run whose deadline has passed stops at its first read of the
+    clock, after ``DEADLINE_POPS`` labels, and stores fewer labels."""
+    from rdarp.fixtures import benchmark_like_instance
+    from rdarp.pricing import DEADLINE_POPS
+
+    inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    duals = DualValues(pi={i: 30.0 for i in inst.pickups()})
+    full, cut = [], []
+    solve_pricing(inst, duals, trace=full.append)
+    solve_pricing(inst, duals, trace=cut.append, deadline=0.0)
+    assert 0 < len(cut) <= DEADLINE_POPS * inst.n_nodes < len(full)
+
+
 def test_heuristic_run_stops_at_limit():
     inst = preprocess(random_instance(0, n=5, window=60.0))
     rng = random.Random(31)
@@ -383,22 +441,25 @@ def _priced(cols):
 
 
 def _counting_extend(monkeypatch):
-    calls = [0]
+    """Patch ``calibration.extend`` to record the node count of each state
+    it extends; returns the list it appends to."""
+    depths = []
     real = cal.extend
 
     def extend(inst, st, j):
-        calls[0] += 1
+        depths.append(len(st.nodes))
         return real(inst, st, j)
 
     monkeypatch.setattr(cal, "extend", extend)
-    return calls
+    return depths
 
 
 @pytest.mark.parametrize("equity", [False, True], ids=["rdarp", "edarp"])
 def test_a_shared_expansion_cache_prices_as_a_fresh_one(monkeypatch, equity):
     """A run of pricing calls through one cache returns exactly the columns
-    of uncached calls: exact and heuristic runs, a finite cap, and a branch ban on an arc the cache has already expanded.
-    A repeated call extends no state again."""
+    of uncached calls: exact and heuristic runs, a finite cap, and a branch
+    ban on an arc the cache has already expanded. A repeated call extends no
+    state of at most ``EXPANSION_DEPTH`` nodes again, only deeper ones."""
     base = random_instance(2, n=4, window=120.0)
     inst = preprocess(edarp_transform(base) if equity else base)
     rng = random.Random(41)
@@ -428,19 +489,21 @@ def test_a_shared_expansion_cache_prices_as_a_fresh_one(monkeypatch, equity):
         cached = solve_pricing(inst, d, cache=cache, **kw)
         assert _priced(cached) == _priced(solve_pricing(inst, d, **kw)), k
         assert cached, k
-    assert 0 < cache.held <= cal.EXPANSION_CAP
+    assert 0 < cache.held < cal.EXPANSION_CAP  # the backstop does not bind
     extends = _counting_extend(monkeypatch)
     assert _priced(solve_pricing(inst, first, cache=cache)) == _priced(fresh)
-    assert extends[0] == 0
+    assert extends and min(extends) > cal.EXPANSION_DEPTH
 
 
 def test_a_full_expansion_cache_keeps_its_cap_and_its_answers(monkeypatch):
-    """On an n=14 instance the cache fills: it never holds more child states
-    than its cap, later runs extend the states it could not keep, and every
+    """With its memory backstop lowered to 512 child states, the cache
+    fills on an n=14 instance: it never holds more child states than the
+    cap, later runs extend the shallow states it could not keep, and every
     answer stays that of an uncached call."""
     from rdarp.fixtures import benchmark_like_instance
 
     inst = preprocess(benchmark_like_instance(0, n=14, fleet_size=3))
+    monkeypatch.setattr(cal, "EXPANSION_CAP", 512)
     cache = cal.ExpansionCache(inst)
     extends = _counting_extend(monkeypatch)
     rng = random.Random(3)
@@ -456,12 +519,13 @@ def test_a_full_expansion_cache_keeps_its_cap_and_its_answers(monkeypatch):
     stored = cache._children
     reachable = {id(cache.root)} | {id(child) for kids in stored.values() for _, child in kids}
     assert all(id(st) in reachable for st in stored)
-    extends[0] = 0
+    extends.clear()
     solve_pricing(inst, duals, limit=50)
-    uncached = extends[0]
-    extends[0] = 0
+    uncached = len(extends)
+    extends.clear()
     solve_pricing(inst, duals, limit=50, cache=cache)
-    assert 0 < extends[0] < uncached
+    assert 0 < len(extends) < uncached
+    assert min(extends) <= cal.EXPANSION_DEPTH  # a shallow state it could not keep
 
 
 def test_a_cache_of_another_instance_is_refused():
