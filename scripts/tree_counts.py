@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the work of three branch-and-price trees, one JSON line each.
+"""Count the work of four branch-and-price solves, one JSON line each.
 
     python3 scripts/tree_counts.py
 
@@ -7,6 +7,9 @@ The cases are larger than the benchmark's workloads and branch or sweep:
 
 - ``capped-n16``: ``benchmark_like_instance(2, n=16, fleet_size=3)``, cost,
   ``eps_risk=10``.
+- ``capped-n16-certify``: the same solve with ``certify_risk=True``, which
+  also lowers the routes' peak exposure as far as that cost allows
+  (``rdarp solve --certify-risk``).
 - ``budgeted-risk``: ``random_instance(1, n=7, fleet_size=2, window=90)``,
   the risk objective within 1.05 times the minimum cost (that cost solve is
   run first and not counted).
@@ -70,6 +73,8 @@ def main() -> int:
     budget = BUDGET_FACTOR * bcp.solve(budgeted, master.COST).objective
     cases = [
         ("capped-n16", capped, master.COST, bcp.SolveOptions(eps_risk=10.0)),
+        ("capped-n16-certify", capped, master.COST,
+         bcp.SolveOptions(eps_risk=10.0, certify_risk=True)),
         ("budgeted-risk", budgeted, master.RISK, bcp.SolveOptions(eps_cost=budget)),
         ("root-n14-held-out", held_out, master.COST, bcp.SolveOptions()),
     ]

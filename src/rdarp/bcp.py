@@ -12,8 +12,10 @@ its arc to 1 and the tree is finite.
 
 The Pareto front is one descending ε-constraint sweep of capped cost trees
 (``_sweep``; Mavrotas 2009, "Effective implementation of the ε-constraint
-method in multi-objective mathematical programming problems"), and the risk
-objective is its last point within a cost budget (``_min_peak``)."""
+method in multi-objective mathematical programming problems"). The risk
+objective is its last point within a cost budget (``_min_peak``), and a
+cost solve with ``SolveOptions.certify_risk`` its first point from the
+cost cap (``solve``)."""
 
 from __future__ import annotations
 
@@ -85,6 +87,7 @@ class SolveOptions:
     eps_cost: float = INF
     eps_dt: float = INF
     time_limit: float | None = None
+    certify_risk: bool = False
 
 
 CAPS = ("eps_risk", "eps_cost", "eps_dt")
@@ -142,20 +145,34 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
     The cost objective is one tree (``_min_cost``), the risk objective a
     sweep of them (``_min_peak``). Every tree of a solve shares one column
     pool, and with it the expansion cache pricing reads
-    (``ColumnPool.expansions``); the pool is seeded first, and a request
-    with no feasible round trip makes the instance infeasible at the
-    root. ``time_limit`` bounds the whole solve: its steps share one
-    deadline.
+    (``ColumnPool.expansions``), so ``nodes_explored`` and ``columns``
+    count one pool; the pool is seeded first, and a request with no
+    feasible round trip makes the instance infeasible at the root.
+    ``time_limit`` bounds the whole solve: its trees share one deadline.
+
+    ``certify_risk`` makes a cost solve return, among the cheapest routes
+    under the cap, ones of least peak exposure measure, certified to within
+    δ as in ``_min_peak``: the first point of ``_sweep`` from the cap, over
+    the same pool and deadline. Its first tree is the cost tree, and each
+    refining tree takes that tree's cost + 2 * ``PRUNE_TOL`` as cutoff, so
+    it finds only routes of that cost. The report is the cost tree's
+    status, objective, bound and gap, with the last routes found and the
+    nodes and cuts of every tree. A refining tree that times out ends the
+    certification: the routes found before it stand, and so does the cost
+    tree's status.
 
     Raises ``ValueError``, before any LP is built, on an unknown ``mode``,
-    on a negative cap (its master rows carry no artificial, so the master LP
-    itself would be infeasible), on a finite cap other than
+    on ``certify_risk`` in a risk solve, which has no cost cap to certify
+    under, on a negative cap (its master rows carry no artificial, so the
+    master LP itself would be infeasible), on a finite cap other than
     ``enforced_cap``, which the solve would ignore, and on a negative or NaN
     ``time_limit`` (a NaN deadline never passes).
     """
     opts = options or SolveOptions()
     if mode not in (COST, RISK):
         raise ValueError(f"mode must be {COST!r} or {RISK!r}, got {mode!r}")
+    if opts.certify_risk and mode == RISK:
+        raise ValueError(f"certify_risk applies only to a {COST} solve")
     if opts.time_limit is not None and not opts.time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {opts.time_limit}")
     enforced = enforced_cap(inst, mode)
@@ -172,9 +189,23 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
     if seed_pool(pool, inst):
         return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
                            infeasible_at_root=True)
+    trees: list[SolveReport] = []
+
+    def tree(cap: float) -> SolveReport:
+        # a tree takes only solutions within its cost budget (2 * PRUNE_TOL
+        # admits the budget itself): the cost cap, or, for each refining tree
+        # of a certifying solve, the cost tree's cost
+        budget = trees[0].objective if opts.certify_risk and trees else opts.eps_cost
+        trees.append(_min_cost(inst, cap, deadline, pool, budget + 2 * PRUNE_TOL))
+        return trees[-1]
+
     if mode == RISK:
-        return _min_peak(inst, opts.eps_cost, deadline, pool)
-    return _min_cost(inst, inst.measure_cap(opts.eps_risk, opts.eps_dt), deadline, pool)
+        return _min_peak(inst, tree, trees)
+    cap = inst.measure_cap(opts.eps_risk, opts.eps_dt)
+    if not opts.certify_risk:
+        return tree(cap)
+    next(_sweep(inst, _floor_and_resolution(inst)[1], tree, cap), None)
+    return _over_trees(trees[0], trees)
 
 
 def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
@@ -187,11 +218,12 @@ def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
     return floor, max(inst.exposure_measure(i, slack) for i in riders) + oracle.SCHED_TOL
 
 
-def _min_peak(inst: Instance, budget: float, deadline: float | None,
-              pool: ColumnPool) -> SolveReport:
-    """The minimum peak exposure measure within the cost ``budget``, with
-    the cheapest solution of that peak: the last point of ``_sweep`` at step
-    δ over one pool, the budget pruning each tree as an incumbent would.
+def _min_peak(inst: Instance, tree, trees: list[SolveReport]) -> SolveReport:
+    """The minimum peak exposure measure within a cost budget, with the
+    cheapest solution of that peak: the last point of ``_sweep`` at step δ
+    over one pool. ``tree(cap)`` runs one ``_min_cost`` tree under ``cap``
+    over that pool, the budget pruning it as an incumbent would, and
+    appends its report to ``trees``.
 
     The floor is 0 in RDARP; in EDARP a rider's exposure is their onboard
     time, at least their pick-up's service plus the direct trip. A first
@@ -203,25 +235,26 @@ def _min_peak(inst: Instance, budget: float, deadline: float | None,
     tree's incumbent included), the floor as bound.
     """
     floor, delta = _floor_and_resolution(inst)
-    cutoff = budget + 2 * PRUNE_TOL  # admits a cost of the budget itself
-    trees = []
-
-    def tree(cap: float) -> SolveReport:
-        trees.append(_min_cost(inst, cap, deadline, pool, cutoff))
-        return trees[-1]
-
     if tree(floor).status == INFEASIBLE_STATUS:
         list(_sweep(inst, delta, tree))  # each tree that finds routes lowers the peak
-    routes = next((r.routes for r in reversed(trees) if r.routes), [])
-    nodes, cuts = sum(r.nodes_explored for r in trees), sum(r.cuts for r in trees)
-    timed_out = trees[-1].status == TIME_LIMIT_STATUS
-    if not routes and not timed_out:
-        return replace(trees[-1], nodes_explored=nodes, columns=len(pool), cuts=cuts)
-    peak = oracle.peak_measure(inst, routes) if routes else INF
-    if not timed_out:
-        return SolveReport(OPTIMAL_STATUS, peak, peak, 0.0, routes, nodes, len(pool), cuts)
-    gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if routes else INF
-    return SolveReport(TIME_LIMIT_STATUS, peak, floor, gap, routes, nodes, len(pool), cuts)
+    rep = _over_trees(trees[-1], trees)
+    peak = oracle.peak_measure(inst, rep.routes) if rep.routes else INF
+    if rep.status == TIME_LIMIT_STATUS:
+        gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if rep.routes else INF
+        return replace(rep, objective=peak, bound=floor, gap=gap)
+    if not rep.routes:
+        return rep
+    return replace(rep, status=OPTIMAL_STATUS, objective=peak, bound=peak, gap=0.0,
+                   infeasible_at_root=False)
+
+
+def _over_trees(base: SolveReport, trees: list[SolveReport]) -> SolveReport:
+    """``base`` with the last routes any of ``trees`` found, the nodes and
+    cuts of all of them, and the columns of the pool they shared, which the
+    last tree reports."""
+    return replace(base, routes=next((r.routes for r in reversed(trees) if r.routes), []),
+                   nodes_explored=sum(r.nodes_explored for r in trees),
+                   columns=trees[-1].columns, cuts=sum(r.cuts for r in trees))
 
 
 @dataclass
@@ -235,13 +268,19 @@ class ParetoPoint:
     routes: list[oracle.Route]
 
 
-def _sweep(inst: Instance, step: float, tree):
-    """Walk down the cost/peak front, yielding each point once certified;
-    ``tree(cap)`` runs one ``_min_cost`` tree under ``cap``.
+def _sweep(inst: Instance, step: float, tree, eps: float = INF):
+    """Walk down the cost/peak front from the cap ``eps``, yielding each
+    point once certified; ``tree(cap)`` runs one ``_min_cost`` tree under
+    ``cap``. The first point is the cheapest routes under ``eps`` with the
+    least peak of their cost, to within δ. A cost solve with
+    ``SolveOptions.certify_risk`` takes that point alone, over the solve's
+    one pool and within its deadline, so its nodes and columns count one
+    pool; a certification cut short by the deadline keeps the cost tree's
+    status.
 
-    A point starts as the cheapest routes under the cap ``eps``, infinite
-    first. Trees at ``peak - δ`` follow while their cost stays the point's
-    (below ``cost + 2 * PRUNE_TOL``), each lowering its peak, until one
+    A point starts as the cheapest routes under the cap ``eps``. Trees at
+    ``peak - δ`` follow while their cost stays the point's (below
+    ``cost + 2 * PRUNE_TOL``), each lowering its peak, until one
     costs more or finds nothing, or the cap falls below the floor. The next
     ``eps`` is ``peak - max(step, δ)``; the tree that ended the point starts
     the next one when its routes are within ``eps``, being the cheapest
@@ -250,7 +289,7 @@ def _sweep(inst: Instance, step: float, tree):
     floor, or at a tree that times out, whose point it drops.
     """
     floor, delta = _floor_and_resolution(inst)
-    eps, start = INF, tree(INF)
+    start = tree(eps)
     while start.status == OPTIMAL_STATUS:
         point = rep = start
         while rep.status == OPTIMAL_STATUS and rep.objective < start.objective + 2 * PRUNE_TOL:

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 from types import MappingProxyType
@@ -179,7 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-dt", type=_parse_eps, default=INF)
     sp.add_argument("--time-limit", type=_parse_time_limit, default=None)
     sp.add_argument("--certify-risk", action="store_true",
-                    help="re-minimize peak risk at the optimal cost")
+                    help="with --mode cost, routes of least peak exposure among the cheapest, "
+                         "to within δ: the pareto sweep's first point, over one column pool and "
+                         "within --time-limit; a certification cut short keeps the cost status")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pareto", help="exact bi-objective front")
@@ -218,12 +219,15 @@ _CAP_USE = MappingProxyType({
 })
 
 
-def _reject_ignored_caps(args, inst: Instance, mode: str) -> bool:
-    """Report each finite cap flag a ``mode`` solve on ``inst`` would not
-    enforce (``bcp.enforced_cap``); returns whether there was one."""
+def _reject_ignored_flags(args, inst: Instance, mode: str) -> bool:
+    """Report each flag a ``mode`` solve on ``inst`` would ignore: a finite
+    cap it does not enforce (``bcp.enforced_cap``), or ``--certify-risk``
+    outside a cost solve. Returns whether there was one."""
     enforced = bcp.enforced_cap(inst, mode)
     ignored = [message for name, message in _CAP_USE.items()
                if getattr(args, name, INF) < INF and name != enforced]
+    if getattr(args, "certify_risk", False) and mode != COST:
+        ignored.append("--certify-risk applies only with --mode cost")
     for message in ignored:
         print(f"error: {message}", file=sys.stderr)
     return bool(ignored)
@@ -231,25 +235,12 @@ def _reject_ignored_caps(args, inst: Instance, mode: str) -> bool:
 
 def cmd_solve(args) -> int:
     inst = _prepare(args)
-    if _reject_ignored_caps(args, inst, args.mode):
+    if _reject_ignored_flags(args, inst, args.mode):
         return EXIT_USAGE
     inst = preprocess(inst)
-    t_start = time.perf_counter()
     rep = bcp.solve(inst, args.mode, bcp.SolveOptions(
         eps_risk=args.eps_risk, eps_cost=args.eps_cost, eps_dt=args.eps_dt,
-        time_limit=args.time_limit))
-    # the certifying risk solve gets what the cost solve left of --time-limit
-    remaining = (None if args.time_limit is None
-                 else args.time_limit - (time.perf_counter() - t_start))
-    if (args.certify_risk and rep.status == master.OPTIMAL_STATUS and args.mode == "cost"
-            and (remaining is None or remaining > 0)):
-        certified = bcp.solve(inst, "risk", bcp.SolveOptions(
-            eps_cost=rep.objective + 1e-6, time_limit=remaining))
-        if certified.status == master.OPTIMAL_STATUS:
-            rep = bcp.SolveReport(
-                rep.status, rep.objective, rep.bound, rep.gap, certified.routes,
-                rep.nodes_explored + certified.nodes_explored,
-                rep.columns + certified.columns, rep.cuts + certified.cuts)
+        time_limit=args.time_limit, certify_risk=args.certify_risk))
     payload = report_to_json(inst, rep)
     if args.out:
         Path(args.out).write_text(payload + "\n")
@@ -298,7 +289,7 @@ def cmd_pareto(args) -> int:
 
 def cmd_validate(args) -> int:
     inst = preprocess(_prepare(args))
-    if _reject_ignored_caps(args, inst, COST):
+    if _reject_ignored_flags(args, inst, COST):
         return EXIT_USAGE
     doc = json.loads(Path(args.solution).read_text())
     cap = inst.measure_cap(args.eps_risk, args.eps_dt)

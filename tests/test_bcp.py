@@ -7,7 +7,7 @@ import pytest
 
 from rdarp import bcp, oracle
 from rdarp.fixtures import benchmark_like_instance, random_instance
-from rdarp.instance import edarp_transform, preprocess
+from rdarp.instance import RDARP, Instance, edarp_transform, euclidean_matrix, preprocess
 from rdarp.master import ColumnPool, column_generation, seed_pool
 
 INF = math.inf
@@ -214,6 +214,13 @@ def test_a_cap_the_solve_would_not_enforce_raises_before_any_lp(mode, edarp, cap
     assert bcp.enforced_cap(inst, mode) != cap
     with pytest.raises(ValueError, match=f"not {cap}="):
         bcp.solve(inst, mode, bcp.SolveOptions(**{cap: 1.0}))
+
+
+def test_certify_risk_in_a_risk_solve_raises_before_any_lp(nothing_may_run):
+    # a risk solve has no cost optimum whose peak a certification could lower
+    inst = preprocess(random_instance(0, n=2, fleet_size=1))
+    with pytest.raises(ValueError, match="certify_risk"):
+        bcp.solve(inst, "risk", bcp.SolveOptions(certify_risk=True))
 
 
 @pytest.mark.parametrize("limit", [-1.0, math.nan], ids=["negative", "nan"])
@@ -494,6 +501,62 @@ def test_risk_objective_matches_brute_force_on_the_battery(regime):
     assert compared >= 40
 
 
+def test_certify_risk_matches_brute_force_on_the_battery():
+    """On the four cost regimes of the c3 battery, a certified cost solve
+    has the brute force's minimum cost, and its routes, all of that cost,
+    have the brute force's least peak among the solutions of that cost."""
+    compared = 0
+    for seed, base in _battery_bases():
+        edarp = edarp_transform(base)
+        risk_ref = oracle.brute_force_solve(base, objective="risk")
+        tight = risk_ref.objective + 2.0 if risk_ref.status == "Optimal" else 8.0
+        for inst0, kw, cap in ((base, {}, INF), (base, {"eps_risk": tight}, tight),
+                               (edarp, {"eps_dt": 2.0}, 2.0), (edarp, {"eps_dt": 4.0}, 4.0)):
+            inst = preprocess(inst0)
+            rep = bcp.solve(inst, "cost", bcp.SolveOptions(certify_risk=True, **kw))
+            cheapest = oracle.brute_force_solve(inst0, eps_risk=cap)
+            assert rep.status == cheapest.status, (seed, kw)
+            if cheapest.status != "Optimal":
+                continue
+            assert rep.objective == pytest.approx(cheapest.objective, abs=1e-6), (seed, kw)
+            assert sum(r.cost for r in rep.routes) <= rep.objective + 2e-6, (seed, kw)
+            oracle.validate_solution(inst, rep.routes, cap)
+            least = oracle.brute_force_solve(inst0, eps_risk=cap, objective="risk",
+                                             eps_cost=rep.objective + 2e-6)
+            assert oracle.peak_measure(inst, rep.routes) == pytest.approx(
+                least.objective, abs=1e-5), (seed, kw)
+            compared += 1
+    assert compared >= 150
+
+
+def test_certify_risk_breaks_a_cost_tie_by_peak():
+    """Three riders share one pick-up point and one drop-off point. A
+    vehicle of capacity 2 serves them in two trips at the same cost,
+    whichever two ride together, but the pair sets the peak. The plain cost
+    solve pairs the two riskiest riders; the certified one pairs the two
+    least risky, the brute force's least peak at that cost."""
+    n, risks = 3, (0.9, 0.7, 0.5)
+    pts = [(0.0, 0.0)] + [(10.0, 0.0)] * n + [(20.0, 0.0)] * n + [(0.0, 0.0)]
+    inst0 = Instance(
+        n=n, fleet_size=2, capacity=2.0, q_max=INF,
+        service=(0.0,) + (1.0,) * (2 * n) + (0.0,),
+        load=(0.0,) + (1.0,) * n + (-1.0,) * n + (0.0,),
+        risk=(0.0,) + risks + tuple(-r for r in risks) + (0.0,),
+        early=(0.0,) * len(pts), late=(240.0,) * len(pts), travel=euclidean_matrix(pts),
+        max_ride=(60.0,) * n, mode=RDARP, coords=tuple(pts), name="cost-tie")
+    inst0.validate()
+    inst = preprocess(inst0)
+    plain = bcp.solve(inst, "cost")
+    rep = bcp.solve(inst, "cost", bcp.SolveOptions(certify_risk=True))
+    assert rep.status == plain.status == "Optimal"
+    assert rep.objective == plain.objective == pytest.approx(60.0)
+    assert sum(r.cost for r in rep.routes) == pytest.approx(60.0, abs=1e-9)
+    least = oracle.brute_force_solve(inst0, objective="risk", eps_cost=rep.objective + 2e-6)
+    assert least.objective == pytest.approx(7.7)
+    assert oracle.peak_measure(inst, rep.routes) == pytest.approx(least.objective, abs=1e-5)
+    assert oracle.peak_measure(inst, plain.routes) == pytest.approx(9.9)
+
+
 def _sweep_instance():
     # one vehicle: the sweep solves at the floor 0 (no solution), uncapped,
     # at 7.671 and at 3.072 (no solution), one node each
@@ -523,6 +586,33 @@ def test_one_risk_solve_is_one_call_of_solve(monkeypatch):
     assert rep.status == "Optimal"
     assert rep.objective == pytest.approx(3.0717, abs=1e-4)
     assert rep.nodes_explored == 4
+
+
+def test_one_certified_solve_is_one_call_of_solve(monkeypatch):
+    """A certified cost solve runs the cost tree and its refining trees
+    through ``_min_cost`` inside one call of ``bcp.solve``, over one pool:
+    here the uncapped tree, then one at its peak less δ that finds no
+    routes of its cost."""
+    inst = _sweep_instance()
+    plain = bcp.solve(inst, "cost")
+    calls, caps = [], []
+    real_solve, real_min_cost = bcp.solve, bcp._min_cost
+
+    def solve(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve(*args, **kwargs)
+
+    def min_cost(inst_, cap, *args, **kwargs):
+        caps.append(cap)
+        return real_min_cost(inst_, cap, *args, **kwargs)
+
+    monkeypatch.setattr(bcp, "solve", solve)
+    monkeypatch.setattr(bcp, "_min_cost", min_cost)
+    rep = bcp.solve(inst, "cost", bcp.SolveOptions(certify_risk=True))
+    assert calls == ["cost"]
+    assert caps == [INF, pytest.approx(7.671, abs=1e-3)]
+    assert rep.status == "Optimal" and rep.objective == plain.objective
+    assert rep.nodes_explored == 2
 
 
 def test_risk_time_limit_reports_the_floor_as_bound():

@@ -254,12 +254,13 @@ def test_solve_rejects_a_negative_cap(flag, capsys):
     ["--eps-dt", "0.01"],                  # a detour-rate cap binds only EDARP instances
     ["--edarp", "--eps-risk", "1"],        # an EDARP instance caps detour rates
     ["--mode", "risk", "--eps-risk", "1"],  # the risk objective takes no exposure cap
+    ["--mode", "risk", "--certify-risk"],   # nor a certification of its peak
 ])
 def test_solve_rejects_a_cap_that_does_not_apply(args, capsys):
     # the solve would not enforce these caps and would report the uncapped optimum
     rc = cli.run(["solve", str(FIXTURES / "rw-2.json"), *args])
     assert rc == 1
-    assert args[-2] in capsys.readouterr().err
+    assert [a for a in args if a.startswith("--")][-1] in capsys.readouterr().err
 
 
 def test_solve_accepts_caps_that_apply(tmp_path):
@@ -327,7 +328,7 @@ def test_validate_reports_a_malformed_solution_as_a_usage_error(
 
 
 def test_certify_risk_on_a_detour_rate_cap(tmp_path):
-    # the certifying risk solve takes the cost cap alone
+    # the certification sweeps down from the detour-rate cap
     path = str(FIXTURES / "rw-2.json")
     out = tmp_path / "sol.json"
     assert cli.run(["solve", path, "--edarp", "--eps-dt", "1.5", "--certify-risk",
@@ -336,39 +337,51 @@ def test_certify_risk_on_a_detour_rate_cap(tmp_path):
     assert doc["status"] == "Optimal" and doc["routes"]
 
 
-@pytest.mark.parametrize("spent", [3.0, 10.0], ids=["time-left", "time-used-up"])
-def test_certify_risk_gets_only_the_time_the_cost_solve_left(tmp_path, small_json,
-                                                             monkeypatch, spent):
-    # each solve takes `spent` seconds on the clock the CLI reads
-    from types import SimpleNamespace
-
+def test_certify_risk_is_one_solve_with_the_whole_time_limit(tmp_path, small_json,
+                                                             monkeypatch):
     from rdarp import bcp
 
-    clock = [0.0]
-    limits = []
+    calls = []
     real_solve = bcp.solve
 
     def solve(inst, mode, options):
-        limits.append((mode, options.time_limit))
-        rep = real_solve(inst, mode, replace(options, time_limit=None))
-        clock[0] += spent
-        return rep
+        calls.append((mode, options))
+        return real_solve(inst, mode, options)
 
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
     monkeypatch.setattr(bcp, "solve", solve)
     out = tmp_path / "sol.json"
     assert cli.run(["solve", str(small_json), "--certify-risk", "--time-limit", "8",
                     "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["status"] == "Optimal"
-    if spent < 8.0:
-        assert limits == [("cost", 8.0), ("risk", 8.0 - spent)]
-    else:  # the limit is used up: the cost solve's routes stand
-        assert limits == [("cost", 8.0)]
-        monkeypatch.undo()
-        alone = tmp_path / "alone.json"
-        assert cli.run(["solve", str(small_json), "--out", str(alone)]) == 0
-        assert doc["routes"] == json.loads(alone.read_text())["routes"]
+    assert calls == [("cost", bcp.SolveOptions(time_limit=8.0, certify_risk=True))]
+    assert json.loads(out.read_text())["status"] == "Optimal"
+
+
+def test_a_timed_out_certification_keeps_the_cost_solve(tmp_path, small_json, monkeypatch):
+    """The cost solve's routes have a peak above the floor, so a refining
+    tree follows the cost tree; when it times out, the cost tree's status,
+    objective, bound, gap and routes stand, with exit 0."""
+    from rdarp import bcp
+
+    alone = tmp_path / "alone.json"
+    assert cli.run(["solve", str(small_json), "--out", str(alone)]) == 0
+    real_min_cost = bcp._min_cost
+    caps = []
+
+    def min_cost(inst, cap, deadline, pool, cutoff=math.inf):
+        caps.append(cap)
+        if len(caps) == 1:
+            return real_min_cost(inst, cap, deadline, pool, cutoff)
+        return bcp.SolveReport("TimeLimit", math.inf, -math.inf, math.inf, [], 1, len(pool), 0)
+
+    monkeypatch.setattr(bcp, "_min_cost", min_cost)
+    out = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--certify-risk", "--out", str(out)]) == 0
+    assert len(caps) == 2 and caps[0] == math.inf
+    doc, ref = json.loads(out.read_text()), json.loads(alone.read_text())
+    assert ref["status"] == "Optimal"
+    for key in ("status", "objective", "bound", "gap", "routes"):
+        assert doc[key] == ref[key], key
+    assert doc["stats"]["nodes"] == ref["stats"]["nodes"] + 1
 
 
 @pytest.mark.parametrize("command", ["solve", "pareto"])
