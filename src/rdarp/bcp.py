@@ -78,7 +78,6 @@ class SolveReport:
     nodes_explored: int
     columns: int
     cuts: int
-    infeasible_at_root: bool = False
 
 
 @dataclass
@@ -173,8 +172,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
         raise ValueError(f"mode must be {COST!r} or {RISK!r}, got {mode!r}")
     if opts.certify_risk and mode == RISK:
         raise ValueError(f"certify_risk applies only to a {COST} solve")
-    if opts.time_limit is not None and not opts.time_limit >= 0:
-        raise ValueError(f"time_limit must be nonnegative, got {opts.time_limit}")
+    _check_time_limit(opts.time_limit)
     enforced = enforced_cap(inst, mode)
     for name in CAPS:
         value = getattr(opts, name)
@@ -187,8 +185,7 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
 
     pool = ColumnPool(inst)
     if seed_pool(pool, inst):
-        return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0,
-                           infeasible_at_root=True)
+        return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], 0, len(pool), 0)
     trees: list[SolveReport] = []
 
     def tree(cap: float) -> SolveReport:
@@ -206,6 +203,11 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
         return tree(cap)
     next(_sweep(inst, _floor_and_resolution(inst)[1], tree, cap), None)
     return _over_trees(trees[0], trees)
+
+
+def _check_time_limit(time_limit: float | None) -> None:
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
 
 
 def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
@@ -244,8 +246,7 @@ def _min_peak(inst: Instance, tree, trees: list[SolveReport]) -> SolveReport:
         return replace(rep, objective=peak, bound=floor, gap=gap)
     if not rep.routes:
         return rep
-    return replace(rep, status=OPTIMAL_STATUS, objective=peak, bound=peak, gap=0.0,
-                   infeasible_at_root=False)
+    return replace(rep, status=OPTIMAL_STATUS, objective=peak, bound=peak, gap=0.0)
 
 
 def _over_trees(base: SolveReport, trees: list[SolveReport]) -> SolveReport:
@@ -315,9 +316,10 @@ def pareto_front(inst: Instance, step: float,
     whether it is complete: ``time_limit`` bounds each tree, and
     one that times out ends the sweep. An infeasible instance gives an
     empty, complete front. Raises ``ValueError`` on a step that is not
-    positive, before any tree runs."""
+    positive and on a negative or NaN ``time_limit``, before any tree runs."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    _check_time_limit(time_limit)
     pool = ColumnPool(inst)
     if seed_pool(pool, inst):
         return [], True
@@ -367,8 +369,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
     res = run_cg(root)
     nodes_explored = 1
     if res.status == INFEASIBLE_STATUS:
-        return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
-                           len(pool), 0, infeasible_at_root=True)
+        return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored, len(pool), 0)
 
     # root cut loop: separate at a fractional root, after each converged CG,
     # until nothing is violated. A converged master is free of artificials,
@@ -388,7 +389,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
         res = run_cg(root)
         if res.status == INFEASIBLE_STATUS:
             return SolveReport(INFEASIBLE_STATUS, INF, INF, 0.0, [], nodes_explored,
-                               len(pool), len(cut_rows), infeasible_at_root=True)
+                               len(pool), len(cut_rows))
 
     incumbent: list[oracle.Route] | None = None
     best_value = cutoff

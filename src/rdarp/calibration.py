@@ -7,11 +7,9 @@ schedule. Waiting discovered at the new node is absorbed by retroactively
 delaying earlier pick-ups, balancing the exposure of onboard riders against
 riders already dropped off whose trips would shift with them.
 
-An onboard rider accrues exposure at the vehicle risk
-(``Instance.vehicle_risk``) plus the co-riders' scores, and the route's
-cumulative risk at the vehicle risk plus every onboard score; the vehicle's
-term comes first in each sum. In equity mode that risk is 1 and the scores
-0, so exposure is onboard time and the cumulative risk the route's duration.
+Exposure and cumulative risk accrue step by step by the formula of
+``instance.exposure_from_schedule``, adding its terms in its order. In
+equity mode exposure is onboard time and the cumulative risk the duration.
 
 What the calibration guarantees: every committed schedule is feasible (time
 windows, ride times, capacity, cumulative risk cap), and each step chooses
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 import math
 
-from .instance import Instance
+from .instance import Instance, exposure_from_schedule
 
 TOL = 1e-9
 INF = math.inf
@@ -535,8 +533,11 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
     """Commit a mandatory pick-up delay of ``forced`` at position ``q_pos``.
 
     The bump propagates through committed waits; whatever reaches the current
-    node must fit inside the new node's wait. Returns a rebaselined state
-    (schedule, exposures, buffers, cumulative risk) or None when infeasible.
+    node must fit inside the new node's wait. Returns None when infeasible,
+    else a rebaselined state: the shifted schedule and buffers, and the
+    members' exposures and the cumulative risk read off that schedule by
+    ``instance.exposure_from_schedule``, as the oracle reads them. Riders
+    served before the vehicle last emptied precede the shift and keep theirs.
     """
     k = len(st.times)
     nodes = st.nodes
@@ -575,49 +576,21 @@ def _forced_repair(inst: Instance, st: PathState, members, q_pos: int, forced: f
         return None
 
     times1 = tuple(tv + sv for tv, sv in zip(st.times, shift))
+    breakdown = exposure_from_schedule(inst, nodes, times1)
     h1 = dict(st.h)
-    h1.update(_member_exposure(inst, st, times1, members))
     d1 = dict(st.d)
     for x in members:
+        h1[x] = breakdown.exposure[x]
         dec = max(shift[st.pick_pos[x]:])
         if dec > 0.0:
             d1[x] = max(0.0, d1[x] - dec)
-    running_risk = inst.vehicle_risk
-    q1 = 0.0
-    for pos in range(1, k):
-        running_risk += inst.risk[nodes[pos - 1]]
-        q1 += running_risk * (times1[pos] - times1[pos - 1])
     return PathState(
         nodes=st.nodes, times=times1, a_cur=st.a_cur, b_cur=st.b_cur,
         load=st.load, onboard=st.onboard, assoc=st.assoc, served=st.served,
-        q_cum=q1, h=h1, d=d1,
+        q_cum=breakdown.cumulative[-1], h=h1, d=d1,
         bo=st.bo, do_a=st.do_a, do_b=st.do_b,
         pick_pos=st.pick_pos, drop_pos=st.drop_pos,
     )
-
-
-def _member_exposure(inst: Instance, st: PathState, times, members) -> dict[int, float]:
-    """Member exposures recomputed from a committed schedule, the vehicle's
-    term first; open intervals run to the current node's start of service."""
-    end = times[-1]
-    spans = {}
-    for x in members:
-        lo = times[st.pick_pos[x]]
-        hi = times[st.drop_pos[x]] if x in st.drop_pos else end
-        spans[x] = (lo, hi)
-    risk = inst.risk
-    vehicle = inst.vehicle_risk
-    out = {}
-    for x, (lo, hi) in spans.items():
-        total = vehicle * (hi - lo)
-        for y, (lo2, hi2) in spans.items():
-            if y == x:
-                continue
-            overlap = min(hi, hi2) - max(lo, lo2)
-            if overlap > 0:
-                total += risk[y] * overlap
-        out[x] = total
-    return out
 
 
 def _argmin_peak(inst: Instance, st: PathState, members, usable, span, cap) -> float:

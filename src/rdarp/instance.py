@@ -1,4 +1,4 @@
-"""Problem instances: loading, validation, preprocessing, synthesis.
+"""Problem instances: loading, validation, preprocessing, synthesis, schedule exposure.
 
 Node convention: 0 is the origin depot, 1..n the pick-ups, n+1..2n the
 matching drop-offs, 2n+1 the destination depot. All times are minutes, loads
@@ -139,6 +139,48 @@ class Instance:
         """The cap on ``exposure_measure``: the detour-rate cap ``eps_dt`` in
         equity mode (EDARP), the exposure cap ``eps_risk`` otherwise."""
         return eps_dt if self.mode == EDARP else eps_risk
+
+
+@dataclass
+class ExposureBreakdown:
+    cumulative: list[float]    # risk-minutes accrued through each visit
+    exposure: dict[int, float]
+
+
+def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakdown:
+    """Exposure bookkeeping for a fixed schedule.
+
+    A rider is onboard from start of service at their pick-up to start of
+    service at their drop-off. Their exposure is the vehicle risk
+    (``Instance.vehicle_risk``) times that interval, plus each co-rider's
+    score times the interval overlap (travel, service, and waiting all
+    count); the cumulative risk is accrued at the vehicle risk plus the
+    onboard riders' scores. In each sum the vehicle's term comes first, then
+    co-riders in boarding order. On a partial ``sequence`` a rider not yet
+    dropped off rides until the last start of service, ``schedule[-1]``.
+    """
+    pos = {node: p for p, node in enumerate(sequence)}
+    requests = [i for i in sequence if inst.is_pickup(i)]
+    intervals = {i: (schedule[pos[i]], schedule[pos.get(i + inst.n, -1)]) for i in requests}
+    vehicle = inst.vehicle_risk
+    onboard = vehicle
+    cumulative = [0.0]
+    for p in range(1, len(sequence)):
+        onboard += inst.risk[sequence[p - 1]]
+        cumulative.append(cumulative[-1] + onboard * (schedule[p] - schedule[p - 1]))
+    exposure = {}
+    for i in requests:
+        si, ei = intervals[i]
+        total = vehicle * (ei - si)
+        for jj in requests:
+            if jj == i:
+                continue
+            sj, ej = intervals[jj]
+            overlap = min(ei, ej) - max(si, sj)
+            if overlap > 0:
+                total += inst.risk[jj] * overlap
+        exposure[i] = total
+    return ExposureBreakdown(cumulative, exposure)
 
 
 def _check_finite(inst: Instance) -> None:

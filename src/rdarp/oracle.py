@@ -1,7 +1,8 @@
 """Ground truth independent of the column-generation machinery.
 
 Validates routes against the full constraint set from a given schedule,
-computes minimum-peak schedules for fixed sequences via an LP over
+with the exposure formula imported from ``instance`` and no calibration
+state, computes minimum-peak schedules for fixed sequences via an LP over
 start-of-service times (peak exposure, or peak detour rate in equity mode),
 and exhaustively solves tiny instances over calibrated schedules.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import calibration as cal
 from .errors import RouteInfeasible
-from .instance import EDARP, Instance
+from .instance import EDARP, ExposureBreakdown, Instance, exposure_from_schedule
 from .lp import GE, INFEASIBLE, LE, OPTIMAL, LinearModel, solve_lp
 
 INF = math.inf
@@ -40,12 +41,6 @@ class Route:
         return list(zip(self.sequence[:-1], self.sequence[1:]))
 
 
-@dataclass
-class ExposureBreakdown:
-    cumulative: list[float]    # risk-minutes accrued through each visit
-    exposure: dict[int, float]
-
-
 def route_cost(inst: Instance, sequence) -> float:
     return sum(inst.t(i, j) for i, j in zip(sequence[:-1], sequence[1:]))
 
@@ -53,43 +48,6 @@ def route_cost(inst: Instance, sequence) -> float:
 # ---------------------------------------------------------------------------
 # Schedule-based evaluation (pure recomputation, no pricing machinery)
 # ---------------------------------------------------------------------------
-
-def exposure_from_schedule(inst: Instance, sequence, schedule) -> ExposureBreakdown:
-    """Exposure bookkeeping for a fixed schedule.
-
-    A rider is onboard from start of service at their pick-up to start of
-    service at their drop-off. Their exposure is the vehicle risk
-    (``Instance.vehicle_risk``) times that interval, plus each co-rider's
-    score times the interval overlap (travel, service, and waiting all
-    count); the cumulative risk is accrued at the vehicle risk plus the
-    onboard riders' scores. In each sum the vehicle's term comes first.
-    """
-    pos = {node: p for p, node in enumerate(sequence)}
-    requests = [i for i in sequence if inst.is_pickup(i)]
-    intervals = {i: (schedule[pos[i]], schedule[pos[i + inst.n]]) for i in requests}
-    vehicle = inst.vehicle_risk
-    onboard = vehicle
-    onboard_risk = []
-    for node in sequence:
-        onboard += inst.risk[node]
-        onboard_risk.append(onboard)
-    cumulative = [0.0]
-    for p in range(1, len(sequence)):
-        cumulative.append(cumulative[-1] + onboard_risk[p - 1] * (schedule[p] - schedule[p - 1]))
-    exposure = {}
-    for i in requests:
-        si, ei = intervals[i]
-        total = vehicle * (ei - si)
-        for jj in requests:
-            if jj == i:
-                continue
-            sj, ej = intervals[jj]
-            overlap = min(ei, ej) - max(si, sj)
-            if overlap > 0:
-                total += inst.risk[jj] * overlap
-        exposure[i] = total
-    return ExposureBreakdown(cumulative, exposure)
-
 
 def cap_slack(inst: Instance, riders) -> float:
     """The exposure tolerance of a route carrying ``riders`` (in exposure

@@ -9,6 +9,7 @@ from rdarp.instance import (
     derive_benchmark_risk,
     edarp_transform,
     emit_realworld,
+    exposure_from_schedule,
     parse_cordeau,
     parse_realworld,
     preprocess,
@@ -252,3 +253,14 @@ def test_detour_weight_floor_cases(two_rider_chain):
     out = edarp_transform(two_rider_chain)
     # direct time 5 -> floored to 15
     assert out.detour_weight == (15.0, 15.0)
+
+
+def test_a_rider_not_yet_dropped_rides_until_the_last_start(two_rider_chain):
+    from dataclasses import replace
+
+    # rider 1 rides 5 -> 20 and rider 2, still onboard, 12 -> 20: the
+    # partial sequence's last start of service
+    inst = replace(two_rider_chain, risk=(0, 1, 3, -1, -3, 0))
+    bd = exposure_from_schedule(inst, (0, 1, 2, 3), (0.0, 5.0, 12.0, 20.0))
+    assert bd.exposure == {1: 3 * 8.0, 2: 1 * 8.0}
+    assert bd.cumulative == [0.0, 0.0, 1 * 7.0, 7.0 + 4 * 8.0]

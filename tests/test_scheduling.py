@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from rdarp import bcp
 from rdarp import calibration as cal
 from rdarp.fixtures import random_instance
-from rdarp.instance import edarp_transform, preprocess
+from rdarp.instance import edarp_transform, exposure_from_schedule, preprocess
 from rdarp.oracle import mmr_schedule, replay_route, validate_route
 from rdarp.pricing import DualValues, solve_pricing
 from tests.conftest import interlaced_instance, reached_states
@@ -109,6 +110,30 @@ def test_forced_ride_repair_cascades():
     validate_route(inst, route)
     lp = mmr_schedule(inst, seq)
     assert max(route.exposure.values()) == pytest.approx(lp[1], abs=1e-6)
+
+
+def test_forced_repair_reads_exposure_off_the_schedule(monkeypatch):
+    """Each state the forced ride repair returns carries, for the members
+    it rebaselines, the exposures and the cumulative risk that
+    ``exposure_from_schedule`` reads off its shifted partial schedule, to
+    the bit."""
+    inst = preprocess(random_instance(6, n=6, fleet_size=2, window=90.0))
+    real_repair = cal._forced_repair
+    repaired = []
+
+    def repair(inst_, st, members, *args):
+        out = real_repair(inst_, st, members, *args)
+        if out is not None:
+            repaired.append((list(members), out))
+        return out
+
+    monkeypatch.setattr(cal, "_forced_repair", repair)
+    bcp.solve(inst, "cost", bcp.SolveOptions(eps_risk=20.0))
+    assert len(repaired) > 0
+    for members, st in repaired:
+        bd = exposure_from_schedule(inst, st.nodes, st.times)
+        assert {x: st.h[x] for x in members} == {x: bd.exposure[x] for x in members}, st.nodes
+        assert st.q_cum == bd.cumulative[-1], st.nodes
 
 
 def _snapshot(st):

@@ -130,6 +130,90 @@ def test_no_module_imports_a_private_sibling():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def sibling_imports(source: str, modules: set[str]) -> set[str]:
+    """The ``modules`` of the package a module imports, at any depth:
+    ``from .m import x``, ``from . import m``, ``from rdarp.m import x``,
+    ``from rdarp import m`` and ``import rdarp.m``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            dotted = node.module or ""
+            if not node.level:
+                root, _, dotted = dotted.partition(".")
+                if root != "rdarp":
+                    continue
+            first = dotted.split(".")[0]
+            found.update([first] if first else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("rdarp."))
+    return found & modules
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of ``graph`` (module -> modules it imports) as the path that
+    closes it, ``[a, b, a]``; empty when the graph is acyclic."""
+    done: set[str] = set()
+
+    def visit(node: str, path: list[str]) -> list[str]:
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return []
+        for nxt in sorted(graph[node]):
+            cycle = visit(nxt, path + [node])
+            if cycle:
+                return cycle
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        cycle = visit(node, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The modules ``start`` imports, directly or through others."""
+    seen, todo = set(), [start]
+    while todo:
+        for nxt in graph[todo.pop()] - seen:
+            seen.add(nxt)
+            todo.append(nxt)
+    return seen
+
+
+def test_import_graph_detectors():
+    source = ("from __future__ import annotations\nimport os.path\nimport rdarp.lp\n"
+              "from . import __version__, oracle\nfrom .instance import Instance\n"
+              "from rdarp.pricing import solve_pricing\nfrom rdarp import cuts as c\n"
+              "def f():\n    from .master import COST\n    from .lp.sub import x\n")
+    modules = {"lp", "oracle", "instance", "pricing", "cuts", "master", "bcp"}
+    assert sibling_imports(source, modules) == modules - {"bcp"}
+    graph = {"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a"}}
+    assert import_cycle(graph) == []
+    assert reachable(graph, "a") == {"b", "c"}
+    assert reachable(graph, "c") == set()
+    assert import_cycle({**graph, "c": {"d"}}) == ["a", "b", "c", "d", "a"]
+
+
+SOLVER_LAYERS = {"oracle", "pricing", "master", "cuts", "bcp", "cli"}
+
+
+def test_package_imports_are_layered():
+    """The package's imports, inside functions too, form no cycle, and the
+    problem data (``instance``) and the extension semantics
+    (``calibration``) reach none of the oracle's or the solver's modules. A
+    formula both sides need, such as the exposure a schedule gives, lives
+    low, in one place, and is imported from there."""
+    modules = {p.stem for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    graph = {m: sibling_imports((SRC / f"{m}.py").read_text(), modules) for m in modules}
+    assert graph["oracle"] and graph["master"]
+    assert import_cycle(graph) == []
+    for low in ("instance", "calibration"):
+        assert reachable(graph, low) & SOLVER_LAYERS == set(), low
+
+
 ROOT = SRC.parent.parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
