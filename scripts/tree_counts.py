@@ -17,7 +17,8 @@ The cases are larger than the benchmark's workloads and branch or sweep:
   cost, uncapped.
 
 Each line gives the status, objective, nodes, columns, ``calibration.extend``
-calls, pricing runs (heuristic and exact) and the wall time of the solve.
+calls, pricing runs (heuristic and exact), master LP solves
+(``lp.solve_lp_warm`` calls) and the wall time of the solve.
 Counts are the firm signal; a single wall time on a shared machine is not.
 It imports the solver from the ``src/`` of its own checkout and needs only
 the standard library.
@@ -32,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rdarp import bcp, calibration, master  # noqa: E402
+from rdarp import bcp, calibration, lp, master  # noqa: E402
 from rdarp.fixtures import benchmark_like_instance, random_instance  # noqa: E402
 from rdarp.instance import preprocess  # noqa: E402
 
@@ -40,10 +41,10 @@ BUDGET_FACTOR = 1.05
 
 
 def counted_solve(inst, mode, options) -> dict:
-    """``bcp.solve`` with ``calibration.extend`` and ``master.solve_pricing``
-    wrapped to count their calls."""
-    counts = {"extend": 0, "heuristic": 0, "exact": 0}
-    extend, pricing = calibration.extend, master.solve_pricing
+    """``bcp.solve`` with ``calibration.extend``, ``master.solve_pricing``
+    and ``lp.solve_lp_warm`` wrapped to count their calls."""
+    counts = {"extend": 0, "heuristic": 0, "exact": 0, "lp": 0}
+    extend, pricing, solve_lp_warm = calibration.extend, master.solve_pricing, lp.solve_lp_warm
 
     def counting_extend(*args, **kwargs):
         counts["extend"] += 1
@@ -53,17 +54,24 @@ def counted_solve(inst, mode, options) -> dict:
         counts["heuristic" if kwargs.get("heuristic") else "exact"] += 1
         return pricing(*args, **kwargs)
 
+    def counting_lp(*args, **kwargs):
+        counts["lp"] += 1
+        return solve_lp_warm(*args, **kwargs)
+
     calibration.extend, master.solve_pricing = counting_extend, counting_pricing
+    lp.solve_lp_warm = counting_lp
     try:
         start = time.perf_counter()
         rep = bcp.solve(inst, mode, options)
         wall = time.perf_counter() - start
     finally:
         calibration.extend, master.solve_pricing = extend, pricing
+        lp.solve_lp_warm = solve_lp_warm
     return {"status": rep.status, "objective": round(rep.objective, 4),
             "nodes": rep.nodes_explored, "columns": rep.columns,
             "extend_calls": counts["extend"], "heuristic_runs": counts["heuristic"],
-            "exact_runs": counts["exact"], "wall_s": round(wall, 3)}
+            "exact_runs": counts["exact"], "lp_solves": counts["lp"],
+            "wall_s": round(wall, 3)}
 
 
 def main() -> int:

@@ -205,6 +205,11 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
     return _over_trees(trees[0], trees)
 
 
+def _relative_gap(value: float, bound: float) -> float:
+    """How far ``value`` is above the lower ``bound``, relative to ``value``."""
+    return max(0.0, (value - bound) / max(abs(value), 1e-9))
+
+
 def _check_time_limit(time_limit: float | None) -> None:
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
@@ -242,7 +247,7 @@ def _min_peak(inst: Instance, tree, trees: list[SolveReport]) -> SolveReport:
     rep = _over_trees(trees[-1], trees)
     peak = oracle.peak_measure(inst, rep.routes) if rep.routes else INF
     if rep.status == TIME_LIMIT_STATUS:
-        gap = max(0.0, (peak - floor) / max(peak, 1e-9)) if rep.routes else INF
+        gap = _relative_gap(peak, floor) if rep.routes else INF
         return replace(rep, objective=peak, bound=floor, gap=gap)
     if not rep.routes:
         return rep
@@ -400,8 +405,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
         ``result``; ``pending`` is the bound of a sibling not yet solved."""
         if log.isEnabledFor(logging.DEBUG):
             lower = min([r.bound for _, _, r in heap] + [pending, best_value])
-            gap = max(0.0, (best_value - lower) / max(abs(best_value), 1e-9)) \
-                if incumbent is not None else INF
+            gap = _relative_gap(best_value, lower) if incumbent is not None else INF
             log.debug("node depth=%d bound=%.6f incumbent=%.6f gap=%.6f open=%d columns=%d "
                       "elapsed=%.3fs", depth, result.bound, best_value, gap, len(heap),
                       len(pool), time.perf_counter() - t_start)
@@ -469,13 +473,12 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
         status = TIME_LIMIT_STATUS if timed_out else INFEASIBLE_STATUS
         return SolveReport(status, INF, best_bound, INF, [], nodes_explored,
                            len(pool), len(cut_rows))
-    gap = max(0.0, (best_value - best_bound) / max(abs(best_value), 1e-9))
-    if timed_out and gap > 1e-6:
-        status = TIME_LIMIT_STATUS
-    elif gap <= 1e-6:
-        status = OPTIMAL_STATUS
-        gap = 0.0
+    # the search ends with an empty heap, so best_bound == best_value,
+    # unless it timed out
+    gap = _relative_gap(best_value, best_bound)
+    if gap <= 1e-6:
+        status, gap = OPTIMAL_STATUS, 0.0
     else:
-        status = "Feasible"
+        status = TIME_LIMIT_STATUS
     return SolveReport(status, best_value, best_bound, gap, incumbent,
                        nodes_explored, len(pool), len(cut_rows))

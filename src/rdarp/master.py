@@ -111,7 +111,6 @@ def big_cost(inst: Instance) -> float:
 @dataclass
 class MasterSolution:
     objective: float
-    duals: DualValues
     artificial_total: float
     columns_used: list[tuple[oracle.Route, float]]  # pool order, λ > 1e-12
 
@@ -138,32 +137,106 @@ class MasterSolution:
         return flows
 
 
-def _add_lambda(inst: Instance, model: LinearModel, meta: dict, col: oracle.Route) -> int:
-    """Add the variable of the pool's next column (index ``len(meta["lam"])``),
-    fixed to zero when the route uses an arc of ``meta["banned"]`` or some
-    rider's exposure measure is over ``meta["cap"]`` (``oracle.over_cap``)."""
-    k = len(meta["lam"])
-    allowed = (meta["banned"].isdisjoint(col.arcs())
-               and not oracle.over_cap(inst, col.exposure, meta["cap"]))
-    j = model.add_var(f"l{k}", lb=0.0, ub=INF if allowed else 0.0, obj=col.cost)
-    meta["lam"].append(j)
-    return j
+class RestrictedMaster:
+    """One node's minimum-cost restricted master LP over a growing pool,
+    resolved warm from the last basis.
 
+    Rows, built once: partitioning row ``part{i}`` (``= 1``) of request ``i``
+    at index ``i - 1``, the fleet row (``<= fleet_size``) at ``n``, and extra
+    row ``r`` at ``n + 1 + r``. Variables: the λ of the pool's columns at
+    construction (``l{k}`` for column ``k``), then one artificial at cost
+    ``big_cost`` per partitioning row (``art{i}``) and per >= extra row
+    (``xart{r}``), then the λ of each column the pool gains, in pool order.
+    Every λ enters through ``add_columns``. The simplex breaks pivot ties
+    by variable index, so this order fixes the pivots, and with them which
+    columns pricing finds: the order is part of the solver's behaviour.
 
-def _column_coefs(pool: ColumnPool, meta: dict, k: int):
-    """Every nonzero ``(row key, coefficient)`` of pool column ``k`` in the
-    master.
+    A node's ``banned`` arcs act here by fixing to zero the λ of every pool
+    column that uses one, and in pricing, which emits no such column; its
+    branching rows come in ``extra_rows``. Each request rides in exactly one
+    route, so ``cap`` on the exposure measure (``Instance.measure_cap``)
+    holds route by route: every pool column with a rider over it
+    (``oracle.over_cap``) is fixed to zero too, whether it was seeded,
+    priced under another cap or shared. That implies every per-request cap
+    row, so the master has none.
 
-    Row keys: ``("part", i)`` partitioning, ``"fleet"``, ``("x", r)`` extra
-    row ``r``.
+    The artificials serve only to reach a feasible master before the pool
+    covers every request. The first LP whose artificials sum to at most
+    ``ARTIFICIAL_TOL`` fixes every one of them to zero, at objective 0, for
+    the rest of the node (``big`` is their objective coefficient: 0 from
+    then on): the pool only grows and the rows and bans stay, so the master
+    stays feasible. A degenerate basis that keeps an artificial basic at
+    zero would hand pricing duals of order ``big_cost``; such an LP is
+    re-solved warm at once, so the duals returned are always those of the
+    master without artificials, which are optimal duals of the master over
+    the routes.
     """
-    for i in pool.columns[k].requests:
-        yield ("part", i), 1.0
-    yield "fleet", 1.0
-    for r, row in enumerate(meta["extra"]):
-        v = pool.coefficient(k, row)
-        if v != 0.0:
-            yield ("x", r), v
+
+    def __init__(self, pool: ColumnPool, inst: Instance, cap: float,
+                 extra_rows: tuple[ExtraRow, ...], banned: frozenset[tuple[int, int]]):
+        self.pool = pool
+        self.inst = inst
+        self.cap = cap
+        self.extra = extra_rows
+        self.banned = banned
+        self.big = big_cost(inst)
+        self.model = model = LinearModel("rlmp")
+        self.lam: list[int] = []  # the variable of each pool column
+        self.warm = None
+        for i in inst.pickups():
+            model.add_row(f"part{i}", {}, EQ, 1.0)
+        model.add_row("fleet", {}, LE, float(inst.fleet_size))
+        for r, row in enumerate(extra_rows):
+            model.add_row(f"x{r}:{row.name}", {}, row.sense, row.rhs)
+        self.add_columns()  # before the artificials: the order is kept (see above)
+        arts = [(f"art{i}", i - 1) for i in inst.pickups()]
+        arts += [(f"xart{r}", inst.n + 1 + r)
+                 for r, row in enumerate(extra_rows) if row.sense == GE]
+        self.artificials: list[int] = []
+        for name, r in arts:
+            j = model.add_var(name, obj=self.big)
+            model.rows[r].append((j, 1.0))
+            self.artificials.append(j)
+
+    def add_columns(self) -> None:
+        """Add the λ of every pool column not in the master yet: cost the
+        route's, coefficient 1 on the partitioning row of each request it
+        serves and on the fleet row, ``ColumnPool.coefficient`` on each extra
+        row, fixed to zero when the route uses a banned arc or puts a rider
+        over ``cap``."""
+        model, rows, n = self.model, self.model.rows, self.inst.n
+        for k in range(len(self.lam), len(self.pool)):
+            col = self.pool.columns[k]
+            allowed = (self.banned.isdisjoint(col.arcs())
+                       and not oracle.over_cap(self.inst, col.exposure, self.cap))
+            j = model.add_var(f"l{k}", ub=INF if allowed else 0.0, obj=col.cost)
+            self.lam.append(j)
+            for i in col.requests:
+                rows[i - 1].append((j, 1.0))
+            rows[n].append((j, 1.0))
+            for r, row in enumerate(self.extra):
+                v = self.pool.coefficient(k, row)
+                if v != 0.0:
+                    rows[n + 1 + r].append((j, v))
+
+    def artificial_total(self, sol) -> float:
+        """The summed value of the artificials in a solved master."""
+        return sum(float(sol.x[j]) for j in self.artificials)
+
+    def solve(self):
+        """Solve the master over the whole pool: its new columns are added
+        first."""
+        from .lp import solve_lp_warm  # looked up per call, so a wrapper on it sees every solve
+
+        self.add_columns()
+        sol, self.warm = solve_lp_warm(self.model, self.warm)
+        if self.big and sol.status == OPTIMAL and self.artificial_total(sol) <= ARTIFICIAL_TOL:
+            for j in self.artificials:
+                self.model.ub[j] = self.model.obj[j] = 0.0
+            self.big = 0.0
+            if any(sol.basic[j] for j in self.artificials):
+                sol, self.warm = solve_lp_warm(self.model, self.warm)
+        return sol
 
 
 def build_rlmp(
@@ -172,66 +245,22 @@ def build_rlmp(
     cap: float = INF,
     extra_rows: tuple[ExtraRow, ...] = (),
     banned: frozenset[tuple[int, int]] = frozenset(),
-) -> tuple[LinearModel, dict]:
-    """Assemble the minimum-cost restricted master LP over the pool.
-
-    Partitioning rows carry artificial variables at cost ``big_cost``, and
-    >= extra rows get them as well, so the master is feasible before the
-    pool covers every request; ``RestrictedMaster`` fixes them at zero once
-    an LP no longer uses them. Column coefficients come only from
-    ``_column_coefs``; ``meta["row"]`` maps each row key to its row index.
-
-    A branch node's ``banned`` arcs act here by fixing to zero the λ of
-    every pool column that uses one (``_add_lambda``), and in pricing, which
-    emits no such column; its branching rows come in ``extra_rows``.
-
-    Each request rides in exactly one route, so ``cap`` on the exposure
-    measure (``Instance.measure_cap``) holds route by route: every pool
-    column with a rider over it (``oracle.over_cap``) is fixed to zero too,
-    whether it was seeded, priced under another cap or shared. That implies
-    every per-request cap row, so the master has none.
-    """
-    model = LinearModel("rlmp")
-    big = big_cost(inst)
-    meta: dict = {"lam": [], "extra": list(extra_rows), "big": big,
-                  "banned": banned, "cap": cap}
-    for col in pool.columns:
-        _add_lambda(inst, model, meta, col)
-    meta["art"] = {i: model.add_var(f"art{i}", lb=0.0, obj=big) for i in inst.pickups()}
-    meta["xart"] = {r: model.add_var(f"xart{r}", lb=0.0, obj=big)
-                    for r, row in enumerate(extra_rows) if row.sense == GE}
-
-    # (row key, name, sense, rhs, coefficients of non-column variables)
-    specs = [(("part", i), f"part{i}", EQ, 1.0, {meta["art"][i]: 1.0}) for i in inst.pickups()]
-    specs.append(("fleet", "fleet", LE, float(inst.fleet_size), {}))
-    for r, row in enumerate(extra_rows):
-        own = {meta["xart"][r]: 1.0} if row.sense == GE else {}
-        specs.append((("x", r), f"x{r}:{row.name}", row.sense, row.rhs, own))
-    meta["row"] = {spec[0]: r for r, spec in enumerate(specs)}
-
-    coefs: dict = {key: {} for key in meta["row"]}
-    for k, j in enumerate(meta["lam"]):
-        for key, v in _column_coefs(pool, meta, k):
-            coefs[key][j] = v
-    for key, name, sense, rhs, own in specs:
-        model.add_row(name, {**coefs[key], **own}, sense, rhs)
-    return model, meta
+) -> RestrictedMaster:
+    """The restricted master of a node over ``pool`` (``RestrictedMaster``)."""
+    return RestrictedMaster(pool, inst, cap, extra_rows, banned)
 
 
-def extract_duals(inst: Instance, sol, meta: dict) -> DualValues:
-    """Pricing duals of a solved master, with sign-violating row duals
-    clamped to zero and extra-row duals folded into ``mu`` and arc terms."""
-    row = meta["row"]
-
-    def dual(key) -> float:
-        return float(sol.duals[row[key]])
-
+def extract_duals(inst: Instance, sol, extra_rows: tuple[ExtraRow, ...]) -> DualValues:
+    """Pricing duals of a solved master (``RestrictedMaster`` row layout),
+    with sign-violating row duals clamped to zero and the duals of
+    ``extra_rows`` folded into ``mu`` and arc terms."""
+    n = inst.n
     duals = DualValues()
     for i in inst.pickups():
-        duals.pi[i] = dual(("part", i))
-    duals.mu = min(dual("fleet"), 0.0)
-    for r, xrow in enumerate(meta["extra"]):
-        y = dual(("x", r))
+        duals.pi[i] = float(sol.duals[i - 1])
+    duals.mu = min(float(sol.duals[n]), 0.0)
+    for r, xrow in enumerate(extra_rows):
+        y = float(sol.duals[n + 1 + r])
         if xrow.sense == LE:
             y = min(y, 0.0)
         elif xrow.sense == GE:
@@ -247,60 +276,8 @@ def extract_duals(inst: Instance, sol, meta: dict) -> DualValues:
 @dataclass
 class CGResult:
     status: str
-    objective: float
-    solution: MasterSolution | None
+    solution: MasterSolution
     bound: float
-    iterations: int
-
-
-def artificial_total(sol, meta: dict) -> float:
-    """The summed value of a solved master's artificials."""
-    return sum(float(sol.x[v]) for v in (*meta["art"].values(), *meta["xart"].values()))
-
-
-class RestrictedMaster:
-    """One node's master LP over a growing pool, resolved warm from the last
-    basis.
-
-    Columns enter only through ``_column_coefs``: ``build_rlmp`` writes the
-    pool at construction, ``solve`` appends the columns added since.
-
-    The artificials serve only to reach a feasible master. The first LP
-    whose artificials sum to at most ``ARTIFICIAL_TOL`` fixes every one of
-    them to zero, at objective 0, for the rest of the node: the pool only
-    grows and the rows and bans stay, so the master stays feasible.
-    A degenerate basis that keeps an artificial basic at zero would hand
-    pricing duals of order ``big_cost``; such an LP is re-solved warm at once,
-    so the duals returned are always those of the master without
-    artificials, which are optimal duals of the master over the routes.
-    """
-
-    def __init__(self, pool: ColumnPool, inst: Instance, cap, extra_rows, banned):
-        self.pool = pool
-        self.inst = inst
-        self.model, self.meta = build_rlmp(pool, inst, cap, extra_rows, banned)
-        self.warm = None
-        self.artificials_fixed = False
-
-    def solve(self):
-        from .lp import solve_lp_warm
-
-        model, meta = self.model, self.meta
-        for k in range(len(meta["lam"]), len(self.pool)):
-            j = _add_lambda(self.inst, model, meta, self.pool.columns[k])
-            for key, v in _column_coefs(self.pool, meta, k):
-                model.rows[meta["row"][key]].append((j, v))
-        sol, self.warm = solve_lp_warm(model, self.warm)
-        if (not self.artificials_fixed and sol.status == OPTIMAL
-                and artificial_total(sol, meta) <= ARTIFICIAL_TOL):
-            self.artificials_fixed = True
-            arts = [*meta["art"].values(), *meta["xart"].values()]
-            for v in arts:
-                model.ub[v] = model.obj[v] = 0.0
-            meta["big"] = 0.0  # the artificials' objective coefficient from now on
-            if any(sol.basic[v] for v in arts):
-                sol, self.warm = solve_lp_warm(model, self.warm)
-        return sol, meta
 
 
 def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
@@ -399,7 +376,7 @@ def column_generation(
     """Alternate master LP solves and pricing until no negative column exists.
 
     Each round prices heuristically first and confirms with an exact run
-    when the heuristic adds nothing. The returned objective is a valid lower
+    when the heuristic adds nothing. The bound returned is a valid lower
     bound on the cost of the node's integer problem over the routes that use
     no arc of ``banned`` and that ``cap``, the cap on the exposure measure
     (``Instance.measure_cap``), admits: both bind the master (``build_rlmp``)
@@ -417,27 +394,24 @@ def column_generation(
     Pricing stops at ``deadline`` too. Once the deadline has passed, a round
     that adds no column returns ``TimeLimit`` with a bound of -inf, never
     ``Optimal`` or ``Infeasible``: its exact run may have been cut short."""
-    iterations = 0
-    rmaster = RestrictedMaster(pool, inst, cap, extra_rows, banned)
+    rmaster = build_rlmp(pool, inst, cap, extra_rows, banned)
     while True:
-        iterations += 1
-        sol, meta = rmaster.solve()
+        sol = rmaster.solve()
         if sol.status != OPTIMAL:
             raise RdarpError(f"master LP unexpectedly {sol.status}")
-        duals = extract_duals(inst, sol, meta)
-        art_total = artificial_total(sol, meta)
-        lam_vals = [float(sol.x[j]) for j in meta["lam"]]
+        duals = extract_duals(inst, sol, extra_rows)
+        art_total = rmaster.artificial_total(sol)
+        lam_vals = [float(sol.x[j]) for j in rmaster.lam]
         msol = MasterSolution(
             # strip the artificials' objective term: big-M times their value
             # while they are free, which converged is tolerance dust that
             # would inflate the bound; nothing once they are fixed at zero
-            objective=float(sol.objective) - meta["big"] * art_total,
-            duals=duals,
+            objective=float(sol.objective) - rmaster.big * art_total,
             artificial_total=art_total,
             columns_used=[(col, v) for col, v in zip(pool.columns, lam_vals) if v > 1e-12],
         )
         if deadline is not None and time.perf_counter() > deadline:
-            return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
+            return CGResult(TIME_LIMIT_STATUS, msol, -INF)
 
         added = 0
         for heuristic in (True, False):
@@ -449,8 +423,7 @@ def column_generation(
         if added:
             continue
         if deadline is not None and time.perf_counter() > deadline:
-            return CGResult(TIME_LIMIT_STATUS, msol.objective, msol, -INF, iterations)
+            return CGResult(TIME_LIMIT_STATUS, msol, -INF)
         if art_total > ARTIFICIAL_TOL:
-            return CGResult(INFEASIBLE_STATUS, INF, msol, INF, iterations)
-        return CGResult(OPTIMAL_STATUS, msol.objective, msol, msol.objective, iterations)
-
+            return CGResult(INFEASIBLE_STATUS, msol, INF)
+        return CGResult(OPTIMAL_STATUS, msol, msol.objective)

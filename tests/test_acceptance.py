@@ -290,8 +290,8 @@ def test_c7c_root_bound_improves_with_cuts():
         assert violated, seed
         after = column_generation(inst, pool, 1.6, extra_rows=tuple(violated))
         assert after.status == "Optimal"
-        assert after.objective > base.objective + 0.1, seed
-        assert (base.objective, after.objective) == pytest.approx(bounds[seed], abs=1e-4)
+        assert after.bound > base.bound + 0.1, seed
+        assert (base.bound, after.bound) == pytest.approx(bounds[seed], abs=1e-4)
     print("CRITERION 7c: PASS rounded capacity cuts raise the root bound on "
           "both fractional EDARP roots")
 

@@ -140,11 +140,10 @@ def test_vehicle_branch_rule_floor_ceil():
     import itertools
 
     from rdarp.master import MasterSolution
-    from rdarp.pricing import DualValues
 
     col = oracle.Route((0, 1, 3, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {1: 0.0}, 0.0)
     col2 = oracle.Route((0, 2, 4, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {2: 0.0}, 0.0)
-    msol = MasterSolution(objective=3.0, duals=DualValues(), artificial_total=0.0,
+    msol = MasterSolution(objective=3.0, artificial_total=0.0,
                           columns_used=[(col, 1.25), (col2, 1.25)])
     node = bcp.BranchNode(0, 0, 0.0)
     left, right = bcp.branch(node, msol, itertools.count(1))
@@ -156,14 +155,13 @@ def test_arc_branch_rule_bans_the_most_fractional_arc():
     import itertools
 
     from rdarp.master import MasterSolution
-    from rdarp.pricing import DualValues
 
     def route(seq):
         return oracle.Route(seq, tuple(float(k) for k in range(len(seq))), 5.0,
                             {1: 0.0, 2: 0.0}, 0.0)
 
     # one vehicle in all; flows (0,1) 0.7, (2,1) 0.3, (2,3) 0.2, (2,4) 0.5, ...
-    msol = MasterSolution(objective=5.0, duals=DualValues(), artificial_total=0.0,
+    msol = MasterSolution(objective=5.0, artificial_total=0.0,
                           columns_used=[(route((0, 1, 2, 4, 3, 5)), 0.5),
                                         (route((0, 1, 2, 3, 4, 5)), 0.2),
                                         (route((0, 2, 1, 3, 4, 5)), 0.3)])

@@ -72,29 +72,31 @@ def _master_with_two_cuts():
     seed_pool(pool, inst)
     le_cut = ExtraRow("le(1,2,3)", LE, 1.0, (((1, 2), 1.0), ((2, 3), 1.0)))
     ge_cut = ExtraRow("ge(1,4)", GE, 2.0, (((1, 4), 1.0), ((4, 2), 2.0)))
-    model, meta = build_rlmp(pool, inst, extra_rows=(le_cut, ge_cut))
-    return inst, model, meta
+    return inst, build_rlmp(pool, inst, extra_rows=(le_cut, ge_cut))
 
 
-def _solution_with_duals(model, meta, le_dual, ge_dual):
-    duals = np.zeros(model.n_rows)
-    duals[meta["row"][("x", 0)]] = le_dual
-    duals[meta["row"][("x", 1)]] = ge_dual
+def _solution_with_duals(rmaster, le_dual, ge_dual):
+    """A solution whose only nonzero duals are those of the rows named after
+    the two cuts."""
+    names = rmaster.model.row_names
+    duals = np.zeros(len(names))
+    duals[names.index("x0:le(1,2,3)")] = le_dual
+    duals[names.index("x1:ge(1,4)")] = ge_dual
     return SimpleNamespace(duals=duals)
 
 
 def test_extract_duals_folds_cut_duals_into_arcs():
-    inst, model, meta = _master_with_two_cuts()
-    duals = extract_duals(inst, _solution_with_duals(model, meta, -2.0, 0.5), meta)
+    inst, rmaster = _master_with_two_cuts()
+    duals = extract_duals(inst, _solution_with_duals(rmaster, -2.0, 0.5), rmaster.extra)
     assert duals.arc_adjust == pytest.approx({(1, 2): -2.0, (2, 3): -2.0, (1, 4): 0.5, (4, 2): 1.0})
     assert duals.mu == 0.0  # cuts carry no route constant
 
 
 def test_extract_duals_clamps_wrong_sign_cut_duals():
-    inst, model, meta = _master_with_two_cuts()
-    duals = extract_duals(inst, _solution_with_duals(model, meta, 0.5, -0.5), meta)
+    inst, rmaster = _master_with_two_cuts()
+    duals = extract_duals(inst, _solution_with_duals(rmaster, 0.5, -0.5), rmaster.extra)
     assert duals.arc_adjust == {}
-    duals = extract_duals(inst, _solution_with_duals(model, meta, 0.5, 0.25), meta)
+    duals = extract_duals(inst, _solution_with_duals(rmaster, 0.5, 0.25), rmaster.extra)
     assert duals.arc_adjust == pytest.approx({(1, 4): 0.25, (4, 2): 0.5})
 
 
@@ -134,4 +136,4 @@ def test_root_bound_never_decreases_with_cuts():
         assert violated, seed
         after = column_generation(inst, pool, 1.6, extra_rows=tuple(violated))
         assert after.status == "Optimal"
-        assert after.objective > base.objective + 0.1, seed
+        assert after.bound > base.bound + 0.1, seed

@@ -53,8 +53,7 @@ def test_pool_rejects_duplicates_and_validates(two_rider_chain):
 def test_rlmp_single_feasible_column(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
-    model, meta = build_rlmp(pool, two_rider_chain)
-    sol = solve_lp(model)
+    sol = solve_lp(build_rlmp(pool, two_rider_chain).model)
     assert sol.status == "Optimal"
     assert value(sol, "l0") == pytest.approx(1.0)
     assert all(value(sol, f"art{i}") == pytest.approx(0.0) for i in (1, 2))
@@ -63,8 +62,7 @@ def test_rlmp_single_feasible_column(two_rider_chain):
 def test_rlmp_empty_pool_uses_artificials(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))  # covers request 1 only
-    model, meta = build_rlmp(pool, two_rider_chain)
-    sol = solve_lp(model)
+    sol = solve_lp(build_rlmp(pool, two_rider_chain).model)
     assert value(sol, "art2") == pytest.approx(1.0)
     assert sol.objective >= big_cost(two_rider_chain)
 
@@ -76,10 +74,9 @@ def test_rlmp_infinite_cap_omits_risk_rows(two_rider_chain):
     pool = ColumnPool(two_rider_chain)
     pool.add(make_column(two_rider_chain, (0, 1, 2, 3, 4, 5)))
     for cap in (INF, 10.0):
-        model, meta = build_rlmp(pool, two_rider_chain, cap)
-        assert list(meta["row"]) == [("part", 1), ("part", 2), "fleet"]
-        assert model.row_names == ["part1", "part2", "fleet"]
-    assert meta["cap"] == 10.0
+        rmaster = build_rlmp(pool, two_rider_chain, cap)
+        assert rmaster.model.row_names == ["part1", "part2", "fleet"]
+    assert rmaster.cap == 10.0
 
 
 def test_rlmp_fixes_over_cap_columns_in_cost_mode_only(two_rider_chain):
@@ -88,19 +85,27 @@ def test_rlmp_fixes_over_cap_columns_in_cost_mode_only(two_rider_chain):
     pool.add(shared)
     pool.add(make_column(two_rider_chain, (0, 1, 3, 5)))
     cap = max(shared.exposure.values()) / 2
-    model, meta = build_rlmp(pool, two_rider_chain, cap)
-    assert [model.ub[j] for j in meta["lam"]] == [0.0, INF]
-    model, meta = build_rlmp(pool, two_rider_chain)
-    assert [model.ub[j] for j in meta["lam"]] == [INF, INF]
+    rmaster = build_rlmp(pool, two_rider_chain, cap)
+    assert [rmaster.model.ub[j] for j in rmaster.lam] == [0.0, INF]
+    rmaster = build_rlmp(pool, two_rider_chain)
+    assert [rmaster.model.ub[j] for j in rmaster.lam] == [INF, INF]
 
 
-def test_cg_single_request_converges_in_one_round():
+def test_cg_single_request_converges_in_one_round(monkeypatch):
     inst = preprocess(random_instance(0, n=1, fleet_size=1))
     pool = ColumnPool(inst)
     assert seed_pool(pool, inst) == []
+    real_pricing = master.solve_pricing
+    heuristic = []  # per pricing run; each round starts with one heuristic run
+
+    def pricing(*args, **kwargs):
+        heuristic.append(kwargs["heuristic"])
+        return real_pricing(*args, **kwargs)
+
+    monkeypatch.setattr(master, "solve_pricing", pricing)
     res = column_generation(inst, pool)
     assert res.status == OPTIMAL_STATUS
-    assert res.iterations <= 2
+    assert heuristic.count(True) <= 2
     assert len(res.solution.columns_used) == 1
 
 
@@ -113,9 +118,9 @@ def test_cg_matches_brute_force_when_integral():
     assert res.status == OPTIMAL_STATUS
     bf = oracle.brute_force_solve(inst0)
     if res.solution.integral:
-        assert res.objective == pytest.approx(bf.objective, abs=1e-6)
+        assert res.bound == pytest.approx(bf.objective, abs=1e-6)
     else:
-        assert res.objective <= bf.objective + 1e-6
+        assert res.bound <= bf.objective + 1e-6
 
 
 def _record_master_lps(monkeypatch) -> list[tuple[bool, float]]:
@@ -179,7 +184,7 @@ def test_artificials_are_fixed_from_the_first_feasible_master_on(interlaced, mon
     lps = _record_master_lps(monkeypatch)
     res = column_generation(inst, pool)
     assert res.status == OPTIMAL_STATUS
-    assert res.objective == pytest.approx(oracle.brute_force_solve(inst).objective)
+    assert res.bound == pytest.approx(oracle.brute_force_solve(inst).objective)
     first = next(k for k, (_, total) in enumerate(lps) if total <= ARTIFICIAL_TOL)
     assert 1 <= first < len(lps) - 1
     assert all(free and total > ARTIFICIAL_TOL for free, total in lps[:first])
@@ -201,10 +206,10 @@ def test_pricing_gets_the_masters_own_duals_once_it_is_feasible(monkeypatch):
         feasible.append(False)
         return real_cg(*args, **kwargs)
 
-    def extract(inst_, sol, meta):
-        arts = [*meta["art"].values(), *meta["xart"].values()]
+    def extract(inst_, sol, extra_rows):
+        arts = [j for j, name in enumerate(sol.var_names) if name.startswith(("art", "xart"))]
         feasible[-1] = feasible[-1] or float(sum(sol.x[v] for v in arts)) <= ARTIFICIAL_TOL
-        return real_extract(inst_, sol, meta)
+        return real_extract(inst_, sol, extra_rows)
 
     checked = []
     real_pricing = master.solve_pricing
@@ -351,9 +356,8 @@ def test_appended_columns_match_a_fresh_build():
     added = [c for c in solve_pricing(inst, duals, limit=40) if pool.add(c)]
     assert len(added) > 5
     rmaster.solve()
-    model, meta = rmaster.model, rmaster.meta
-    fresh, fresh_meta = build_rlmp(pool, *args)
-    assert meta["row"] == fresh_meta["row"]
+    model, fresh = rmaster.model, build_rlmp(pool, *args).model
+    assert model.row_names == fresh.row_names
     coefs = _row_coefficients(model)
     appended = {f"l{k}" for k in range(seeded, len(pool))}
     for prefix in ("part", "fleet", "x0:", "x1:"):
@@ -366,10 +370,31 @@ def test_appended_columns_match_a_fresh_build():
     assert {model.var_names[j] for j in range(model.n_vars) if model.ub[j] == 0.0} == fixed
 
 
+def test_master_variable_order_is_pool_then_artificials_then_appended():
+    """The simplex breaks pivot ties by variable index, so the master's
+    variable order steers the pivots and the columns pricing finds. It is
+    the λ of the pool at construction, the artificials of the partitioning
+    rows and of the >= extra rows, then the λ of the columns added since,
+    in pool order."""
+    inst = preprocess(random_instance(6, n=3, fleet_size=2))
+    pool = ColumnPool(inst)
+    seed_pool(pool, inst)
+    extra = (ExtraRow("veh<= 2", "<=", 2.0, route_constant=1.0),
+             ExtraRow("out>=1", ">=", 1.0, arc_coefs=(((1, 2), 1.0),)))
+    rmaster = RestrictedMaster(pool, inst, INF, extra, frozenset())
+    seeded = len(pool)
+    duals = DualValues(pi={i: 300.0 for i in inst.pickups()})
+    assert [c for c in solve_pricing(inst, duals, limit=40) if pool.add(c)]
+    rmaster.solve()
+    assert rmaster.model.var_names == (
+        [f"l{k}" for k in range(seeded)] + ["art1", "art2", "art3", "xart1"]
+        + [f"l{k}" for k in range(seeded, len(pool))])
+
+
 def _synthetic_master(*columns_used):
     """A master over ``(sequence, λ)`` pairs on two requests; only the
     sequences matter to ``MasterSolution.integral``."""
-    return master.MasterSolution(0.0, DualValues(), 0.0, [
+    return master.MasterSolution(0.0, 0.0, [
         (oracle.Route(seq, (0.0,) * len(seq), 0.0, {}, 0.0), lam) for seq, lam in columns_used])
 
 
