@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 from . import cuts as cuts_mod
 from . import oracle
+from .errors import OptionError
 from .instance import EDARP, Instance
 from .lp import GE, LE
 from .master import (
@@ -56,16 +57,13 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class BranchNode:
     """A tree node: its branching rows, which enter the master, and the arcs
-    its subtree bans, which bind both the master and pricing."""
+    its subtree bans, which bind both the master and pricing. Its bound is
+    the ``CGResult.bound`` it is kept open with (``_min_cost``)."""
 
     depth: int
     counter: int
-    bound: float
     rows: tuple[ExtraRow, ...] = ()
     banned: frozenset[tuple[int, int]] = frozenset()
-
-    def sort_key(self):
-        return (self.bound, -self.depth, self.counter)
 
 
 @dataclass
@@ -103,6 +101,30 @@ def enforced_cap(inst: Instance, mode: str) -> str:
     return "eps_dt" if inst.mode == EDARP else "eps_risk"
 
 
+def check_options(inst: Instance, mode: str, opts: SolveOptions) -> None:
+    """Raise ``OptionError``, naming the field, on the first option a
+    ``mode`` solve of ``inst`` cannot honour: an unknown ``mode``,
+    ``certify_risk`` in a risk solve, which has no cost cap to certify
+    under, a negative or NaN ``time_limit`` (a NaN deadline never passes),
+    a cap that is negative (its master rows carry no artificial, so the
+    master LP itself would be infeasible) or NaN (it would lift the cap),
+    and a finite cap other than ``enforced_cap``, which the solve would
+    ignore."""
+    if mode not in (COST, RISK):
+        raise OptionError("mode", f"mode must be {COST!r} or {RISK!r}, got {mode!r}")
+    if opts.certify_risk and mode == RISK:
+        raise OptionError("certify_risk", f"certify_risk applies only to a {COST} solve")
+    _check_time_limit(opts.time_limit)
+    enforced = enforced_cap(inst, mode)
+    for name in CAPS:
+        value = getattr(opts, name)
+        if not value >= 0:
+            raise OptionError(name, f"{name} must be nonnegative, got {value}")
+        if value < INF and name != enforced:
+            raise OptionError(name, f"a {mode} solve on this {inst.mode} instance enforces "
+                                    f"only {enforced}, not {name}={value}")
+
+
 def _most_fractional_arc(msol: MasterSolution) -> tuple[int, int]:
     """The arc whose fractional flow is closest to 0.5, the first in arc
     order among near ties; ``msol`` must have a fractional arc flow."""
@@ -124,7 +146,7 @@ def branch(node: BranchNode, msol: MasterSolution, counter) -> tuple[BranchNode,
         return None
 
     def child(row: ExtraRow | None = None, ban: tuple[int, int] | None = None):
-        return BranchNode(node.depth + 1, next(counter), msol.objective,
+        return BranchNode(node.depth + 1, next(counter),
                           node.rows + (() if row is None else (row,)),
                           node.banned if ban is None else node.banned | {ban})
 
@@ -160,27 +182,11 @@ def solve(inst: Instance, mode: str = COST, options: SolveOptions | None = None)
     certification: the routes found before it stand, and so does the cost
     tree's status.
 
-    Raises ``ValueError``, before any LP is built, on an unknown ``mode``,
-    on ``certify_risk`` in a risk solve, which has no cost cap to certify
-    under, on a negative cap (its master rows carry no artificial, so the
-    master LP itself would be infeasible), on a finite cap other than
-    ``enforced_cap``, which the solve would ignore, and on a negative or NaN
-    ``time_limit`` (a NaN deadline never passes).
+    The options are checked first (``check_options``), before any LP is
+    built.
     """
     opts = options or SolveOptions()
-    if mode not in (COST, RISK):
-        raise ValueError(f"mode must be {COST!r} or {RISK!r}, got {mode!r}")
-    if opts.certify_risk and mode == RISK:
-        raise ValueError(f"certify_risk applies only to a {COST} solve")
-    _check_time_limit(opts.time_limit)
-    enforced = enforced_cap(inst, mode)
-    for name in CAPS:
-        value = getattr(opts, name)
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-        if value < INF and name != enforced:
-            raise ValueError(f"a {mode} solve on this {inst.mode} instance enforces only "
-                             f"{enforced}, not {name}={value}")
+    check_options(inst, mode, opts)
     deadline = None if opts.time_limit is None else time.perf_counter() + opts.time_limit
 
     pool = ColumnPool(inst)
@@ -212,7 +218,7 @@ def _relative_gap(value: float, bound: float) -> float:
 
 def _check_time_limit(time_limit: float | None) -> None:
     if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time_limit must be nonnegative, got {time_limit}")
+        raise OptionError("time_limit", f"time_limit must be nonnegative, got {time_limit}")
 
 
 def _floor_and_resolution(inst: Instance) -> tuple[float, float]:
@@ -320,10 +326,10 @@ def pareto_front(inst: Instance, step: float,
     """The exact cost/peak front by ``_sweep`` over one fresh pool, and
     whether it is complete: ``time_limit`` bounds each tree, and
     one that times out ends the sweep. An infeasible instance gives an
-    empty, complete front. Raises ``ValueError`` on a step that is not
+    empty, complete front. Raises ``OptionError`` on a step that is not
     positive and on a negative or NaN ``time_limit``, before any tree runs."""
     if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise OptionError("step", f"step must be positive, got {step}")
     _check_time_limit(time_limit)
     pool = ColumnPool(inst)
     if seed_pool(pool, inst):
@@ -370,7 +376,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
             deadline=deadline,
         )
 
-    root = BranchNode(0, next(counter), -INF)
+    root = BranchNode(0, next(counter))
     res = run_cg(root)
     nodes_explored = 1
     if res.status == INFEASIBLE_STATUS:
@@ -425,6 +431,10 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
             best_value = value
         return True
 
+    def push(node: BranchNode, result: CGResult):
+        """Keep ``node`` open; best ``result.bound`` first, then deepest, then oldest."""
+        heapq.heappush(heap, ((result.bound, -node.depth, node.counter), node, result))
+
     def offer(node: BranchNode, result: CGResult):
         """Offer the master as incumbent, and keep the node open unless its
         column generation converged at an integral master. A timed-out
@@ -432,10 +442,9 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
         -inf: the relaxation is unsolved, whatever the master looks like."""
         if result.status == INFEASIBLE_STATUS:
             return
-        node = replace(node, bound=result.bound)
         if take_incumbent(result.solution) and result.status != TIME_LIMIT_STATUS:
             return
-        heapq.heappush(heap, (node.sort_key(), node, result))
+        push(node, result)
 
     offer(root, res)
     log_node(0, res)
@@ -451,7 +460,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
         for k, child in enumerate(children):
             if deadline is not None and time.perf_counter() > deadline:
                 timed_out = True
-                heapq.heappush(heap, (child.sort_key(), child, result))
+                push(child, result)
                 continue
             child_res = run_cg(child)
             nodes_explored += 1
@@ -460,7 +469,7 @@ def _min_cost(inst: Instance, cap: float, deadline: float | None, pool: ColumnPo
                 # feasible master it already holds is still a solution
                 timed_out = True
                 take_incumbent(child_res.solution)
-                heapq.heappush(heap, (child.sort_key(), child, result))
+                push(child, result)
             elif (child_res.status != INFEASIBLE_STATUS
                   and child_res.bound < best_value - PRUNE_TOL):
                 offer(child, child_res)

@@ -12,11 +12,11 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import MappingProxyType
 
 from . import __version__, bcp, master, oracle
 from .errors import (
     InfeasibleRequestError,
+    OptionError,
     ParseError,
     RouteInfeasible,
     ValidationError,
@@ -58,28 +58,8 @@ def _read_instance(text: str, name: str, benchmark_risk: bool) -> Instance:
 
 
 def _parse_eps(value: str) -> float:
-    if value.lower() in ("inf", "infinity", "none"):
-        return INF
-    eps = float(value)
-    if math.isnan(eps):
-        raise argparse.ArgumentTypeError("a cap must be a number or inf, not nan")
-    if eps < 0:
-        raise argparse.ArgumentTypeError(f"a cap must be nonnegative, got {value}")
-    return eps
-
-
-def _parse_step(value: str) -> float:
-    step = float(value)
-    if not step > 0:
-        raise argparse.ArgumentTypeError(f"the step must be positive, got {value}")
-    return step
-
-
-def _parse_time_limit(value: str) -> float:
-    limit = float(value)
-    if not limit >= 0:
-        raise argparse.ArgumentTypeError(f"the time limit must be nonnegative, got {value}")
-    return limit
+    # "none" spells no cap, as "inf" does; bcp.check_options judges the value
+    return INF if value.lower() == "none" else float(value)
 
 
 def _round6(x: float):
@@ -176,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-risk", type=_parse_eps, default=INF)
     sp.add_argument("--eps-cost", type=_parse_eps, default=INF)
     sp.add_argument("--eps-dt", type=_parse_eps, default=INF)
-    sp.add_argument("--time-limit", type=_parse_time_limit, default=None)
+    sp.add_argument("--time-limit", type=float, default=None)
     sp.add_argument("--certify-risk", action="store_true",
                     help="with --mode cost, routes of least peak exposure among the cheapest, "
                          "to within δ: the pareto sweep's first point, over one column pool and "
@@ -185,8 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pareto", help="exact bi-objective front")
     common(sp)
-    sp.add_argument("--step", type=_parse_step, default=0.01)
-    sp.add_argument("--time-limit", type=_parse_time_limit, default=None,
+    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--time-limit", type=float, default=None,
                     help="time limit in seconds for each tree of the sweep")
     sp.add_argument("--out", default=None, help="CSV path (default stdout)")
     sp.add_argument("--json", dest="json_out", default=None)
@@ -212,35 +192,13 @@ def _prepare(args) -> Instance:
     return inst
 
 
-_CAP_USE = MappingProxyType({
-    "eps_cost": "--eps-cost caps cost only with --mode risk",
-    "eps_risk": "--eps-risk caps exposure only with --mode cost on an instance that is not EDARP",
-    "eps_dt": "--eps-dt caps detour rates only with --mode cost on an EDARP instance (--edarp)",
-})
-
-
-def _reject_ignored_flags(args, inst: Instance, mode: str) -> bool:
-    """Report each flag a ``mode`` solve on ``inst`` would ignore: a finite
-    cap it does not enforce (``bcp.enforced_cap``), or ``--certify-risk``
-    outside a cost solve. Returns whether there was one."""
-    enforced = bcp.enforced_cap(inst, mode)
-    ignored = [message for name, message in _CAP_USE.items()
-               if getattr(args, name, INF) < INF and name != enforced]
-    if getattr(args, "certify_risk", False) and mode != COST:
-        ignored.append("--certify-risk applies only with --mode cost")
-    for message in ignored:
-        print(f"error: {message}", file=sys.stderr)
-    return bool(ignored)
-
-
 def cmd_solve(args) -> int:
     inst = _prepare(args)
-    if _reject_ignored_flags(args, inst, args.mode):
-        return EXIT_USAGE
+    opts = bcp.SolveOptions(eps_risk=args.eps_risk, eps_cost=args.eps_cost, eps_dt=args.eps_dt,
+                            time_limit=args.time_limit, certify_risk=args.certify_risk)
+    bcp.check_options(inst, args.mode, opts)
     inst = preprocess(inst)
-    rep = bcp.solve(inst, args.mode, bcp.SolveOptions(
-        eps_risk=args.eps_risk, eps_cost=args.eps_cost, eps_dt=args.eps_dt,
-        time_limit=args.time_limit, certify_risk=args.certify_risk))
+    rep = bcp.solve(inst, args.mode, opts)
     payload = report_to_json(inst, rep)
     if args.out:
         Path(args.out).write_text(payload + "\n")
@@ -288,9 +246,9 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    inst = preprocess(_prepare(args))
-    if _reject_ignored_flags(args, inst, COST):
-        return EXIT_USAGE
+    inst = _prepare(args)
+    bcp.check_options(inst, COST, bcp.SolveOptions(eps_risk=args.eps_risk, eps_dt=args.eps_dt))
+    inst = preprocess(inst)
     doc = json.loads(Path(args.solution).read_text())
     cap = inst.measure_cap(args.eps_risk, args.eps_dt)
     try:
@@ -364,6 +322,9 @@ def run(argv=None) -> int:
             return cmd_validate(args)
         if args.command == "convert":
             return cmd_convert(args)
+        return EXIT_USAGE
+    except OptionError as exc:
+        print(f"error: --{exc.option.replace('_', '-')}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RouteInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -13,6 +13,14 @@ class ParseError(RdarpError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class OptionError(RdarpError, ValueError):
+    """A solve option the solver cannot honour; ``option`` names its field."""
+
+    def __init__(self, option: str, message: str):
+        self.option = option
+        super().__init__(message)
+
+
 class ValidationError(RdarpError):
     """Instance data violates a structural invariant."""
 

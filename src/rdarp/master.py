@@ -280,8 +280,9 @@ class CGResult:
     bound: float
 
 
-def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
-    """Sequences of one cheapest-insertion solution (Solomon 1987).
+def _insertion_routes(inst: Instance) -> list[cal.PathState]:
+    """The end-depot states of one cheapest-insertion solution's routes
+    (Solomon 1987).
 
     Requests are taken by pick-up earliest start, ties by index. Each goes to
     the placement (route, pick-up position, drop-off position) that raises
@@ -337,7 +338,7 @@ def _insertion_routes(inst: Instance) -> list[tuple[int, ...]]:
             routes[r] = states
         else:
             routes.append(states)
-    return [states[-1].nodes for states in routes]
+    return [states[-1] for states in routes]
 
 
 def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
@@ -347,8 +348,10 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
     feasible, the routes of one cheapest-insertion solution follow
     (``_insertion_routes``): they serve requests together on at most
     ``inst.fleet_size`` vehicles; when they serve every request, the first
-    master LP needs no artificial. Every route is replayed by
-    ``oracle.replay_route`` and validated by ``ColumnPool.add``.
+    master LP needs no artificial. A round trip is replayed by
+    ``oracle.replay_route``; an insertion route is built from the state its
+    insertion already extended (``oracle.state_route``). Every route is
+    validated by ``ColumnPool.add``.
     """
     bad = []
     for i in inst.pickups():
@@ -359,9 +362,8 @@ def seed_pool(pool: ColumnPool, inst: Instance) -> list[int]:
             continue
         pool.add(route)
     if not bad:
-        for seq in _insertion_routes(inst):
-            route, _ = oracle.replay_route(inst, seq)
-            pool.add(route)
+        for st in _insertion_routes(inst):
+            pool.add(oracle.state_route(inst, st))
     return bad
 
 

@@ -102,7 +102,7 @@ def test_branching_bounds_monotone():
         if res.status != "Optimal" or res.solution.integral:
             continue
         counter = itertools.count(100)
-        root = bcp.BranchNode(0, 0, res.bound)
+        root = bcp.BranchNode(0, 0)
         children = bcp.branch(root, res.solution, counter)
         assert children is not None
         for child in children:
@@ -145,7 +145,7 @@ def test_vehicle_branch_rule_floor_ceil():
     col2 = oracle.Route((0, 2, 4, 5), (0.0, 1.0, 2.0, 3.0), 3.0, {2: 0.0}, 0.0)
     msol = MasterSolution(objective=3.0, artificial_total=0.0,
                           columns_used=[(col, 1.25), (col2, 1.25)])
-    node = bcp.BranchNode(0, 0, 0.0)
+    node = bcp.BranchNode(0, 0)
     left, right = bcp.branch(node, msol, itertools.count(1))
     assert left.rows[-1].sense == "<=" and left.rows[-1].rhs == 2.0
     assert right.rows[-1].sense == ">=" and right.rows[-1].rhs == 3.0
@@ -167,8 +167,7 @@ def test_arc_branch_rule_bans_the_most_fractional_arc():
                                         (route((0, 2, 1, 3, 4, 5)), 0.3)])
     assert msol.vehicle_count() == pytest.approx(1.0) and not msol.integral
     kept = bcp.ExtraRow("veh<= 1", "<=", 1.0, route_constant=1.0)
-    node = bcp.BranchNode(1, 0, 0.0, rows=(kept,),
-                          banned=frozenset({(1, 4)}))
+    node = bcp.BranchNode(1, 0, rows=(kept,), banned=frozenset({(1, 4)}))
     banned, forced = bcp.branch(node, msol, itertools.count(1))
     assert banned.rows == (kept,)
     assert banned.banned == frozenset({(1, 4), (2, 4)})
@@ -193,9 +192,12 @@ def nothing_may_run(monkeypatch):
 
 @pytest.mark.parametrize("cap", ["eps_risk", "eps_cost", "eps_dt"])
 def test_negative_cap_raises_before_any_lp(cap, nothing_may_run):
+    # a NaN cap compares false with everything, so it would lift the cap
     inst = preprocess(random_instance(0, n=2, fleet_size=1))
-    with pytest.raises(ValueError, match=cap):
-        bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: -1.0}))
+    for value in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=cap) as info:
+            bcp.solve(inst, "cost", bcp.SolveOptions(**{cap: value}))
+        assert info.value.option == cap
 
 
 @pytest.mark.parametrize("mode, edarp, cap", [

@@ -287,6 +287,16 @@ def test_validate_rejects_a_cap_that_does_not_apply(tmp_path, args, capsys):
     assert args[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["nan", "-1"])
+def test_validate_rejects_a_cap_that_is_nan_or_negative(tmp_path, small_json, cap, capsys):
+    # a NaN cap would pass any exposure; under a negative one nothing passes
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", str(small_json), "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert cli.run(["validate", str(small_json), str(sol), "--eps-risk", cap]) == 1
+    assert capsys.readouterr().err.startswith("error: --eps-risk: ")
+
+
 def _drop_h(doc):
     del doc["routes"][0]["H"]
     return doc
@@ -386,13 +396,15 @@ def test_a_timed_out_certification_keeps_the_cost_solve(tmp_path, small_json, mo
 
 @pytest.mark.parametrize("command", ["solve", "pareto"])
 @pytest.mark.parametrize("limit", ["nan", "-1"])
-def test_rejects_a_time_limit_that_is_nan_or_negative(small_json, command, limit):
+def test_rejects_a_time_limit_that_is_nan_or_negative(small_json, command, limit, capsys):
     assert cli.run([command, str(small_json), "--time-limit", limit]) == 1
+    assert capsys.readouterr().err.startswith("error: --time-limit: ")
 
 
 @pytest.mark.parametrize("step", ["0", "-0.5"])
-def test_pareto_rejects_a_step_that_is_not_positive(small_json, step):
+def test_pareto_rejects_a_step_that_is_not_positive(small_json, step, capsys):
     assert cli.run(["pareto", str(small_json), "--step", step]) == 1
+    assert capsys.readouterr().err.startswith("error: --step: ")
 
 
 def test_pareto_rejects_a_nan_step(small_json):

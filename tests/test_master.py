@@ -239,15 +239,17 @@ def _battery_instances():
 
 def _check_insertion_routes(inst):
     """The insertion routes are valid calibrated routes that serve each
-    request at most once on at most ``fleet_size`` vehicles; returns the
-    requests they serve."""
-    seqs = _insertion_routes(inst)
-    assert len(seqs) <= inst.fleet_size
-    served = [v for seq in seqs for v in seq if inst.is_pickup(v)]
+    request at most once on at most ``fleet_size`` vehicles, and the route
+    built from each end-depot state equals the replay of its sequence;
+    returns the requests they serve."""
+    states = _insertion_routes(inst)
+    assert len(states) <= inst.fleet_size
+    served = [v for st in states for v in st.nodes if inst.is_pickup(v)]
     assert len(served) == len(set(served))
-    for seq in seqs:
-        route, reason = oracle.replay_route(inst, seq)
+    for st in states:
+        route, reason = oracle.replay_route(inst, st.nodes)
         assert route is not None, reason
+        assert oracle.state_route(inst, st) == route
         oracle.validate_route(inst, route)
     return sorted(served)
 
@@ -258,7 +260,8 @@ def test_insertion_routes_cover_every_request_on_root_n14():
     pool = ColumnPool(inst)
     assert seed_pool(pool, inst) == []
     # the round trips, then every insertion route (each serves several requests)
-    assert [col.sequence for col in pool.columns[inst.n:]] == _insertion_routes(inst)
+    assert [col.sequence for col in pool.columns[inst.n:]] == [
+        st.nodes for st in _insertion_routes(inst)]
 
 
 def test_insertion_routes_are_valid_on_battery_instances():
@@ -290,13 +293,15 @@ def test_insertion_routes_do_not_depend_on_the_hash_seed():
         "from rdarp.fixtures import benchmark_like_instance\n"
         "from rdarp.instance import preprocess\n"
         "from rdarp.master import _insertion_routes\n"
-        "print(_insertion_routes(preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))\n"
+        "def sequences(inst):\n"
+        "    return [st.nodes for st in _insertion_routes(inst)]\n"
+        "print(sequences(preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))\n"
         "for inst in _battery_instances():\n"
-        "    print(_insertion_routes(inst))\n"
+        "    print(sequences(inst))\n"
     )
     assert outputs[0] == outputs[1]
-    assert outputs[0].splitlines()[0] == repr(_insertion_routes(
-        preprocess(benchmark_like_instance(0, n=14, fleet_size=3))))
+    assert outputs[0].splitlines()[0] == repr([st.nodes for st in _insertion_routes(
+        preprocess(benchmark_like_instance(0, n=14, fleet_size=3)))])
 
 
 def test_a_whole_solve_does_not_depend_on_the_hash_seed():
@@ -318,7 +323,7 @@ def test_seed_pool_adds_no_insertion_route_when_a_round_trip_is_infeasible():
     inst = random_instance(0, n=3, fleet_size=1)
     # request 3 must be picked up at time 0, which no trip from the depot meets
     blocked = replace(inst, late=tuple(0.0 if k == 3 else v for k, v in enumerate(inst.late)))
-    assert any(len(seq) > 4 for seq in _insertion_routes(blocked))
+    assert any(len(st.nodes) > 4 for st in _insertion_routes(blocked))
     pool = ColumnPool(blocked)
     assert seed_pool(pool, blocked) == [3]
     assert [col.sequence for col in pool.columns] == [(0, 1, 4, 7), (0, 2, 5, 7)]
